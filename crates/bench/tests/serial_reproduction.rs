@@ -4,7 +4,10 @@
 //! in `BENCH_baseline.json` at the precision the file records.
 //!
 //! * With `continuous_batching: false` and the slot count restored, the
-//!   batched dispatcher is the PR-5 overlap dispatcher.
+//!   batched dispatcher is the overlap dispatcher: per-request slots plus
+//!   live-context join (a request dispatched while its model has requests
+//!   in flight restores nothing, pays no framework init and allocates only
+//!   its KV cache).
 //! * With `speculation` disabled (the default), the step loop is the PR-6
 //!   batched dispatcher: no draft entry is wired, no acceptance RNG is
 //!   drawn, and the committed batched numbers reproduce digit-for-digit.

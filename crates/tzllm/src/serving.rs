@@ -61,9 +61,10 @@
 //! saturation throughput scales with the batch.  The pre-NPU part of a
 //! service phase (pipelined restoration, KV unseal) is unchanged and keeps
 //! streaming under an open batch on the flash/decrypt lanes.  With
-//! `continuous_batching: false` the PR-5 overlapped dispatcher above is
-//! reproduced bit-for-bit; [`ServingConfig::overlap`] keeps that
-//! configuration as the comparison baseline.
+//! `continuous_batching: false` the overlapped slot dispatcher above runs
+//! instead (per-request slots, with live-context join as below);
+//! [`ServingConfig::overlap`] keeps that configuration as the comparison
+//! baseline.
 //!
 //! ## Retention between requests
 //!
@@ -72,15 +73,35 @@
 //! partial parameter caching:
 //!
 //! * the first request for a model always cold-starts;
-//! * after each completed request the controller retains a prefix of the
-//!   blob bounded by the policy and by the REE's memory headroom;
+//! * when a model's last in-flight request completes, the controller
+//!   retains a prefix of the blob bounded by the policy and by the REE's
+//!   memory headroom (while requests are in flight the whole blob stays
+//!   pinned, see below);
 //! * with [`RetentionPolicy::Adaptive`], the retained prefix *grows* with
 //!   every completed request, so consecutive warm requests get strictly
 //!   faster until the cache saturates.
 //!
-//! The TA also stays warm between requests: only the first dispatch of a
-//! model pays the configured framework-initialisation cost; subsequent
-//! dispatches pay the checkpoint-restore cost.
+//! ## Idle and live TA contexts
+//!
+//! A dispatch is priced by the state of its model's TA context:
+//!
+//! * **Idle** (no request of the model in flight): the TA is suspended.
+//!   The first dispatch of a model pays the configured framework
+//!   initialisation (the checkpoint restore when
+//!   [`ServingConfig::use_checkpoint`] is set), later ones the checkpoint
+//!   restore; every idle dispatch maps a fresh KV cache plus activation
+//!   arena and restores whatever parameter bytes retention did not keep.
+//! * **Live** (requests of the model in flight): the request *joins* the
+//!   running context.  The first dispatch of a context pins the whole blob
+//!   resident, and retention applies only when the context's last in-flight
+//!   request completes — so a joiner reads a fully cached blob, restores
+//!   nothing, holds no flash lane, pays no framework init, and allocates
+//!   only its own KV cache.  Its NPU work never races the restore it relies
+//!   on: the service phase is exclusive and prefills take the chunk slot in
+//!   FIFO order.  The serial device (`max_inflight = 1`) never joins.
+//!
+//! The batched step loop already charges one weight pass per distinct
+//! model; pinning makes dispatch agree that each model has one copy.
 //!
 //! ## KV retention between turns
 //!
@@ -223,7 +244,9 @@ pub struct ServingConfig {
     /// Pipeline scheduling policy used for every dispatched request.
     pub policy: Policy,
     /// Whether the framework-state checkpoint exists for the *first* dispatch
-    /// of each model (later dispatches always restore from the warm TA).
+    /// of each model.  Later dispatches into an idle context restore the
+    /// suspended TA's checkpoint either way, and a dispatch into a live
+    /// context (its model has requests in flight) pays no init at all.
     pub use_checkpoint: bool,
     /// REE memory pressure in bytes (drives CMA migration cost and bounds
     /// adaptive retention).
@@ -242,8 +265,8 @@ pub struct ServingConfig {
     /// Iteration-level continuous batching: each NPU step runs one batched
     /// decode pass over every active sequence plus at most one prefill
     /// *chunk*, so long prefills interleave between decode steps instead of
-    /// preempting them wholesale.  `false` reproduces the PR-5 overlapped
-    /// dispatcher bit-for-bit ([`ServingConfig::overlap`]).
+    /// preempting them wholesale.  `false` runs the overlapped slot
+    /// dispatcher instead ([`ServingConfig::overlap`]).
     pub continuous_batching: bool,
     /// Prefill chunk size in prompt tokens under continuous batching: at
     /// most one chunk of the active prefill joins each NPU step.
@@ -645,6 +668,7 @@ struct ModelEntry {
     /// Whether the TA for this model has dispatched at least once (warm).
     warm: bool,
     /// Requests of this model currently in flight (service or decode).
+    /// Non-zero means the TA context is live and the whole blob is pinned.
     active: usize,
     /// Steady-state restore-ahead bandwidth in bytes/s: the reciprocal of
     /// the slower of the flash lane and the (big_cores − 1)-thread
@@ -1119,7 +1143,11 @@ fn dispatch_next(state: &mut ServerState, sched: &mut EventScheduler<ServerState
     }
 
     let midx = qreq.model.0 as usize;
+    // A model with requests in flight has a live TA context whose blob is
+    // pinned resident (see the pin below): the request joins it.
+    let live_context = state.models[midx].active > 0;
     let cached_fraction = state.models[midx].cache.cached_fraction();
+    debug_assert!(!live_context || cached_fraction == 1.0);
 
     // KV prefix reuse: the prompt's content chain is walked through the
     // content-addressed pool — a follow-up turn serves its own conversation
@@ -1175,12 +1203,20 @@ fn dispatch_next(state: &mut ServerState, sched: &mut EventScheduler<ServerState
         kv_reuse.unseal_bytes as f64 / state.kv_unseal_rate
             + kv_reuse.dequant_bytes as f64 / state.kv_dequant_rate,
     );
-    // A warm TA restores its suspended framework state; a cold one needs the
-    // checkpoint (if it exists) or a full framework initialisation.
-    let framework_init = if state.models[midx].warm || state.config.use_checkpoint {
-        state.config.profile.checkpoint_restore
+    // A running TA needs no framework state and already has its activation
+    // arena, so a joiner allocates only its own KV cache.  An idle TA
+    // restores its suspended framework state when warm, and otherwise needs
+    // the checkpoint (if it exists) or a full framework initialisation.
+    let profile = &state.config.profile;
+    let (framework_init, working_alloc) = if live_context {
+        (SimDuration::ZERO, profile.kv_cache_alloc)
     } else {
-        state.config.profile.framework_init_total()
+        let init = if state.models[midx].warm || state.config.use_checkpoint {
+            profile.checkpoint_restore
+        } else {
+            profile.framework_init_total()
+        };
+        (init, profile.kv_cache_alloc + profile.activation_alloc)
     };
     let report = {
         let params = ServiceParams {
@@ -1198,12 +1234,21 @@ fn dispatch_next(state: &mut ServerState, sched: &mut EventScheduler<ServerState
             &state.config.profile,
             &params,
             framework_init,
+            working_alloc,
             kv_unseal,
             Some(&mut state.plan_cache),
         )
     };
-    state.models[midx].warm = true;
-    state.models[midx].active += 1;
+    // Pin: this request's pipeline makes the whole blob resident, and it
+    // stays resident until the model's last in-flight request completes
+    // (`complete_request` applies retention only then).  Requests that
+    // dispatch meanwhile start their NPU work after this restore finishes —
+    // the service phase is exclusive and prefills take the chunk slot in
+    // FIFO order — so they may read the blob as fully cached.
+    let entry = &mut state.models[midx];
+    entry.cache.seed(entry.cache.total_bytes());
+    entry.warm = true;
+    entry.active += 1;
 
     let restoring = report.restored_bytes > 0;
     let (lane_flash, lane_cpu) = (state.lane_flash, state.lane_cpu);
@@ -1420,9 +1465,10 @@ fn complete_request(
         let config = &state.config;
         let entry = &mut state.models[model.0 as usize];
         entry.active -= 1;
-        // All parameters are resident right after an inference; the retention
-        // policy then decides what survives until the next dispatch.
-        entry.cache.on_inference_complete();
+        // Every completion earns its retention target, but the blob stays
+        // pinned (all resident since dispatch) while other requests of the
+        // model are in flight; the retention policy decides what survives
+        // only once the model's last in-flight request completes.
         let total = entry.cache.total_bytes();
         let headroom = config
             .profile
@@ -1444,9 +1490,11 @@ fn complete_request(
             }
         };
         entry.retained_target = target;
-        entry
-            .cache
-            .apply_policy(CachePolicy::MemoryHeadroom(target));
+        if entry.active == 0 {
+            entry
+                .cache
+                .apply_policy(CachePolicy::MemoryHeadroom(target));
+        }
     }
     if state.config.kv.enabled {
         // Retain the session's full KV (prompt + generated tokens) under its
@@ -1998,12 +2046,12 @@ fn on_batched_first_token(
 
 /// Starts restoring the first eligible queued request's missing parameters —
 /// and, for a follow-up turn, its session's sealed KV prefix — on the idle
-/// flash/decrypt/alloc lanes.  Parameter eligibility means: the model has no
-/// request currently in flight (an in-flight request's completion refreshes
-/// the cache anyway) and some of its parameters are missing.  KV eligibility
-/// is independent: any queued follow-up whose session holds sealed pages can
-/// have them unsealed ahead of dispatch, streaming after the parameters on
-/// the same lanes.
+/// flash/decrypt/alloc lanes.  Parameter eligibility means some of the
+/// model's parameters are missing; a model with requests in flight never
+/// qualifies, because its live context pins the whole blob resident.  KV
+/// eligibility is independent: any queued follow-up whose session holds
+/// sealed pages can have them unsealed ahead of dispatch, streaming after
+/// the parameters on the same lanes.
 fn maybe_start_restore_ahead(state: &mut ServerState, sched: &mut EventScheduler<ServerState>) {
     if !state.config.restore_ahead || state.restore.is_some() {
         return;
@@ -2019,7 +2067,7 @@ fn maybe_start_restore_ahead(state: &mut ServerState, sched: &mut EventScheduler
         // Parameter restore needs the flash channel; a KV-only restore
         // (decrypt threads over DRAM-resident sealed pages) does not, so it
         // can proceed while a service's restoration owns the flash lane.
-        let param_bytes = if entry.active == 0 && flash_free {
+        let param_bytes = if flash_free {
             entry.cache.total_bytes() - entry.cache.cached_bytes()
         } else {
             0
@@ -2900,8 +2948,9 @@ mod tests {
             step_fraction: 0.25,
         };
         // Serial slot: this test is about retention across *completions*;
-        // with two slots a closely-spaced pair may overlap, and the second
-        // dispatch would legitimately still see a cold cache.
+        // with more slots a closely-spaced pair may overlap, and the second
+        // dispatch would join the first's live context (whole blob pinned)
+        // instead of reading what retention left behind.
         config.max_inflight = 1;
         let report = Server::run_workload(config, catalogue(), &quiet_poisson(8), 3);
         let fractions: Vec<f64> = report.records.iter().map(|r| r.cached_fraction).collect();
@@ -2916,12 +2965,105 @@ mod tests {
         assert!(last < cold, "warm {last} vs cold {cold}");
     }
 
+    /// The requests of `r`'s model that were in flight when `r` dispatched:
+    /// the live context `r` joined, if any.
+    fn live_peers<'a>(
+        records: &'a [RequestRecord],
+        r: &'a RequestRecord,
+    ) -> impl Iterator<Item = &'a RequestRecord> {
+        records.iter().filter(move |o| {
+            o.request.model == r.request.model
+                && o.dispatched < r.dispatched
+                && r.dispatched < o.completed
+        })
+    }
+
     #[test]
     fn release_all_means_every_request_cold_starts() {
         let mut config = ServingConfig::paper_default(PlatformProfile::rk3588());
         config.retention = RetentionPolicy::ReleaseAll;
         let report = Server::run_workload(config, catalogue(), &quiet_poisson(5), 3);
-        assert_eq!(report.fleet.cold_starts, 5);
+        // Nothing survives a context's last completion, so a dispatch is cold
+        // exactly when no request of its model is in flight; one that
+        // overlaps a running request joins its pinned blob instead.
+        let idle_dispatches = report
+            .records
+            .iter()
+            .filter(|r| live_peers(&report.records, r).next().is_none())
+            .count();
+        assert_eq!(report.fleet.cold_starts, idle_dispatches);
+    }
+
+    #[test]
+    fn dispatch_into_a_live_context_restores_and_initialises_nothing() {
+        for config in [
+            ServingConfig::paper_default(PlatformProfile::rk3588()),
+            ServingConfig::overlap(PlatformProfile::rk3588()),
+        ] {
+            let profile = config.profile.clone();
+            let mut server = Server::new(config, catalogue());
+            // Request 0 is still decoding 512 tokens when request 1 arrives.
+            server.submit_at(SimTime::ZERO, 0, "qwen2.5-3b", 128, 512);
+            server.submit_at(SimTime::from_secs(30), 1, "qwen2.5-3b", 128, 8);
+            let report = server.run();
+            let by_id = |id: u64| report.records.iter().find(|r| r.request.id == id).unwrap();
+            let (r0, r1) = (by_id(0), by_id(1));
+            assert!(r0.first_token < r1.dispatched && r1.dispatched < r0.completed);
+            // The first request paid for an idle context.
+            assert_eq!(r0.cached_fraction, 0.0);
+            assert!(r0.report.restored_bytes > 0);
+            assert_eq!(
+                r0.report.breakdown.framework_init,
+                profile.checkpoint_restore
+            );
+            assert_eq!(
+                r0.report.breakdown.working_alloc,
+                profile.kv_cache_alloc + profile.activation_alloc
+            );
+            // The joiner reads the pinned blob and only allocates its KV.
+            assert_eq!(r1.cached_fraction, 1.0);
+            assert_eq!(r1.report.restored_bytes, 0);
+            assert_eq!(r1.report.breakdown.framework_init, SimDuration::ZERO);
+            assert_eq!(r1.report.breakdown.working_alloc, profile.kv_cache_alloc);
+            assert_eq!(report.fleet.cold_starts, 1);
+        }
+    }
+
+    #[test]
+    fn joined_requests_follow_a_live_request_of_their_model() {
+        let config = ServingConfig::paper_default(PlatformProfile::rk3566());
+        let models = ["tinyllama-1.1b", "qwen2.5-3b", "phi-3-3.8b"];
+        let workload = WorkloadSpec::standard_multi(
+            ArrivalProcess::Poisson { rate_per_sec: 0.1 },
+            120,
+            &models,
+        );
+        let catalogue = models
+            .iter()
+            .map(|m| ModelSpec::by_name(m).expect("catalogue model"))
+            .collect();
+        let report = Server::run_workload(config, catalogue, &workload, 0x10E);
+        let joined: Vec<&RequestRecord> = report
+            .records
+            .iter()
+            .filter(|r| r.report.breakdown.framework_init == SimDuration::ZERO)
+            .collect();
+        assert!(
+            !joined.is_empty(),
+            "a loaded device must join live contexts"
+        );
+        for r in joined {
+            assert_eq!(r.cached_fraction, 1.0);
+            assert_eq!(r.report.restored_bytes, 0);
+            // Its context was running: an earlier request of the same model
+            // was in flight at dispatch, and produced its first token first —
+            // the joiner's NPU work never races the restore it relies on.
+            assert!(
+                live_peers(&report.records, r).any(|o| o.first_token < r.first_token),
+                "request {} joined no live context",
+                r.request.id
+            );
+        }
     }
 
     #[test]
@@ -3251,8 +3393,8 @@ mod tests {
 
     #[test]
     fn restore_ahead_skips_models_with_inflight_requests() {
-        // Same model back to back: the in-flight request's completion will
-        // refresh the cache, so restore-ahead must not double-restore.
+        // Same model back to back: the in-flight request pins the whole blob
+        // resident, so restore-ahead finds nothing to restore.
         let mut config = ServingConfig::serial(PlatformProfile::rk3588());
         config.restore_ahead = true;
         let mut server = Server::new(config, catalogue());

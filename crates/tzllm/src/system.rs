@@ -73,9 +73,13 @@ impl InferenceConfig {
 /// Where the TTFT of one request went.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TtftBreakdown {
-    /// Framework initialisation (cold init or checkpoint restore).
+    /// Framework initialisation: a cold init or a checkpoint restore when the
+    /// model's TA context is idle, zero when the request joins a context
+    /// that is already running (the serving layer's live-context dispatch).
     pub framework_init: SimDuration,
-    /// KV-cache and activation allocation in the working region.
+    /// Working-region allocation: the KV cache plus the activation arena
+    /// for an idle context; only the per-sequence KV cache when the request
+    /// joins a running context, whose activation arena is already mapped.
     pub working_alloc: SimDuration,
     /// The restoration + prefill pipeline makespan.
     pub pipeline: SimDuration,
@@ -246,24 +250,27 @@ pub fn cma_occupancy(model: &ModelSpec, memory_pressure: u64) -> f64 {
     (memory_pressure as f64 / model.total_q8_bytes() as f64).clamp(0.0, 1.0)
 }
 
-/// Evaluates the service time of one request with an explicit framework
-/// initialisation cost.
+/// Evaluates the service time of one request with explicit framework
+/// initialisation and working-allocation costs.
 ///
 /// This is the single evaluation core shared by [`evaluate_tzllm`] and the
 /// serving layer ([`crate::serving`]).  `params.cached_fraction` is the one
 /// source of truth for the cache state — the serving layer sets it from the
-/// live [`CacheController`] at dispatch time.  `framework_init` is
-/// dispatch-time state (a warm TA restores cheaply), so the caller decides
-/// it, as is `kv_unseal` (the time to verify + decrypt the sealed part of a
+/// live [`CacheController`] at dispatch time.  `framework_init` and
+/// `working_alloc` are dispatch-time state (a suspended TA restores its
+/// checkpoint and maps a fresh activation arena; a running one pays
+/// neither, only the new sequence's KV cache), so the caller decides them,
+/// as it does `kv_unseal` (the time to verify + decrypt the sealed part of a
 /// reused KV prefix; it overlaps the prefill's NPU window and only its
 /// excess surfaces in the TTFT).  `plan_cache` (if any) memoises the
 /// graph/plan/pipeline work, which is deterministic in the remaining inputs;
-/// `framework_init` and `kv_unseal` are added on top of the cached pipeline
-/// numbers so warm and cold dispatches share entries.
+/// the three dispatch-time costs are added on top of the cached pipeline
+/// numbers so idle-context and live-context dispatches share entries.
 pub(crate) fn evaluate_service(
     profile: &PlatformProfile,
     params: &ServiceParams<'_>,
     framework_init: SimDuration,
+    working_alloc: SimDuration,
     kv_unseal: SimDuration,
     plan_cache: Option<&mut PlanCache>,
 ) -> InferenceReport {
@@ -336,7 +343,7 @@ pub(crate) fn evaluate_service(
 
     let breakdown = TtftBreakdown {
         framework_init,
-        working_alloc: profile.kv_cache_alloc + profile.activation_alloc,
+        working_alloc,
         pipeline: entry.pipeline,
         npu_overhead,
         // Unsealing streams on the CPU decrypt threads while the prefill

@@ -83,6 +83,49 @@ fn lifecycle_spans_tile_each_requests_ttft_exactly() {
 }
 
 #[test]
+fn joined_requests_tile_their_ttft_without_a_framework_init_span() {
+    let report = cold_heavy_traced(60);
+    let telemetry = report.telemetry.as_ref().expect("telemetry was enabled");
+    let profile = PlatformProfile::rk3588();
+    // A request that dispatched into its model's live context pays no
+    // framework init and allocates only its KV cache.
+    let (joined, idle): (Vec<_>, Vec<_>) = report
+        .records
+        .iter()
+        .partition(|r| r.report.breakdown.framework_init == SimDuration::ZERO);
+    assert!(
+        !joined.is_empty(),
+        "the cold-heavy trace must join live contexts"
+    );
+    assert!(!idle.is_empty(), "and dispatch into idle ones");
+    for r in joined {
+        assert_eq!(r.report.breakdown.working_alloc, profile.kv_cache_alloc);
+        // The zero-length init phase is skipped, and the remaining phases
+        // still sum to the TTFT to the nanosecond (that they abut is checked
+        // for every request above).
+        assert_eq!(
+            telemetry.request_ttft_span_sum(r.request.id),
+            r.ttft_e2e(),
+            "joined request {} span sum != recorded TTFT",
+            r.request.id
+        );
+        assert!(
+            telemetry
+                .request_spans(r.request.id)
+                .all(|s| s.phase != Phase::FrameworkInit),
+            "joined request {} recorded a framework-init span",
+            r.request.id
+        );
+    }
+    // Idle dispatches still show their checkpoint restore.
+    for r in idle {
+        assert!(telemetry
+            .request_spans(r.request.id)
+            .any(|s| s.phase == Phase::FrameworkInit));
+    }
+}
+
+#[test]
 fn step_loop_spans_cover_batching_and_chunked_prefills() {
     let report = cold_heavy_traced(60);
     let telemetry = report.telemetry.as_ref().expect("telemetry was enabled");
