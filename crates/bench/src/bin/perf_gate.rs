@@ -223,6 +223,12 @@ const GATES: &[Gate] = &[
         key: "speculation.effective_tokens_per_step",
         check: Check::MinRatio(0.9),
     },
+    // The saturated fleet is where the per-step depth chooser earns its
+    // keep: a regression to drafting deep on full batches shows up here.
+    Gate {
+        key: "speculation.saturated_throughput_rps",
+        check: Check::MinRatio(0.95),
+    },
     Gate {
         key: "speculation.cold_p95_ttft_s_spec",
         check: Check::MaxRatio(1.05),

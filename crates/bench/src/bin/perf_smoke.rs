@@ -180,12 +180,19 @@ fn agent_fleet(sessions: usize, requests: usize) -> ServingReport {
     Server::run_workload(config, models, &workload, 0xA6E7)
 }
 
-/// The speculation scenario's decode-heavy fleet: few enough concurrent
-/// sessions that decode stays weight-read-bound — the regime where the
-/// target's verify sweep scores extra positions nearly for free.
-fn decode_heavy_fleet(config: ServingConfig, requests: usize) -> ServingReport {
-    let workload =
-        WorkloadSpec::agent_burst(3, requests, SimDuration::from_millis(250), "qwen2.5-3b");
+/// The speculation scenario's agent fleets.  Three sessions at 250 ms think
+/// time are few enough that decode stays weight-read-bound — the regime
+/// where the target's verify sweep scores extra positions nearly for free.
+/// Six sessions at 1 s think time keep about five decodes in every step and
+/// the NPU busy — the regime where the sweep is compute-bound and deep
+/// drafts cost more NPU time than their accepted tokens return.
+fn spec_agent_fleet(
+    config: ServingConfig,
+    sessions: usize,
+    mean_think: SimDuration,
+    requests: usize,
+) -> ServingReport {
+    let workload = WorkloadSpec::agent_burst(sessions, requests, mean_think, "qwen2.5-3b");
     let models = vec![ModelSpec::qwen2_5_3b()];
     Server::run_workload(config, models, &workload, 0xA6E7)
 }
@@ -730,17 +737,17 @@ fn scenario_speculation(opts: &HarnessOptions) -> String {
     let spec = SpeculationConfig::paper_default();
     let fleet_requests = if opts.quick { 40 } else { 60 };
     let latency_requests = if opts.quick { 150 } else { 400 };
+    let saturated_requests = if opts.quick { 600 } else { 3_000 };
 
     // Decode-heavy agent fleet, draft off vs on: the headline throughput
     // multiple extra verified tokens per NPU sweep buy in the
     // weight-read-bound regime.
-    let fleet_off = decode_heavy_fleet(
-        ServingConfig::paper_default(profile.clone()),
-        fleet_requests,
-    );
+    let decode_heavy =
+        |config| spec_agent_fleet(config, 3, SimDuration::from_millis(250), fleet_requests);
+    let fleet_off = decode_heavy(ServingConfig::paper_default(profile.clone()));
     let mut spec_cfg = ServingConfig::paper_default(profile.clone());
     spec_cfg.speculation = spec.clone();
-    let fleet_spec = decode_heavy_fleet(spec_cfg.clone(), fleet_requests);
+    let fleet_spec = decode_heavy(spec_cfg.clone());
     let throughput_off = fleet_off.fleet.throughput_rps;
     let throughput_spec = fleet_spec.fleet.throughput_rps;
     let throughput_x = throughput_spec / throughput_off;
@@ -748,10 +755,27 @@ fn scenario_speculation(opts: &HarnessOptions) -> String {
     let draft_overhead = fleet_spec.fleet.spec_draft_overhead;
     let emitted_per_step = fleet_spec.fleet.spec_mean_emitted_per_step;
     println!(
-        "speculation ({} draft, k={}): decode-heavy fleet {throughput_off:.4} -> \
+        "speculation ({} draft, k≤{}): decode-heavy fleet {throughput_off:.4} -> \
          {throughput_spec:.4} rps ({throughput_x:.2}x), accept rate {accept_rate:.3}, \
          draft overhead {draft_overhead:.3}, effective {emitted_per_step:.2} tok/step",
         spec.draft_model, spec.k
+    );
+
+    // Saturated agent fleet: the per-step depth chooser must draft shallower
+    // than `k` once the batch is full and the sweep compute-bound.
+    let saturated = spec_agent_fleet(spec_cfg, 6, SimDuration::from_secs(1), saturated_requests);
+    let saturated_throughput = saturated.fleet.throughput_rps;
+    let (depth_sum, decided) = saturated
+        .fleet
+        .spec_depth_per_step
+        .iter()
+        .fold((0u64, 0u64), |(sum, n), &(depth, steps)| {
+            (sum + depth as u64 * steps, n + steps)
+        });
+    let saturated_mean_depth = depth_sum as f64 / decided.max(1) as f64;
+    println!(
+        "  saturated fleet (6 sessions, 1 s think): {saturated_throughput:.4} rps, \
+         mean draft depth {saturated_mean_depth:.2} over {decided} decided steps"
     );
 
     // Cold-heavy guard: the same sub-saturation multi-model run the
@@ -794,6 +818,11 @@ fn scenario_speculation(opts: &HarnessOptions) -> String {
         emitted_per_step > 2.0,
         "the accepted prefixes must actually multiply tokens per sweep ({emitted_per_step:.2})"
     );
+    assert!(
+        decided > 0 && saturated_mean_depth < spec.k as f64,
+        "the saturated fleet must draft shallower than k = {} ({saturated_mean_depth:.2})",
+        spec.k
+    );
 
     let mut json = String::new();
     let _ = writeln!(json, "  \"speculation\": {{");
@@ -814,6 +843,15 @@ fn scenario_speculation(opts: &HarnessOptions) -> String {
     let _ = writeln!(
         json,
         "    \"effective_tokens_per_step\": {emitted_per_step:.3},"
+    );
+    let _ = writeln!(json, "    \"saturated_sessions\": 6,");
+    let _ = writeln!(
+        json,
+        "    \"saturated_throughput_rps\": {saturated_throughput:.4},"
+    );
+    let _ = writeln!(
+        json,
+        "    \"saturated_mean_depth\": {saturated_mean_depth:.3},"
     );
     let _ = writeln!(
         json,

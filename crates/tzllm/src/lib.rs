@@ -37,6 +37,7 @@ pub mod related;
 pub mod restore;
 pub mod serving;
 pub mod slo;
+mod step;
 pub mod system;
 pub mod telemetry;
 

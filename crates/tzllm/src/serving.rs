@@ -158,6 +158,7 @@ use crate::cache::{CacheController, CachePolicy};
 use crate::kv::{ChainStoreStats, KvConfig, KvPool};
 use crate::pipeline::Policy;
 use crate::restore::RestoreRates;
+use crate::step::{self, StepBatch, StepMember, StepModel};
 use crate::system::{self, InferenceReport, PlanCache, ServiceParams};
 
 /// Restore-ahead progress is credited to the cache in whole multiples of
@@ -191,8 +192,11 @@ pub enum RetentionPolicy {
 /// accepted prefix plus the bonus token the verify pass scores anyway.
 /// Decode on this hardware is weight-read-bound, so at low batch occupancy
 /// the extra verified positions ride in bandwidth the step already pays
-/// for; at high occupancy the step is compute-bound and speculation buys
-/// little — pick the fleet size accordingly.
+/// for; at high occupancy the step is compute-bound and each drafted
+/// position costs real NPU time.  So every step that may speculate (no
+/// prefill chunk in it) picks its own draft depth between 0 and `k`: the
+/// one with the most expected emitted tokens per second of step time, at
+/// the acceptance rate the server has observed so far.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpeculationConfig {
     /// Master switch.  `false` is the escape hatch: the step loop prices
@@ -203,7 +207,8 @@ pub struct SpeculationConfig {
     /// also knows the non-catalogue draft entries, see
     /// [`llm::ModelSpec::drafts`]).
     pub draft_model: String,
-    /// Maximum tokens the draft proposes per sequence per step.
+    /// Maximum draft depth: the most tokens the draft proposes per sequence
+    /// per step.  Each step chooses its depth in `0..=k`.
     pub k: usize,
 }
 
@@ -218,7 +223,7 @@ impl SpeculationConfig {
     }
 
     /// The paper-testbed speculation setup: the Qwen2.5-0.5B draft
-    /// proposing four tokens per sequence per step.
+    /// proposing up to four tokens per sequence per step.
     pub fn paper_default() -> Self {
         SpeculationConfig {
             enabled: true,
@@ -564,8 +569,13 @@ pub struct FleetStats {
     /// every step advances by at least one token).
     pub batch_max_steps_behind: u64,
     /// Batched steps in which at least one sequence ran a speculative
-    /// draft + verify pass (0 when speculation is off).
+    /// draft + verify pass — the steps whose chosen draft depth is at least
+    /// 1 (0 when speculation is off).
     pub spec_steps: u64,
+    /// The draft depths the step loop chose: `(depth, steps)` pairs,
+    /// ascending, over every step that decided one (speculation on and no
+    /// prefill chunk in the step).  Empty when speculation is off.
+    pub spec_depth_per_step: Vec<(u32, u64)>,
     /// Draft tokens proposed across the run.
     pub spec_proposed_tokens: u64,
     /// Proposed tokens the verify pass accepted.
@@ -578,13 +588,17 @@ pub struct FleetStats {
     /// draft weight restore — the overhead the accepted tokens must win
     /// back before speculation nets out positive.
     pub spec_draft_overhead: f64,
-    /// Histogram of tokens emitted per sequence per speculative step
-    /// (accepted prefix + bonus token): `(emitted, sequence-steps)` pairs,
-    /// ascending.  Empty when speculation is off.
+    /// Histogram of tokens emitted per decode sequence per batched step
+    /// while speculation is on (accepted prefix + bonus token; 1 for a
+    /// sequence that drafted nothing): `(emitted, sequence-steps)` pairs,
+    /// ascending.  Counts every decode sequence-step of a speculating
+    /// server, including steps that carried a prefill chunk or chose depth
+    /// 0.  Empty when speculation is off.
     pub spec_emitted_per_step: Vec<(u32, u64)>,
-    /// Mean tokens emitted per sequence per speculative step — the
-    /// *effective* tokens/step that service-demand estimates (e.g. for
-    /// SLO-aware admission) must use instead of 1.
+    /// Mean of [`FleetStats::spec_emitted_per_step`]: tokens emitted per
+    /// decode sequence-step while speculation is on — the *effective*
+    /// tokens/step that service-demand estimates (e.g. for SLO-aware
+    /// admission) must use instead of 1.
     pub spec_mean_emitted_per_step: f64,
     /// KV hit rate: reused prefix tokens over the shared-prefix tokens the
     /// workload declared reusable (0 when no request had a shared prefix).
@@ -680,15 +694,6 @@ struct ModelEntry {
     graph_param_bytes: u64,
     /// KV bytes per token of this model (for the KV pool's accounting).
     kv_bytes_per_token: u64,
-    /// The batched step-cost coefficients (weight-pass seconds, affine
-    /// decode compute in the KV length), precomputed once per model.
-    step: llm::BatchedStepCosts,
-    /// Per-token world-switch cost of a decode step of this model
-    /// (two co-driver handoffs per layer), seconds.
-    handoff_secs: f64,
-    /// Speculative step-cost coefficients against the configured draft
-    /// (`None` when speculation is off, and on the draft's own entry).
-    spec_costs: Option<llm::SpeculativeStepCosts>,
 }
 
 /// The request currently in its service (restore + prefill) phase.
@@ -758,27 +763,24 @@ struct BatchedPrefill {
 /// member of produces exactly one of its tokens.
 struct BatchedDecode {
     record: RequestRecord,
-    model: ModelId,
-    tokens_left: u64,
+    /// What the step pricer reads: model, KV length, tokens left, and the
+    /// per-step compute at the sequence's final KV length (decode compute is
+    /// affine in the KV length; pricing every step at the final length
+    /// keeps the step loop O(batch) and errs conservatively).
+    member: StepMember,
     /// Steps this sequence has been a member of (tracked independently of
     /// `tokens_left` so the starvation guard measures, not assumes).
     steps_seen: u64,
-    /// Per-step compute seconds at the sequence's final KV length (decode
-    /// compute is affine in the KV length; pricing every step at the final
-    /// length keeps the step loop O(batch) and errs conservatively).
-    compute_secs: f64,
     /// The solo token time — `max(compute, weight pass) + handoffs` — that
     /// sharing-stall accounting compares each step against.
     intrinsic_secs: f64,
     stall_sharing_ns: f64,
     kv_full_hashes: Vec<u64>,
     kv_total_tokens: usize,
-    /// The KV length every step is priced at (prompt + response; decode
-    /// compute is affine in it) — also what the draft and verify passes
-    /// price their per-position MACs against.
-    kv_len: usize,
     /// Per-mille probability that the target accepts one draft proposal of
-    /// this response, and the request's private acceptance stream.
+    /// this response, and the request's private acceptance stream — the
+    /// simulator's ground truth: it decides each verify's outcome, and the
+    /// depth chooser never reads it.
     accept_permille: u16,
     accept_rng: DetRng,
     /// Tokens the draft proposed for this sequence in the in-flight step
@@ -816,6 +818,8 @@ struct ActiveRestore {
 struct ServerState {
     config: ServingConfig,
     models: Vec<ModelEntry>,
+    /// Step-pricing coefficients, indexed like `models` (draft included).
+    step_models: Vec<StepModel>,
     model_ids: BTreeMap<String, ModelId>,
     queue: VecDeque<(QueuedRequest, SimTime)>,
     /// Requests in flight (in service or decoding).
@@ -861,18 +865,26 @@ struct ServerState {
     draft: Option<ModelId>,
     /// Steps in which at least one sequence ran a draft + verify pass.
     spec_steps: u64,
+    /// Steps per chosen draft depth, indexed by depth (`k + 1` entries when
+    /// speculation is on, else empty).
+    spec_depth_steps: Vec<u64>,
     /// Draft tokens proposed across all sequences and steps.
     spec_proposed_tokens: u64,
     /// Proposed tokens the verify pass accepted.
     spec_accepted_tokens: u64,
+    /// Draft positions the verify pass examined: every accepted proposal
+    /// plus the rejection each stopped verify ended at — the denominator of
+    /// the server's acceptance estimate.
+    spec_examined_tokens: u64,
     /// Proposed tokens rejected — their paged-KV tail entries are rewound
     /// before the next step is priced.
     spec_rejected_tokens: u64,
     /// Nanoseconds of step time spent in draft passes (and the one-time
     /// draft weight restore) — the overhead accepted tokens must win back.
     spec_draft_ns: u64,
-    /// Histogram of tokens emitted per sequence per speculative step
-    /// (accepted prefix + bonus token): `emitted → sequence-steps`.
+    /// Histogram of tokens emitted per decode sequence per step while
+    /// speculation is on (accepted prefix + bonus token):
+    /// `emitted → sequence-steps`.
     spec_emitted_hist: BTreeMap<u32, u64>,
     restore: Option<ActiveRestore>,
     restore_epoch: u64,
@@ -1723,10 +1735,11 @@ fn on_service_ready_for_batch(state: &mut ServerState, sched: &mut EventSchedule
 
 /// Prices and schedules the next batched NPU step, if the batch has work and
 /// no step is already in flight.  One step = one decode token for every
-/// member sequence plus at most one chunk of the active prefill; it costs
-/// the weight read once per distinct model (amortised across the batch),
-/// every sequence's per-token compute, and the per-token world-switch
-/// handoffs — `llm::CostModel::batched_step_time` at serving granularity.
+/// member sequence (more under speculation) plus at most one chunk of the
+/// active prefill; it costs the weight read once per distinct model
+/// (amortised across the batch), every sequence's per-token compute, and the
+/// per-token world-switch handoffs — `llm::CostModel::batched_step_time` at
+/// serving granularity, priced by [`StepBatch`].
 fn maybe_start_batch_step(state: &mut ServerState, sched: &mut EventScheduler<ServerState>) {
     if state.batch_running {
         return;
@@ -1748,98 +1761,62 @@ fn maybe_start_batch_step(state: &mut ServerState, sched: &mut EventScheduler<Se
         state.ledger.acquire(lane, 1, now);
         state.batch_npu_held = true;
     }
-    // Speculation: each member proposes up to `k` draft tokens (never its
-    // final token — that one always comes from the target so the sequence
-    // cannot overshoot its scripted length), the draft runs that many serial
-    // autoregressive rounds, and the target verifies all proposals inside the
-    // same fused sweep it was going to run anyway.  Steps that carry a
+    // Speculation: a step without a prefill chunk picks the draft depth
+    // (0..=k) that maximises expected emitted tokens per second of step
+    // time, pricing every candidate with the function that prices the step
+    // itself, at the server's own acceptance estimate.  Steps that carry a
     // prefill chunk are exempt: drafting stretches the step, and a stretched
     // step delays the interleaved chunk — skipping those steps keeps the
     // chunk cadence (and so cold-heavy TTFT) at the plain batched loop's.
-    // With speculation off, `k == 0` leaves every `step_proposed` at zero
-    // and `draft_secs` at 0.0, so the step price below is bit-for-bit the
+    // With speculation off only depth 0 is priced, which is bit-for-bit the
     // plain batched step.
-    let k = if state.config.speculation.enabled && state.batch_prefill.is_none() {
-        state.config.speculation.k as u64
-    } else {
-        0
-    };
-    let mut draft_secs = 0.0f64;
-    if k > 0 {
-        for d in &mut state.batch_decodes {
-            d.step_proposed = k.min(d.tokens_left.saturating_sub(1));
-        }
-        let draft_id = state
-            .draft
-            .expect("speculation enabled but no draft model wired");
-        if state.batch_decodes.iter().any(|d| d.step_proposed > 0) {
-            // The draft's weights stream through the same restore path as a
-            // served model's; the first speculative step pays for whatever is
-            // missing, and the retention pass keeps them pinned thereafter.
-            let entry = &mut state.models[draft_id.0 as usize];
-            let missing = entry.cache.total_bytes() - entry.cache.cached_bytes();
-            if missing > 0 {
-                draft_secs += missing as f64 / entry.restore_rate;
-                let total = entry.cache.total_bytes();
-                entry.cache.seed(total);
-                entry.retained_target = total;
-            }
-            let draft_entry = &state.models[draft_id.0 as usize];
-            let max_rounds = state
-                .batch_decodes
-                .iter()
-                .map(|d| d.step_proposed)
-                .max()
-                .unwrap_or(0);
-            // Draft rounds are serial (token r+1 depends on token r) but each
-            // round batches every member that still has proposals left, so a
-            // round costs max(batched compute, one draft weight pass).
-            for round in 0..max_rounds {
-                let round_compute: f64 = state
-                    .batch_decodes
-                    .iter()
-                    .filter(|d| d.step_proposed > round)
-                    .map(|d| draft_entry.step.decode_compute_secs(d.kv_len))
-                    .sum();
-                draft_secs +=
-                    round_compute.max(draft_entry.step.weight_pass_secs) + draft_entry.handoff_secs;
-            }
-        }
-    }
-    let mut compute_secs = 0.0f64;
-    let mut weight_secs = 0.0f64;
-    let mut handoff_secs = 0.0f64;
-    let mut distinct: Vec<ModelId> = Vec::new();
-    for d in &state.batch_decodes {
-        if d.step_proposed > 0 {
-            let costs = state.models[d.model.0 as usize]
-                .spec_costs
-                .as_ref()
-                .expect("speculating sequence on a model without spec costs");
-            // Verify scores proposed + 1 positions in one pass: the proposals
-            // plus the bonus token the target emits past the accepted prefix.
-            compute_secs += costs.verify_compute_secs(d.step_proposed as usize + 1, d.kv_len);
-        } else {
-            compute_secs += d.compute_secs;
-        }
-        if !distinct.contains(&d.model) {
-            distinct.push(d.model);
-            let entry = &state.models[d.model.0 as usize];
-            weight_secs += entry.step.weight_pass_secs;
-            handoff_secs += entry.handoff_secs;
-        }
-    }
     let chunk_secs = state
         .batch_prefill
         .as_ref()
         .map_or(0.0, |p| p.chunk_secs.min(p.npu_secs_left));
-    let step_secs = if state.batch_decodes.is_empty() {
-        // Chunk-only step: the prefill's own plan already prices its weight
-        // reads and overheads inside the NPU window being sliced.
-        chunk_secs
+    let deciding = state.config.speculation.enabled && state.batch_prefill.is_none();
+    let max_depth = if deciding {
+        state.config.speculation.k as u64
     } else {
-        draft_secs + (compute_secs + chunk_secs).max(weight_secs) + handoff_secs
+        0
     };
+    let price = StepBatch {
+        members: state.batch_decodes.iter().map(|d| &d.member),
+        models: &state.step_models,
+        draft: state.draft.map(|id| &state.step_models[id.0 as usize]),
+        chunk_secs,
+    }
+    .choose(
+        max_depth,
+        step::acceptance_estimate(state.spec_accepted_tokens, state.spec_examined_tokens),
+    );
+    let depth = price.depth;
+    let (mut draft_secs, mut step_secs) = (price.draft_secs, price.step_secs);
+    if deciding {
+        state.spec_depth_steps[depth as usize] += 1;
+    }
+    if depth > 0 {
+        for d in &mut state.batch_decodes {
+            d.step_proposed = d.member.proposals(depth);
+        }
+        // The draft's weights stream through the same restore path as a
+        // served model's; the first speculative step pays for whatever is
+        // missing (outside the depth comparison — it is paid once whatever
+        // the depth), and the retention pass keeps them pinned thereafter.
+        let draft_id = state
+            .draft
+            .expect("speculation enabled but no draft model wired");
+        let entry = &mut state.models[draft_id.0 as usize];
+        let missing = entry.cache.total_bytes() - entry.cache.cached_bytes();
+        if missing > 0 {
+            let restore_secs = missing as f64 / entry.restore_rate;
+            draft_secs += restore_secs;
+            step_secs += restore_secs;
+            let total = entry.cache.total_bytes();
+            entry.cache.seed(total);
+            entry.retained_target = total;
+        }
+    }
     // Whole-nanosecond event times with a carried fractional residue, so a
     // thousand-step decode accumulates no rounding drift.
     let ns_f = step_secs * 1e9 + state.batch_carry_ns;
@@ -1854,7 +1831,7 @@ fn maybe_start_batch_step(state: &mut ServerState, sched: &mut EventScheduler<Se
     state.batch_steps += 1;
     state.batch_busy_ns += ns;
     state.batch_max_step_ns = state.batch_max_step_ns.max(ns);
-    if k > 0 && state.batch_decodes.iter().any(|d| d.step_proposed > 0) {
+    if depth > 0 {
         state.spec_steps += 1;
         state.spec_draft_ns += (draft_secs * 1e9).round() as u64;
     }
@@ -1865,14 +1842,15 @@ fn maybe_start_batch_step(state: &mut ServerState, sched: &mut EventScheduler<Se
         state
             .telemetry
             .span(npu, Phase::BatchStep, &step_label, now, end);
-        let drafting = state.batch_decodes.iter().any(|d| d.step_proposed > 0);
-        if drafting && draft_secs > 0.0 {
+        if depth > 0 && draft_secs > 0.0 {
             // Nest the serial draft rounds and the fused verify sweep
-            // inside the step so Perfetto shows the split.
+            // inside the step so Perfetto shows the split; the label names
+            // the depth the step chose.
             let draft_end = (now + SimDuration::from_secs_f64(draft_secs)).min(end);
+            let draft_label = format!("draft k={depth}");
             state
                 .telemetry
-                .span(npu, Phase::SpecDraft, "draft", now, draft_end);
+                .span(npu, Phase::SpecDraft, &draft_label, now, draft_end);
             state
                 .telemetry
                 .span(npu, Phase::SpecVerify, "verify", draft_end, end);
@@ -1932,6 +1910,7 @@ fn on_batch_step_end(state: &mut ServerState, sched: &mut EventScheduler<ServerS
             state.spec_proposed_tokens += d.step_proposed;
             state.spec_accepted_tokens += accepted;
             state.spec_rejected_tokens += d.step_proposed - accepted;
+            state.spec_examined_tokens += accepted + u64::from(accepted < d.step_proposed);
             accepted + 1
         };
         if speculating {
@@ -1941,7 +1920,7 @@ fn on_batch_step_end(state: &mut ServerState, sched: &mut EventScheduler<ServerS
         // `emitted <= tokens_left` always: proposals are capped at
         // `tokens_left - 1`, so even a full accept plus the bonus token
         // cannot overshoot the scripted output length.
-        d.tokens_left -= emitted;
+        d.member.tokens_left -= emitted;
         tokens_this_step += emitted;
         // Any step time beyond the sequence's solo time for the tokens it
         // actually emitted is what sharing the NPU (and drafting) cost it.
@@ -1951,7 +1930,7 @@ fn on_batch_step_end(state: &mut ServerState, sched: &mut EventScheduler<ServerS
     let mut finished = Vec::new();
     let mut i = 0;
     while i < state.batch_decodes.len() {
-        if state.batch_decodes[i].tokens_left == 0 {
+        if state.batch_decodes[i].member.tokens_left == 0 {
             finished.push(state.batch_decodes.remove(i));
         } else {
             i += 1;
@@ -1979,7 +1958,7 @@ fn on_batch_step_end(state: &mut ServerState, sched: &mut EventScheduler<ServerS
         complete_request(
             state,
             sched,
-            d.model,
+            d.member.model,
             record,
             d.kv_full_hashes,
             d.kv_total_tokens,
@@ -2021,23 +2000,25 @@ fn on_batched_first_token(
         );
         return;
     }
-    let entry = &state.models[prefill.model.0 as usize];
+    let coeffs = &state.step_models[prefill.model.0 as usize];
     // Price every step at the sequence's final KV length (decode compute is
     // affine in the KV length, and the spread over one response is small).
     let kv_len = record.request.prompt_len + record.request.output_len;
-    let compute_secs = entry.step.decode_compute_secs(kv_len);
-    let intrinsic_secs = compute_secs.max(entry.step.weight_pass_secs) + entry.handoff_secs;
+    let compute_secs = coeffs.step.decode_compute_secs(kv_len);
+    let intrinsic_secs = compute_secs.max(coeffs.step.weight_pass_secs) + coeffs.handoff_secs;
     state.batch_decodes.push(BatchedDecode {
         record,
-        model: prefill.model,
-        tokens_left: tokens,
+        member: StepMember {
+            model: prefill.model,
+            kv_len,
+            tokens_left: tokens,
+            compute_secs,
+        },
         steps_seen: 0,
-        compute_secs,
         intrinsic_secs,
         stall_sharing_ns: 0.0,
         kv_full_hashes: prefill.kv_full_hashes,
         kv_total_tokens: prefill.kv_total_tokens,
-        kv_len,
         accept_permille: prefill.accept_permille,
         accept_rng: DetRng::new(prefill.accept_seed),
         step_proposed: 0,
@@ -2262,14 +2243,15 @@ pub struct Server {
     engine: Engine<ServerState>,
 }
 
-/// Builds the per-model runtime entry (restore rates, step costs, handoff
-/// overheads) shared by catalogue models and the speculation draft.
+/// Builds the per-model runtime entry (restore rates, cache) and its
+/// step-pricing coefficients — verify-sweep coefficients against `draft`
+/// when one is given — shared by catalogue models and the speculation draft.
 fn model_entry(
     config: &ServingConfig,
     cost: &llm::CostModel,
     spec: ModelSpec,
-    spec_costs: Option<llm::SpeculativeStepCosts>,
-) -> ModelEntry {
+    draft: Option<&ModelSpec>,
+) -> (ModelEntry, StepModel) {
     let restore_threads = config.profile.big_cores.saturating_sub(1).max(1);
     let occupancy = system::cma_occupancy(&spec, config.memory_pressure);
     let rates = RestoreRates::from_profile(&config.profile, occupancy, restore_threads);
@@ -2279,13 +2261,8 @@ fn model_entry(
     let total = spec.total_q8_bytes();
     let graph_param_bytes = ComputationGraph::prefill(&spec, 1).total_param_bytes();
     let kv_bytes_per_token = spec.kv_bytes_per_token();
-    let step = cost.batched_step_costs(&spec, true);
-    // Each decode token pays two co-driver handoffs per layer — the
-    // same per-token switch cost `system::evaluate_service` folds
-    // into `decode_tokens_per_sec`.
-    let handoff_secs =
-        (config.profile.codriver_switch_cost() * 2 * spec.layers as u64).as_secs_f64();
-    ModelEntry {
+    let coeffs = StepModel::new(cost, &config.profile, &spec, draft);
+    let entry = ModelEntry {
         spec,
         cache: CacheController::new(total),
         retained_target: 0,
@@ -2294,10 +2271,8 @@ fn model_entry(
         restore_rate,
         graph_param_bytes,
         kv_bytes_per_token,
-        step,
-        handoff_secs,
-        spec_costs,
-    }
+    };
+    (entry, coeffs)
 }
 
 impl Server {
@@ -2340,22 +2315,29 @@ impl Server {
             None
         };
         let mut models = Vec::with_capacity(catalogue.len());
+        let mut step_models = Vec::with_capacity(catalogue.len());
         let mut model_ids = BTreeMap::new();
         for spec in catalogue {
-            let spec_costs = draft_spec
-                .as_ref()
-                .map(|d| cost.speculative_step_costs(d, &spec, true));
             model_ids.insert(spec.name.clone(), ModelId(models.len() as u32));
-            models.push(model_entry(&config, &cost, spec, spec_costs));
+            let (entry, coeffs) = model_entry(&config, &cost, spec, draft_spec.as_ref());
+            models.push(entry);
+            step_models.push(coeffs);
         }
         // The draft rides along as an extra model entry so its weights share
         // the restore/retention machinery, but it is *not* interned in
         // `model_ids`: requests can never target it directly.
         let draft = draft_spec.map(|dspec| {
             let id = ModelId(models.len() as u32);
-            models.push(model_entry(&config, &cost, dspec, None));
+            let (entry, coeffs) = model_entry(&config, &cost, dspec, None);
+            models.push(entry);
+            step_models.push(coeffs);
             id
         });
+        let spec_depths = if config.speculation.enabled {
+            config.speculation.k + 1
+        } else {
+            0
+        };
         let plan_cache = PlanCache::new(config.plan_cache_capacity);
         let kv = KvPool::new(&config.kv);
         // Sealed KV pages sit in DRAM, so unsealing is decrypt-bound on the
@@ -2380,6 +2362,7 @@ impl Server {
             engine: Engine::new(ServerState {
                 config,
                 models,
+                step_models,
                 model_ids,
                 queue: VecDeque::new(),
                 inflight: 0,
@@ -2405,8 +2388,10 @@ impl Server {
                 batch_max_steps_behind: 0,
                 draft,
                 spec_steps: 0,
+                spec_depth_steps: vec![0; spec_depths],
                 spec_proposed_tokens: 0,
                 spec_accepted_tokens: 0,
+                spec_examined_tokens: 0,
                 spec_rejected_tokens: 0,
                 spec_draft_ns: 0,
                 spec_emitted_hist: BTreeMap::new(),
@@ -2802,6 +2787,13 @@ fn fleet_stats(state: &ServerState) -> FleetStats {
         max_batch_step_ms: state.batch_max_step_ns as f64 / 1e6,
         batch_max_steps_behind: state.batch_max_steps_behind,
         spec_steps: state.spec_steps,
+        spec_depth_per_step: state
+            .spec_depth_steps
+            .iter()
+            .enumerate()
+            .filter(|&(_, &steps)| steps > 0)
+            .map(|(depth, &steps)| (depth as u32, steps))
+            .collect(),
         spec_proposed_tokens: state.spec_proposed_tokens,
         spec_accepted_tokens: state.spec_accepted_tokens,
         spec_rejected_tokens: state.spec_rejected_tokens,

@@ -3,8 +3,10 @@
 //! for bit, accepted-token traces are deterministic per seed, the token
 //! accounting conserves, sequences never overrun their scripted output, the
 //! decode-heavy fleet hits the paper-style ≥1.5× speedup at unchanged
-//! cold-heavy p95 TTFT, and the slot dispatcher's sharing-stall attribution
-//! is clipped to the share a finishing decode actually used.
+//! cold-heavy p95 TTFT, the per-step draft depth drafts deep for a lone
+//! session and shallow for a full batch, and the slot dispatcher's
+//! sharing-stall attribution is clipped to the share a finishing decode
+//! actually used.
 
 use sim_core::{SimDuration, SimTime};
 use tz_hal::PlatformProfile;
@@ -89,8 +91,10 @@ fn identical_seeds_produce_identical_accepted_token_traces() {
 }
 
 /// Token accounting conserves: every proposed token is either accepted or
-/// rejected, per-step emissions stay within `1..=k+1`, and the overhead and
-/// acceptance telemetry lands in sane ranges.
+/// rejected, per-step emissions stay within `1..=k+1`, every chosen draft
+/// depth stays within `0..=k` and the steps that drafted are exactly the
+/// steps that chose a depth of at least 1, and the overhead and acceptance
+/// telemetry lands in sane ranges.
 #[test]
 fn speculation_accounting_conserves() {
     let k = SpeculationConfig::paper_default().k as u32;
@@ -112,6 +116,18 @@ fn speculation_accounting_conserves() {
             "a sequence emits between 1 and k+1 tokens per step, got {emitted}"
         );
     }
+    let mut drafted_steps = 0;
+    for &(depth, steps) in &fleet.spec_depth_per_step {
+        assert!(steps > 0);
+        assert!(depth <= k, "chosen depth {depth} exceeds k = {k}");
+        if depth >= 1 {
+            drafted_steps += steps;
+        }
+    }
+    assert_eq!(
+        fleet.spec_steps, drafted_steps,
+        "the speculative steps are exactly the steps that chose depth >= 1"
+    );
     assert!(fleet.spec_mean_emitted_per_step > 1.0);
     assert!(fleet.spec_mean_emitted_per_step <= (k + 1) as f64);
     assert!(fleet.spec_accept_rate > 0.0 && fleet.spec_accept_rate < 1.0);
@@ -194,6 +210,55 @@ fn speculation_speeds_up_decode_heavy_fleets_at_unchanged_cold_p95() {
     assert!(
         p95_on <= p95_off * 1.05,
         "cold-heavy p95 TTFT must stay within 1.05x: {p95_on} vs {p95_off}"
+    );
+}
+
+/// Throughput of `agent_burst` (1 s think, 1,500 requests, seed 7) on one
+/// RK3588 with speculation on at maximum draft depth `k`.
+fn agent_burst_run(sessions: usize, k: usize) -> ServingReport {
+    let workload = WorkloadSpec::agent_burst(sessions, 1_500, SimDuration::from_secs(1), MODEL);
+    let mut config = spec_on(ServingConfig::paper_default(PlatformProfile::rk3588()));
+    config.speculation.k = k;
+    Server::run_workload(config, one_model(), &workload, 7)
+}
+
+/// Once the batch fills, the step is compute-bound and a fixed deep draft
+/// costs more NPU time than its accepted tokens return.  Choosing the depth
+/// per step must then beat (6 sessions) or match (12 sessions) capping the
+/// depth at 1.  Drafting four tokens on every step serves 4.5% and 9.3%
+/// less than the cap of 1 on these runs, so both floors need the choice.
+#[test]
+fn chosen_depth_keeps_up_with_a_shallow_cap_once_the_batch_fills() {
+    for (sessions, floor) in [(6, 1.02), (12, 0.99)] {
+        let deep = agent_burst_run(sessions, 4).fleet.throughput_rps;
+        let shallow = agent_burst_run(sessions, 1).fleet.throughput_rps;
+        assert!(
+            deep >= floor * shallow,
+            "{sessions} sessions: k = 4 serves {deep:.4} rps, k = 1 {shallow:.4} rps; \
+             want at least {floor}x"
+        );
+    }
+}
+
+/// A lone session keeps decode weight-read-bound, where extra verified
+/// positions ride in bandwidth the step already pays for: the chooser drafts
+/// at the full depth on at least 90% of the steps it decides.
+#[test]
+fn a_lone_session_drafts_at_full_depth() {
+    let k = SpeculationConfig::paper_default().k as u32;
+    let fleet = agent_burst_run(1, k as usize).fleet;
+    let decided: u64 = fleet.spec_depth_per_step.iter().map(|&(_, n)| n).sum();
+    let full: u64 = fleet
+        .spec_depth_per_step
+        .iter()
+        .filter(|&&(depth, _)| depth == k)
+        .map(|&(_, n)| n)
+        .sum();
+    assert!(decided > 0, "the run must decide draft depths");
+    assert!(
+        full as f64 >= 0.9 * decided as f64,
+        "depth {k} on {full} of {decided} decided steps: {:?}",
+        fleet.spec_depth_per_step
     );
 }
 
