@@ -65,14 +65,6 @@ const GATES: &[Gate] = &[
         check: Check::Present,
     },
     Gate {
-        key: "cold_heavy.p95_ttft_s_serial",
-        check: Check::Present,
-    },
-    Gate {
-        key: "saturation.throughput_rps_serial",
-        check: Check::Present,
-    },
-    Gate {
         key: "chat.followup_p95_ttft_s_baseline",
         check: Check::Present,
     },
@@ -89,23 +81,18 @@ const GATES: &[Gate] = &[
         key: "plan_cache_hit_rate",
         check: Check::MinRatio(0.95),
     },
+    // The serial device (the step loop at one request in flight) and the
+    // batched dispatcher on the same cold-heavy traffic, plus the step
+    // loop's health counters.  perf_smoke itself asserts the batched p95
+    // stays below the serial one and the throughput multiple stays >= 2x.
     Gate {
-        key: "cold_heavy.p95_ttft_s_overlap",
+        key: "cold_heavy.p95_ttft_s_serial",
         check: Check::MaxRatio(1.15),
     },
     Gate {
-        key: "cold_heavy.p95_improvement_pct",
-        check: Check::MinRatio(0.8),
-    },
-    Gate {
-        key: "saturation.throughput_rps_overlap",
+        key: "saturation.throughput_rps_serial",
         check: Check::MinRatio(0.9),
     },
-    // Continuous batching: the headline throughput multiple, latency parity,
-    // and the step loop's health counters.  The preemption-stall mean is
-    // structurally zero under chunked prefill, so it is recorded (a gate on
-    // "still zero" lives in perf_smoke's semantic asserts, which fail the
-    // bench job before this gate ever runs).
     Gate {
         key: "cold_heavy.p95_ttft_s_batched",
         check: Check::MaxRatio(1.05),
@@ -113,10 +100,6 @@ const GATES: &[Gate] = &[
     Gate {
         key: "saturation.throughput_rps_batched",
         check: Check::MinRatio(0.9),
-    },
-    Gate {
-        key: "batching.throughput_x_vs_overlap",
-        check: Check::MinRatio(0.95),
     },
     Gate {
         key: "batching.mean_batch_occupancy",
@@ -133,10 +116,6 @@ const GATES: &[Gate] = &[
     Gate {
         key: "batching.mean_decode_stall_ms",
         check: Check::MaxRatio(1.15),
-    },
-    Gate {
-        key: "batching.mean_stall_preemption_ms",
-        check: Check::Present,
     },
     Gate {
         key: "chat.kv_hit_rate",
@@ -604,14 +583,14 @@ mod tests {
             "/../../BENCH_baseline.json"
         ))
         .expect("committed baseline exists");
-        // Slow the overlap dispatcher's cold-heavy p95 by 2x and kill the
+        // Slow the batched dispatcher's cold-heavy p95 by 2x and kill the
         // spill counter: both must be flagged, nothing else.
         let broken = {
             let map = parse_flat(&text).unwrap();
-            let p95 = map["cold_heavy.p95_ttft_s_overlap"].as_number().unwrap();
+            let p95 = map["cold_heavy.p95_ttft_s_batched"].as_number().unwrap();
             text.replace(
-                &format!("\"p95_ttft_s_overlap\": {p95:.3}"),
-                &format!("\"p95_ttft_s_overlap\": {:.3}", p95 * 2.0),
+                &format!("\"p95_ttft_s_batched\": {p95:.3}"),
+                &format!("\"p95_ttft_s_batched\": {:.3}", p95 * 2.0),
             )
             .replace(
                 "\"kv_spilled_mib\": ",
@@ -621,7 +600,7 @@ mod tests {
         let rows = run(&text, &broken);
         let failed: Vec<&str> = rows.iter().filter(|r| !r.pass).map(|r| r.key).collect();
         assert!(
-            failed.contains(&"cold_heavy.p95_ttft_s_overlap"),
+            failed.contains(&"cold_heavy.p95_ttft_s_batched"),
             "{failed:?}"
         );
         assert!(failed.contains(&"chat.kv_spilled_mib"), "{failed:?}");

@@ -5,9 +5,12 @@
 //! (end-to-end, queueing included), queue depth, cache hit-fraction, decode
 //! stall and NPU utilisation.  Two dispatchers are compared at every point:
 //!
-//! * `serial` — the strict one-request-at-a-time device (PR-1 semantics);
-//! * `overlap` — multi-slot dispatch with restore-ahead and the plan cache
-//!   (this PR): decode of one request overlaps restore+prefill of the next.
+//! * `serial` — the strict one-request-at-a-time device of the paper's
+//!   prototype: the step loop with one request in flight and no
+//!   restore-ahead;
+//! * `batched` — the default dispatcher: the batched step loop over up to
+//!   twelve requests in flight, with restore-ahead and the plan cache, so
+//!   decode of one request overlaps restore+prefill of the next.
 //!
 //! And two retention policies: all-cold (`ReleaseAll`, every request
 //! restores from flash) and the adaptive partial-parameter cache.  The
@@ -89,7 +92,7 @@ fn main() {
 
     for scenario in &scenarios {
         let model_names: Vec<&str> = scenario.models.iter().map(|m| m.name.as_str()).collect();
-        for &(dispatch, serial) in &[("serial", true), ("overlap", false)] {
+        for &(dispatch, serial) in &[("serial", true), ("batched", false)] {
             for &(label, retention) in &[
                 ("cold", RetentionPolicy::ReleaseAll),
                 (
@@ -137,10 +140,11 @@ fn main() {
     table.finish();
     println!(
         "Reading the curve: p95/p99 TTFT rises with the arrival rate (queueing) while throughput \
-         tracks the offered load until the device saturates.  At every loaded point the overlap \
-         dispatcher's tail TTFT sits below the serial dispatcher's — restore-ahead hides cold \
-         restores behind decode, at the price of a decode stall.  Under the serial dispatcher \
-         the adaptive cache keeps warm p50 TTFT below the all-cold p50 row-for-row; under \
-         overlap the two converge (queueing shifts dominate the remaining restore cost)."
+         tracks the offered load until the device saturates.  At every loaded point the batched \
+         dispatcher's tail TTFT sits below the serial device's — restore-ahead hides cold \
+         restores behind decode and the step loop shares the NPU, at the price of a decode \
+         stall.  On the serial device the adaptive cache keeps warm p50 TTFT below the all-cold \
+         p50 row-for-row; batched, the two converge (queueing shifts dominate the remaining \
+         restore cost)."
     );
 }

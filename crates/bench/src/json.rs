@@ -244,14 +244,14 @@ mod tests {
   "plan_cache_speedup": 4.07,
   "cold_heavy": {
     "rate_rps": 0.06,
-    "p95_ttft_s_overlap": 18.884
+    "p95_ttft_s_batched": 6.064
   }
 }
 "#;
         let map = parse_flat(text).unwrap();
         assert_eq!(
-            map["cold_heavy.p95_ttft_s_overlap"].as_number(),
-            Some(18.884)
+            map["cold_heavy.p95_ttft_s_batched"].as_number(),
+            Some(6.064)
         );
     }
 }

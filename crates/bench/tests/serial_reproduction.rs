@@ -3,11 +3,8 @@
 //! it — not just match itself in-process, but land on the *exact* numbers
 //! in `BENCH_baseline.json` at the precision the file records.
 //!
-//! * With `continuous_batching: false` and the slot count restored, the
-//!   batched dispatcher is the overlap dispatcher: per-request slots plus
-//!   live-context join (a request dispatched while its model has requests
-//!   in flight restores nothing, pays no framework init and allocates only
-//!   its KV cache).
+//! The three proofs:
+//!
 //! * With `speculation` disabled (the default), the step loop is the PR-6
 //!   batched dispatcher: no draft entry is wired, no acceptance RNG is
 //!   drawn, and the committed batched numbers reproduce digit-for-digit.
@@ -21,7 +18,7 @@
 //!   bit-for-bit the metrics-off run, which in turn is the baseline run.
 //!
 //! CI runs these tests in their own step and greps the harness summary for
-//! `4 passed`, so a rename, an `#[ignore]`, or a filter that silently skips
+//! `3 passed`, so a rename, an `#[ignore]`, or a filter that silently skips
 //! one fails the bench job: an escape hatch is only trustworthy while its
 //! proof actually executes.
 
@@ -34,7 +31,7 @@ use workloads::{ArrivalProcess, WorkloadSpec};
 const MODELS: [&str; 3] = ["tinyllama-1.1b", "qwen2.5-3b", "phi-3-3.8b"];
 
 /// Replicates `perf_smoke`'s cold-heavy run (full mode: 400 requests,
-/// seed 0xC01D) — the workload the committed baseline's overlap numbers
+/// seed 0xC01D) — the workload the committed baseline's dispatch numbers
 /// were measured on.
 fn cold_heavy(config: ServingConfig, rate: f64) -> ServingReport {
     let workload =
@@ -47,7 +44,7 @@ fn cold_heavy(config: ServingConfig, rate: f64) -> ServingReport {
 }
 
 #[test]
-fn continuous_batching_off_reproduces_the_committed_baseline() {
+fn speculation_off_reproduces_the_committed_batched_baseline() {
     let text = std::fs::read_to_string(concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/../../BENCH_baseline.json"
@@ -59,60 +56,6 @@ fn continuous_batching_off_reproduces_the_committed_baseline() {
         JsonValue::Bool(false),
         "the committed baseline must be a full-mode run"
     );
-    let expect = |key: &str| {
-        baseline[key]
-            .as_number()
-            .unwrap_or_else(|| panic!("{key} is a number in the committed baseline"))
-    };
-
-    let profile = PlatformProfile::rk3588();
-
-    // The PR-5 dispatcher as a named config reproduces the committed
-    // artifact digit-for-digit at the file's precision: sub-saturation p95
-    // TTFT and saturation throughput.
-    let overlap = cold_heavy(ServingConfig::overlap(profile.clone()), 0.06);
-    let p95_s = overlap.fleet.ttft_ms.expect("records").p95 / 1e3;
-    assert_eq!(
-        format!("{p95_s:.3}"),
-        format!("{:.3}", expect("cold_heavy.p95_ttft_s_overlap")),
-        "overlap cold-heavy p95 TTFT drifted from the committed baseline"
-    );
-    let sat = cold_heavy(ServingConfig::overlap(profile.clone()), 0.5);
-    assert_eq!(
-        format!("{:.4}", sat.fleet.throughput_rps),
-        format!("{:.4}", expect("saturation.throughput_rps_overlap")),
-        "overlap saturation throughput drifted from the committed baseline"
-    );
-
-    // And the escape hatch really is that dispatcher: `paper_default` with
-    // batching off and the slot count restored is bit-for-bit the same run —
-    // every counter, every percentile, every record.
-    let mut off = ServingConfig::paper_default(profile);
-    off.continuous_batching = false;
-    off.max_inflight = 2;
-    let off_run = cold_heavy(off, 0.06);
-    assert_eq!(
-        format!("{:?}", off_run.fleet),
-        format!("{:?}", overlap.fleet)
-    );
-    assert_eq!(
-        format!("{:?}", off_run.records),
-        format!("{:?}", overlap.records)
-    );
-    assert_eq!(
-        off_run.fleet.batch_steps, 0,
-        "the slot dispatcher must never take a batched step"
-    );
-}
-
-#[test]
-fn speculation_off_reproduces_the_committed_batched_baseline() {
-    let text = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_baseline.json"
-    ))
-    .expect("committed baseline exists");
-    let baseline = parse_flat(&text).expect("committed baseline parses");
     let expect = |key: &str| {
         baseline[key]
             .as_number()

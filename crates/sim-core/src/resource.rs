@@ -7,7 +7,7 @@
 //! pool when the next server becomes free and reserves busy intervals on it.
 //!
 //! [`CapacityLedger`] is the complementary view used by the serving layer's
-//! overlapped dispatcher: instead of per-server free-at instants it tracks,
+//! dispatcher: instead of per-server free-at instants it tracks,
 //! for a set of named lanes (CPU cores, the NPU, the flash channel), how many
 //! units are in use *right now*, the peak ever in use, and the busy-time
 //! integral — and it refuses over-subscription outright, so any scheduling

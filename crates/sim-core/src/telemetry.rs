@@ -121,10 +121,10 @@ pub enum Phase {
     WorkingAlloc,
     /// Unsealing (MAC + decrypt + dequant) the session's sealed KV prefix.
     KvUnseal,
-    /// The pipelined restoration window up to the exclusive NPU hold.
+    /// The pipelined restoration window up to the prefill's NPU window.
     RestorePipeline,
-    /// Prefill: the NPU window, plus (under batching) the chunk-interleave
-    /// wait until the first token lands.
+    /// Prefill: the NPU window, plus the chunk-interleave wait until the
+    /// first token lands.
     Prefill,
     /// Decoding (first token → completion); excluded from the TTFT sum.
     Decode,

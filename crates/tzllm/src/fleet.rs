@@ -108,7 +108,7 @@ pub struct ShardStats {
     pub plan_cache_hits: u64,
     /// Restoration-plan cache misses.
     pub plan_cache_misses: u64,
-    /// Batched NPU steps executed (0 under the slot dispatcher).
+    /// NPU steps the shard's step loop executed.
     pub batch_steps: u64,
     /// Starvation guard maximum across the shard's steps.
     pub batch_max_steps_behind: u64,

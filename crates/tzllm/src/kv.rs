@@ -180,9 +180,9 @@ pub struct KvStats {
     /// Peak of `Σ (refs − 1) × page bytes` over the run: secure bytes the
     /// content-addressed store saved versus per-session copies.
     pub peak_deduped_bytes: u64,
-    /// Peak number of sealed pages/tails simultaneously held in the spill
-    /// region — at equal `spill_budget`, a quantized format holds
-    /// `expansion()`× more of these.
+    /// Peak number of whole pages simultaneously sealed in the spill region
+    /// (sealed partial tails are not counted) — at equal `spill_budget`, a
+    /// quantized format holds `expansion()`× more of these.
     pub peak_sealed_pages: u64,
     /// Peak compressed bytes simultaneously held in the spill region.
     pub peak_sealed_bytes: u64,
@@ -1045,7 +1045,16 @@ impl KvPool {
 
         // Steady-state spill occupancy, sampled after trimming: at equal
         // budget a quantized format peaks `expansion()`× higher page counts.
-        self.stats.peak_sealed_pages = self.stats.peak_sealed_pages.max(self.sealed_pages);
+        // Sealed tails are partial pages, so the page peak leaves them out.
+        let sealed_tails = self
+            .sessions
+            .values()
+            .filter(|kv| kv.tail_sealed && kv.tail_tokens > 0)
+            .count() as u64;
+        self.stats.peak_sealed_pages = self
+            .stats
+            .peak_sealed_pages
+            .max(self.sealed_pages - sealed_tails);
         self.stats.peak_sealed_bytes = self.stats.peak_sealed_bytes.max(self.sealed_bytes);
     }
 
@@ -1226,6 +1235,27 @@ mod tests {
         assert_eq!(p.resident_bytes(), 16 * BPT);
         assert_eq!(p.sealed_bytes(), 16 * BPT, "spill area capped");
         assert_eq!(p.stats().dropped_bytes, 32 * BPT);
+    }
+
+    #[test]
+    fn sealed_page_peak_counts_whole_pages_only() {
+        // Four whole 16-token pages plus an 8-token tail, all sealed under a
+        // spill budget that holds exactly that much.
+        let mut p = KvPool::new(&KvConfig {
+            spill_budget: 72 * BPT,
+            ..config(true, true)
+        });
+        p.on_complete(1, 0, &hashes(9, 72), 72, BPT, t(0));
+        p.enforce(0, &BTreeSet::new(), t(1));
+        assert_eq!(p.resident_bytes(), 0);
+        assert_eq!(
+            p.sealed_bytes(),
+            72 * BPT,
+            "the tail's bytes are sealed too"
+        );
+        assert_eq!(p.sealed_pages(), 5, "four pages and the tail");
+        assert_eq!(p.stats().peak_sealed_pages, 4);
+        assert_eq!(p.stats().peak_sealed_bytes, 72 * BPT);
     }
 
     #[test]

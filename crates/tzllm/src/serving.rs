@@ -14,7 +14,7 @@
 //!
 //! [`RestorePlan`]: crate::restore::RestorePlan
 //!
-//! ## Device model: overlapped dispatch
+//! ## Device model: the batched step loop
 //!
 //! The paper's core insight — restoration overlaps computation *within* one
 //! request (§4.1) — is lifted here to the inter-request level.  The device's
@@ -22,17 +22,21 @@
 //! in a shared [`sim_core::CapacityLedger`] instead of an all-or-nothing
 //! busy flag, and three activities share them:
 //!
-//! * **Service** (restore + prefill): at most one request at a time is in
-//!   its service phase.  A cold service occupies the flash channel and all
-//!   big cores for its pipelined restoration; the NPU is held exclusively
-//!   only for the tail window in which the prefill actually computes
-//!   (restoration-dominated early pipeline stages leave it free).
-//! * **Decode**: any number of completed-prefill requests (bounded by
-//!   `max_inflight`) decode concurrently, processor-sharing the NPU.  A
-//!   service's exclusive NPU window *preempts* running decodes — the
-//!   TTFT-critical operator wins the resource and decoding resumes at the
-//!   preemption boundary, mirroring [`Policy::PriorityPreemptive`]'s
-//!   compute-first rule at request granularity.
+//! * **Service** (the pre-NPU part of a dispatch: pipelined restoration and
+//!   KV unseal): at most one request at a time is in its service phase.  A
+//!   cold service occupies the flash channel and all big cores for its
+//!   pipelined restoration; a fully cached one needs one core.
+//! * **The step loop**: the NPU runs one *step* at a time, and each step is
+//!   one batched decode pass over every active sequence plus at most one
+//!   *chunk* of the active prefill ([`ServingConfig::prefill_chunk_tokens`]).
+//!   A step costs the weight read once per distinct model — amortised
+//!   across the whole batch — plus every sequence's per-token KV/compute
+//!   cost, the serving-level realisation of
+//!   [`llm::CostModel::batched_step_time`].  Decode on this hardware is
+//!   memory-bound, so a small prefill chunk rides in the weight-read slack
+//!   nearly for free, and a long prefill interleaves between decode steps
+//!   instead of pausing them.  A service hands its prefill to the loop when
+//!   its pre-NPU phase ends; prefills take the chunk slot in FIFO order.
 //! * **Restore-ahead**: whenever the flash/decrypt/alloc lanes are idle
 //!   (typically while the only active requests decode), the dispatcher peeks
 //!   the queue and starts restoring the next request's missing parameters
@@ -41,30 +45,10 @@
 //!   request is partially (often fully) warm by the time it dispatches, and
 //!   cold-start cost largely vanishes under sustained load.
 //!
-//! With `max_inflight = 1` and restore-ahead off the dispatcher degenerates
-//! to the strict serial device of the paper's prototype (one request owns
-//! everything end-to-end); [`ServingConfig::serial`] builds that baseline.
-//!
-//! ## Iteration-level continuous batching
-//!
-//! With [`ServingConfig::continuous_batching`] on (the default), the decode
-//! set and the prefill's exclusive NPU window are replaced by a *step loop*:
-//! each NPU step runs one batched decode pass over every active sequence
-//! plus at most one *chunk* of the active prefill
-//! ([`ServingConfig::prefill_chunk_tokens`]).  A step costs the weight read
-//! once per distinct model — amortised across the whole batch — plus every
-//! sequence's per-token KV/compute cost, the serving-level realisation of
-//! [`llm::CostModel::batched_step_time`]; decode on this hardware is
-//! memory-bound, so a small prefill chunk rides in the weight-read slack
-//! nearly for free.  A long prefill therefore interleaves between decode
-//! steps instead of pausing them — `stall_preemption` goes to ~0 and
-//! saturation throughput scales with the batch.  The pre-NPU part of a
-//! service phase (pipelined restoration, KV unseal) is unchanged and keeps
-//! streaming under an open batch on the flash/decrypt lanes.  With
-//! `continuous_batching: false` the overlapped slot dispatcher above runs
-//! instead (per-request slots, with live-context join as below);
-//! [`ServingConfig::overlap`] keeps that configuration as the comparison
-//! baseline.
+//! With `max_inflight = 1` and restore-ahead off the loop degenerates to the
+//! strict serial device of the paper's prototype: one request owns the
+//! device from dispatch to its last token, and every step decodes that one
+//! sequence.  [`ServingConfig::serial`] builds that baseline.
 //!
 //! ## Retention between requests
 //!
@@ -261,20 +245,15 @@ pub struct ServingConfig {
     pub max_queue_depth: usize,
     /// Inter-request cache retention policy.
     pub retention: RetentionPolicy,
-    /// Maximum requests simultaneously in flight (in service or decoding).
-    /// `1` reproduces the strict serial device of the paper's prototype.
+    /// Maximum requests simultaneously in flight (in service, prefilling or
+    /// decoding).  `1` reproduces the strict serial device of the paper's
+    /// prototype.
     pub max_inflight: usize,
     /// Whether to restore queued requests' parameters ahead of dispatch on
     /// idle flash/decrypt/alloc lanes.
     pub restore_ahead: bool,
-    /// Iteration-level continuous batching: each NPU step runs one batched
-    /// decode pass over every active sequence plus at most one prefill
-    /// *chunk*, so long prefills interleave between decode steps instead of
-    /// preempting them wholesale.  `false` runs the overlapped slot
-    /// dispatcher instead ([`ServingConfig::overlap`]).
-    pub continuous_batching: bool,
-    /// Prefill chunk size in prompt tokens under continuous batching: at
-    /// most one chunk of the active prefill joins each NPU step.
+    /// Prefill chunk size in prompt tokens: at most one chunk of the active
+    /// prefill joins each NPU step.
     pub prefill_chunk_tokens: usize,
     /// Capacity of the restoration-plan cache (entries); `0` disables it and
     /// every dispatch rebuilds and resimulates its plan.
@@ -306,7 +285,7 @@ pub struct ServingConfig {
 impl ServingConfig {
     /// The default serving setup on the paper's testbed: preemptive
     /// pipelining, checkpoints on, 8 GiB of REE pressure, a 64-deep queue,
-    /// adaptive retention in 25 % steps, continuous batching over up to
+    /// adaptive retention in 25 % steps, the batched step loop over up to
     /// twelve in-flight requests with 128-token prefill chunks and
     /// restore-ahead, and a 4096-entry plan cache.
     pub fn paper_default(profile: PlatformProfile) -> Self {
@@ -321,7 +300,6 @@ impl ServingConfig {
             },
             max_inflight: 12,
             restore_ahead: true,
-            continuous_batching: true,
             prefill_chunk_tokens: 128,
             plan_cache_capacity: 4096,
             kv: KvConfig::disabled(),
@@ -341,26 +319,15 @@ impl ServingConfig {
         }
     }
 
-    /// The PR-5 overlapped dispatcher: per-request slots (two in flight),
-    /// exclusive prefill NPU windows that preempt running decodes, no
-    /// batching — kept as the comparison point the batching benchmarks and
-    /// the serial-reproduction equivalence test measure against.
-    pub fn overlap(profile: PlatformProfile) -> Self {
-        ServingConfig {
-            continuous_batching: false,
-            max_inflight: 2,
-            ..Self::paper_default(profile)
-        }
-    }
-
-    /// The serial baseline: one request owns the whole device end-to-end and
-    /// nothing is restored ahead of dispatch — the PR-1 dispatcher, kept as
-    /// the comparison point for the overlap benchmarks and regression tests.
+    /// The serial device of the paper's prototype: the step loop with one
+    /// request in flight and nothing restored ahead of dispatch, so one
+    /// request owns the whole device from dispatch to its last token — the
+    /// comparison point for the batched dispatcher's benchmarks and tests.
     pub fn serial(profile: PlatformProfile) -> Self {
         ServingConfig {
             max_inflight: 1,
             restore_ahead: false,
-            ..Self::overlap(profile)
+            ..Self::paper_default(profile)
         }
     }
 }
@@ -445,17 +412,13 @@ pub struct RequestRecord {
     /// f16 KV bytes dequantized at dispatch for this request (zero unless
     /// the spill format is quantized).
     pub kv_dequant_bytes: u64,
-    /// Decode time lost to sharing the NPU with other sequences (under
-    /// batching: step time beyond the sequence's intrinsic token time; under
-    /// the slot dispatcher: the processor-sharing slowdown).
+    /// Decode time lost to sharing the NPU with the rest of the batch: the
+    /// step time beyond the sequence's solo time for the tokens it emitted,
+    /// summed over every step it was a member of.
     pub stall_sharing: SimDuration,
-    /// Decode time lost to a prefill's exclusive NPU window preempting this
-    /// sequence — ~0 under continuous batching, where prefills interleave as
-    /// chunks instead of pausing the decode set.
-    pub stall_preemption: SimDuration,
     /// Prefill time beyond the ideal service TTFT: how long the chunked
-    /// prefill waited on decode steps it interleaved with (always zero under
-    /// the slot dispatcher, whose prefill owns the NPU window outright).
+    /// prefill waited on the decode steps it interleaved with (zero, up to
+    /// step-time rounding, when no decode shared its steps).
     pub prefill_stall: SimDuration,
     /// The per-request evaluation (service-time TTFT, decode speed, breakdown).
     pub report: InferenceReport,
@@ -474,17 +437,15 @@ impl RequestRecord {
 
     /// The ideal decode duration at the request's intrinsic token rate; the
     /// realised `completed - first_token` exceeds this by the time lost to
-    /// NPU sharing and prefill preemption.
+    /// sharing the NPU with the batch.
     pub fn ideal_decode(&self) -> SimDuration {
         let tokens = self.request.output_len.saturating_sub(1);
         SimDuration::from_secs_f64(tokens as f64 / self.report.decode_tokens_per_sec)
     }
 
-    /// Decode time lost to NPU sharing and prefill preemption — the derived
-    /// total; [`RequestRecord::stall_sharing`] / [`stall_preemption`]
-    /// attribute it to its two causes.
-    ///
-    /// [`stall_preemption`]: RequestRecord::stall_preemption
+    /// Decode time beyond [`RequestRecord::ideal_decode`], derived from the
+    /// timestamps; [`RequestRecord::stall_sharing`] is the step loop's own
+    /// attribution of it to sharing the NPU with the batch.
     pub fn decode_stall(&self) -> SimDuration {
         self.completed
             .saturating_since(self.first_token)
@@ -492,9 +453,8 @@ impl RequestRecord {
     }
 
     /// Service TTFT as realised on the device (dispatch → first token):
-    /// equals `report.ttft` under the slot dispatcher, and exceeds it by
-    /// [`RequestRecord::prefill_stall`] when the chunked prefill interleaved
-    /// with decode steps.
+    /// `report.ttft` plus [`RequestRecord::prefill_stall`], the time the
+    /// chunked prefill waited on the decode steps it interleaved with.
     pub fn service_ttft(&self) -> SimDuration {
         self.first_token.saturating_since(self.dispatched)
     }
@@ -537,19 +497,16 @@ pub struct FleetStats {
     pub npu_utilisation: f64,
     /// Flash-channel busy fraction over the run.
     pub flash_utilisation: f64,
-    /// Mean per-request decode time lost to NPU sharing and prefill
-    /// preemption, milliseconds.
+    /// Mean per-request [`RequestRecord::decode_stall`]: decode time beyond
+    /// the intrinsic token rate, milliseconds.
     pub mean_decode_stall_ms: f64,
-    /// Mean per-request decode time lost to sharing the NPU with the rest of
-    /// the batch (or the processor-shared decode set), milliseconds.
+    /// Mean per-request [`RequestRecord::stall_sharing`]: decode time lost
+    /// to sharing the NPU with the rest of the batch, milliseconds.
     pub mean_stall_sharing_ms: f64,
-    /// Mean per-request decode time lost to prefill preemption, milliseconds
-    /// — ~0 under continuous batching.
-    pub mean_stall_preemption_ms: f64,
     /// Mean per-request prefill time beyond the ideal service TTFT (chunked
     /// prefills waiting on the decode steps they interleave with), ms.
     pub mean_prefill_stall_ms: f64,
-    /// Batched NPU steps executed over the run (0 under the slot dispatcher).
+    /// NPU steps the step loop executed over the run.
     pub batch_steps: u64,
     /// Busy-time-weighted mean number of sequences per batched step.
     pub mean_batch_occupancy: f64,
@@ -618,8 +575,9 @@ pub struct FleetStats {
     /// f16 bytes reconstructed by dequantization across unseals and
     /// prewarms (zero unless the spill format is quantized).
     pub kv_dequant_bytes: u64,
-    /// Peak sealed pages/tails simultaneously held in the spill region — at
-    /// equal spill budget a quantized format holds 2–4× more.
+    /// Peak whole KV pages simultaneously sealed in the spill region (sealed
+    /// partial tails are not counted) — at equal spill budget a quantized
+    /// format holds 2–4× more.
     pub kv_peak_sealed_pages: u64,
     /// Peak compressed bytes simultaneously held in the spill region.
     pub kv_peak_sealed_bytes: u64,
@@ -717,25 +675,6 @@ struct ActiveService {
     accept_seed: u64,
 }
 
-/// A request past its first token, processor-sharing the NPU with its peers
-/// (the slot dispatcher's decode model; the batched step loop uses
-/// [`BatchedDecode`]).
-struct ActiveDecode {
-    record: RequestRecord,
-    model: ModelId,
-    /// NPU nanoseconds still needed to finish decoding at the intrinsic
-    /// rate.  Fractional: under processor sharing each of `n` decodes
-    /// advances by `dt / n`, and truncating that to whole nanoseconds per
-    /// accounting event loses sub-nanosecond progress at high fan-out.
-    remaining_ns: f64,
-    /// Decode time lost to processor-sharing the NPU, nanoseconds.
-    stall_sharing_ns: f64,
-    /// Decode time lost to prefill NPU windows pausing the set, nanoseconds.
-    stall_preemption_ns: f64,
-    kv_full_hashes: Vec<u64>,
-    kv_total_tokens: usize,
-}
-
 /// A prefill whose pre-NPU phase (pipelined restoration, KV unseal) is done:
 /// its NPU-side work now executes as chunk-sized slices interleaved into the
 /// batched step loop, at most one chunk per step.
@@ -825,16 +764,6 @@ struct ServerState {
     /// Requests in flight (in service or decoding).
     inflight: usize,
     service: Option<ActiveService>,
-    decodes: Vec<ActiveDecode>,
-    /// While the service's exclusive NPU window is open, decodes are paused.
-    decodes_paused: bool,
-    /// When the current pause began (valid while `decodes_paused`): the
-    /// window is credited to each paused decode's preemption stall on resume.
-    pause_started: SimTime,
-    /// Invalidates scheduled decode-completion events after a set change.
-    decode_epoch: u64,
-    /// Instant up to which every running decode's progress is accounted.
-    decode_last: SimTime,
     /// Sequences decoding in the batched step loop.
     batch_decodes: Vec<BatchedDecode>,
     /// The prefill currently interleaving chunks into the step loop (at most
@@ -972,9 +901,6 @@ impl ServerState {
         if let Some(svc) = &self.service {
             active.insert(svc.record.request.session);
         }
-        for d in &self.decodes {
-            active.insert(d.record.request.session);
-        }
         for d in &self.batch_decodes {
             active.insert(d.record.request.session);
         }
@@ -990,35 +916,6 @@ impl ServerState {
             }
         }
         active
-    }
-
-    /// Books decode progress up to `now` (processor sharing: each of the `n`
-    /// running decodes advanced by `dt / n`).  The division is fractional —
-    /// truncating it to whole nanoseconds per accounting event would lose
-    /// sub-nanosecond progress at high fan-out — and the `dt − dt/n` the
-    /// sequence did *not* advance by is its sharing stall.
-    fn advance_decodes(&mut self, now: SimTime) {
-        if !self.decodes_paused && !self.decodes.is_empty() {
-            let dt_ns = now.saturating_since(self.decode_last).as_nanos() as f64;
-            let each_ns = dt_ns / self.decodes.len() as f64;
-            for d in &mut self.decodes {
-                // A sequence with less work left than the interval's share
-                // finished mid-interval: it only shared the NPU while it
-                // was still running, so its stall is the sharing slowdown
-                // over the share it actually used — charging the full
-                // interval would overcount the stall of every sequence
-                // that finishes mid-accounting-window.
-                let used_ns = d.remaining_ns.min(each_ns);
-                let share = if each_ns > 0.0 {
-                    used_ns / each_ns
-                } else {
-                    0.0
-                };
-                d.remaining_ns -= used_ns;
-                d.stall_sharing_ns += (dt_ns - each_ns) * share;
-            }
-        }
-        self.decode_last = now;
     }
 
     fn restore_cores(&self) -> u64 {
@@ -1109,9 +1006,9 @@ fn schedule_session_continuation(
     }
 }
 
-/// The dispatcher: starts the next service phase if a slot and the service
-/// lanes allow it, then puts any remaining lane idleness to work restoring
-/// the queue head's parameters ahead of dispatch.
+/// The dispatcher: starts the next service phase if `max_inflight` and the
+/// service lanes allow it, then puts any remaining lane idleness to work
+/// restoring the queue head's parameters ahead of dispatch.
 fn try_progress(state: &mut ServerState, sched: &mut EventScheduler<ServerState>) {
     if state.service.is_none()
         && state.inflight < state.config.max_inflight
@@ -1286,8 +1183,7 @@ fn dispatch_next(state: &mut ServerState, sched: &mut EventScheduler<ServerState
 
     let ttft = report.ttft;
     let npu_hold = (report.npu_busy + report.breakdown.npu_overhead).min(ttft);
-    let first_token = now + ttft;
-    let hold_start = first_token - npu_hold;
+    let first_token = now + ttft; // placeholder until the prefill finishes
     let record = RequestRecord {
         request: state.materialize(&qreq),
         arrival,
@@ -1300,7 +1196,6 @@ fn dispatch_next(state: &mut ServerState, sched: &mut EventScheduler<ServerState
         kv_unsealed_bytes: kv_reuse.unseal_bytes,
         kv_dequant_bytes: kv_reuse.dequant_bytes,
         stall_sharing: SimDuration::ZERO,
-        stall_preemption: SimDuration::ZERO,
         prefill_stall: SimDuration::ZERO,
         report,
     };
@@ -1315,145 +1210,16 @@ fn dispatch_next(state: &mut ServerState, sched: &mut EventScheduler<ServerState
         accept_seed: qreq.accept_seed,
     });
     state.inflight += 1;
-    if state.config.continuous_batching {
-        // The pre-NPU phase (pipelined restoration + KV unseal beyond the
-        // NPU window) runs exactly as planned on the flash/CPU lanes; the
-        // NPU-side prefill work then joins the step loop as chunks instead
-        // of taking the NPU exclusively.
-        let pre_npu = ttft.saturating_sub(npu_hold);
-        sched.schedule_at(now + pre_npu, on_service_ready_for_batch);
-    } else {
-        // `hold_start <= first_token`, and both events are inserted in this
-        // order, so the engine's tie-breaking fires the hold first.
-        sched.schedule_at(hold_start, on_hold_start);
-        sched.schedule_at(first_token, on_service_first_token);
-    }
-}
-
-/// The service's prefill needs the NPU exclusively from here to its first
-/// token: preempt running decodes (compute-first, as in the intra-request
-/// preemptive policy) and take the NPU.
-fn on_hold_start(state: &mut ServerState, sched: &mut EventScheduler<ServerState>) {
-    let now = sched.now();
-    debug_assert!(state.service.is_some());
-    state.advance_decodes(now);
-    if !state.decodes_paused {
-        state.decodes_paused = true;
-        state.pause_started = now;
-        state.decode_epoch += 1; // invalidate any scheduled completion
-        if !state.decodes.is_empty() {
-            let lane = state.lane_npu;
-            state.ledger.release(lane, 1, now);
-        }
-    }
-    let lane = state.lane_npu;
-    state.ledger.acquire(lane, 1, now);
-}
-
-/// The service produced its first token: release its lanes, resume preempted
-/// decodes, and join the decode set.
-fn on_service_first_token(state: &mut ServerState, sched: &mut EventScheduler<ServerState>) {
-    let now = sched.now();
-    let svc = state.service.take().expect("a service phase is active");
-    let (lane_npu, lane_flash, lane_cpu) = (state.lane_npu, state.lane_flash, state.lane_cpu);
-    state.ledger.release(lane_npu, 1, now);
-    if svc.restoring {
-        state.ledger.release(lane_flash, 1, now);
-    }
-    state.ledger.release(lane_cpu, svc.cores_held, now);
-
-    // The pause window `[hold_start, first_token]` is decode time every
-    // member of the (static while paused) set lost to the prefill's
-    // exclusive NPU window.
-    let paused_ns = now.saturating_since(state.pause_started).as_nanos() as f64;
-    for d in &mut state.decodes {
-        d.stall_preemption_ns += paused_ns;
-    }
-    state.decodes_paused = false;
-    state.decode_last = now;
-    let tokens = svc.record.request.output_len.saturating_sub(1);
-    let remaining_ns = tokens as f64 / svc.record.report.decode_tokens_per_sec * 1e9;
-    // The decode set's shared NPU unit is never held here: the prefill's
-    // exclusive window released it at hold start (or the set was empty), and
-    // after the push the set is non-empty either way.
-    state.ledger.acquire(lane_npu, 1, now);
-    state.decodes.push(ActiveDecode {
-        record: svc.record,
-        model: svc.model,
-        remaining_ns,
-        stall_sharing_ns: 0.0,
-        stall_preemption_ns: 0.0,
-        kv_full_hashes: svc.kv_full_hashes,
-        kv_total_tokens: svc.kv_total_tokens,
-    });
-    schedule_decode_tick(state, sched);
-    try_progress(state, sched);
-}
-
-/// Schedules the next decode-completion instant for the current decode set
-/// (the earliest finisher under processor sharing: `min(remaining) × n`).
-fn schedule_decode_tick(state: &mut ServerState, sched: &mut EventScheduler<ServerState>) {
-    state.decode_epoch += 1;
-    if state.decodes_paused || state.decodes.is_empty() {
-        return;
-    }
-    let n = state.decodes.len() as f64;
-    let min_remaining_ns = state
-        .decodes
-        .iter()
-        .map(|d| d.remaining_ns)
-        .fold(f64::INFINITY, f64::min);
-    let epoch = state.decode_epoch;
-    // Ceil: the event must not fire before the earliest finisher's
-    // fractional remainder is really consumed (a truncated eta would tick
-    // one event early and find nothing finished).
-    let eta = sched.now() + SimDuration::from_nanos((min_remaining_ns * n).ceil() as u64);
-    sched.schedule_at(eta, move |state, sched| on_decode_tick(state, sched, epoch));
-}
-
-fn on_decode_tick(state: &mut ServerState, sched: &mut EventScheduler<ServerState>, epoch: u64) {
-    if epoch != state.decode_epoch {
-        return; // superseded by a pause/resume or set change
-    }
-    let now = sched.now();
-    state.advance_decodes(now);
-    let mut finished = Vec::new();
-    let mut i = 0;
-    while i < state.decodes.len() {
-        // Sub-half-nanosecond residue is rounding, not work: the eta above
-        // already waited out the fractional remainder.
-        if state.decodes[i].remaining_ns < 0.5 {
-            finished.push(state.decodes.remove(i));
-        } else {
-            i += 1;
-        }
-    }
-    if state.decodes.is_empty() && !finished.is_empty() {
-        let lane = state.lane_npu;
-        state.ledger.release(lane, 1, now);
-    }
-    for decode in finished {
-        let mut record = decode.record;
-        record.stall_sharing = SimDuration::from_nanos(decode.stall_sharing_ns.round() as u64);
-        record.stall_preemption =
-            SimDuration::from_nanos(decode.stall_preemption_ns.round() as u64);
-        complete_request(
-            state,
-            sched,
-            decode.model,
-            record,
-            decode.kv_full_hashes,
-            decode.kv_total_tokens,
-            now,
-        );
-    }
-    schedule_decode_tick(state, sched);
-    try_progress(state, sched);
+    // The pre-NPU phase (pipelined restoration + KV unseal beyond the NPU
+    // window) runs exactly as planned on the flash/CPU lanes; the NPU-side
+    // prefill work then joins the step loop as chunks.
+    let pre_npu = ttft.saturating_sub(npu_hold);
+    sched.schedule_at(now + pre_npu, on_service_ready_for_batch);
 }
 
 /// Books one finished request — retention policy, KV retention + budget
-/// enforcement, record keeping, closed-loop continuation — shared by the
-/// slot dispatcher's decode set and the batched step loop.
+/// enforcement, record keeping, closed-loop continuation — when its last
+/// token leaves the step loop (or its prefill, for a one-token response).
 fn complete_request(
     state: &mut ServerState,
     sched: &mut EventScheduler<ServerState>,
@@ -1610,8 +1376,9 @@ fn record_lifecycle_spans(
     );
     let report = &record.report;
     let b = &report.breakdown;
-    // The exclusive NPU hold sits at the tail of the service TTFT; what
-    // precedes it is the pre-NPU window the breakdown components fill.
+    // The prefill's NPU window (what the step loop runs as chunks) sits at
+    // the tail of the service TTFT; what precedes it is the pre-NPU window
+    // the breakdown components fill.
     let npu_hold = (report.npu_busy + b.npu_overhead).min(report.ttft);
     let pre_npu_end =
         (record.dispatched + report.ttft.saturating_sub(npu_hold)).min(record.first_token);
@@ -1686,9 +1453,9 @@ fn record_lifecycle_spans(
     }
 }
 
-/// Continuous batching: the service's pre-NPU phase (pipelined restoration,
-/// KV unseal beyond the NPU window) is done — release the service lanes and
-/// hand the NPU-side prefill work to the step loop as chunks.
+/// The service's pre-NPU phase (pipelined restoration, KV unseal beyond the
+/// NPU window) is done: release the service lanes and hand the NPU-side
+/// prefill work to the step loop as chunks.
 fn on_service_ready_for_batch(state: &mut ServerState, sched: &mut EventScheduler<ServerState>) {
     let now = sched.now();
     let svc = state.service.take().expect("a service phase is active");
@@ -2367,11 +2134,6 @@ impl Server {
                 queue: VecDeque::new(),
                 inflight: 0,
                 service: None,
-                decodes: Vec::new(),
-                decodes_paused: false,
-                pause_started: SimTime::ZERO,
-                decode_epoch: 0,
-                decode_last: SimTime::ZERO,
                 batch_decodes: Vec::new(),
                 batch_prefill: None,
                 batch_pending: VecDeque::new(),
@@ -2680,9 +2442,8 @@ fn fleet_stats(state: &ServerState) -> FleetStats {
         .iter()
         .map(|r| r.ttft_e2e().as_millis_f64())
         .collect();
-    // Realised service TTFT (dispatch → first token): identical to
-    // `report.ttft` under the slot dispatcher, and additionally carries the
-    // chunked prefill's interleaving stall under batching.
+    // Realised service TTFT (dispatch → first token): `report.ttft` plus
+    // the chunked prefill's interleaving stall.
     let service: Vec<f64> = records
         .iter()
         .map(|r| r.service_ttft().as_millis_f64())
@@ -2766,7 +2527,6 @@ fn fleet_stats(state: &ServerState) -> FleetStats {
                 / records.len() as f64
         },
         mean_stall_sharing_ms: mean_ms(&|r| r.stall_sharing),
-        mean_stall_preemption_ms: mean_ms(&|r| r.stall_preemption),
         mean_prefill_stall_ms: mean_ms(&|r| r.prefill_stall),
         batch_steps: state.batch_steps,
         mean_batch_occupancy: if batch_busy_secs > 0.0 {
@@ -2853,53 +2613,6 @@ fn fleet_stats(state: &ServerState) -> FleetStats {
     }
 }
 
-/// Runs one request through a one-model serving instance — the serving-path
-/// implementation behind [`crate::system::evaluate_tzllm`].  Uses the serial
-/// dispatcher with the plan cache off so the single-request numbers are
-/// byte-identical to a direct evaluation.
-pub fn single_request(
-    profile: &PlatformProfile,
-    config: &crate::system::InferenceConfig,
-) -> InferenceReport {
-    let serving_config = ServingConfig {
-        profile: profile.clone(),
-        policy: config.policy,
-        use_checkpoint: config.use_checkpoint,
-        memory_pressure: config.memory_pressure,
-        max_queue_depth: 1,
-        retention: RetentionPolicy::ReleaseAll,
-        max_inflight: 1,
-        restore_ahead: false,
-        continuous_batching: false,
-        prefill_chunk_tokens: 128,
-        plan_cache_capacity: 0,
-        kv: KvConfig::disabled(),
-        speculation: SpeculationConfig::off(),
-        telemetry: false,
-        metrics: None,
-    };
-    let mut server = Server::new(serving_config, vec![config.model.clone()]);
-    // Seed in the controller's own unit (the model's Q8 blob size) so the
-    // fraction read back at dispatch equals the configured knob exactly.
-    let seed_bytes =
-        (config.model.total_q8_bytes() as f64 * config.cached_fraction.clamp(0.0, 1.0)) as u64;
-    server.seed_cache(&config.model.name, seed_bytes);
-    server.submit_at(
-        SimTime::ZERO,
-        0,
-        &config.model.name,
-        config.prompt_len,
-        config.output_len,
-    );
-    let report = server.run();
-    report
-        .records
-        .into_iter()
-        .next()
-        .expect("the single request completes")
-        .report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2939,10 +2652,11 @@ mod tests {
         config.retention = RetentionPolicy::Adaptive {
             step_fraction: 0.25,
         };
-        // Serial slot: this test is about retention across *completions*;
-        // with more slots a closely-spaced pair may overlap, and the second
-        // dispatch would join the first's live context (whole blob pinned)
-        // instead of reading what retention left behind.
+        // One request in flight: this test is about retention across
+        // *completions*; with more in flight a closely-spaced pair may
+        // overlap, and the second dispatch would join the first's live
+        // context (whole blob pinned) instead of reading what retention left
+        // behind.
         config.max_inflight = 1;
         let report = Server::run_workload(config, catalogue(), &quiet_poisson(8), 3);
         let fractions: Vec<f64> = report.records.iter().map(|r| r.cached_fraction).collect();
@@ -2988,37 +2702,33 @@ mod tests {
 
     #[test]
     fn dispatch_into_a_live_context_restores_and_initialises_nothing() {
-        for config in [
-            ServingConfig::paper_default(PlatformProfile::rk3588()),
-            ServingConfig::overlap(PlatformProfile::rk3588()),
-        ] {
-            let profile = config.profile.clone();
-            let mut server = Server::new(config, catalogue());
-            // Request 0 is still decoding 512 tokens when request 1 arrives.
-            server.submit_at(SimTime::ZERO, 0, "qwen2.5-3b", 128, 512);
-            server.submit_at(SimTime::from_secs(30), 1, "qwen2.5-3b", 128, 8);
-            let report = server.run();
-            let by_id = |id: u64| report.records.iter().find(|r| r.request.id == id).unwrap();
-            let (r0, r1) = (by_id(0), by_id(1));
-            assert!(r0.first_token < r1.dispatched && r1.dispatched < r0.completed);
-            // The first request paid for an idle context.
-            assert_eq!(r0.cached_fraction, 0.0);
-            assert!(r0.report.restored_bytes > 0);
-            assert_eq!(
-                r0.report.breakdown.framework_init,
-                profile.checkpoint_restore
-            );
-            assert_eq!(
-                r0.report.breakdown.working_alloc,
-                profile.kv_cache_alloc + profile.activation_alloc
-            );
-            // The joiner reads the pinned blob and only allocates its KV.
-            assert_eq!(r1.cached_fraction, 1.0);
-            assert_eq!(r1.report.restored_bytes, 0);
-            assert_eq!(r1.report.breakdown.framework_init, SimDuration::ZERO);
-            assert_eq!(r1.report.breakdown.working_alloc, profile.kv_cache_alloc);
-            assert_eq!(report.fleet.cold_starts, 1);
-        }
+        let config = ServingConfig::paper_default(PlatformProfile::rk3588());
+        let profile = config.profile.clone();
+        let mut server = Server::new(config, catalogue());
+        // Request 0 is still decoding 512 tokens when request 1 arrives.
+        server.submit_at(SimTime::ZERO, 0, "qwen2.5-3b", 128, 512);
+        server.submit_at(SimTime::from_secs(30), 1, "qwen2.5-3b", 128, 8);
+        let report = server.run();
+        let by_id = |id: u64| report.records.iter().find(|r| r.request.id == id).unwrap();
+        let (r0, r1) = (by_id(0), by_id(1));
+        assert!(r0.first_token < r1.dispatched && r1.dispatched < r0.completed);
+        // The first request paid for an idle context.
+        assert_eq!(r0.cached_fraction, 0.0);
+        assert!(r0.report.restored_bytes > 0);
+        assert_eq!(
+            r0.report.breakdown.framework_init,
+            profile.checkpoint_restore
+        );
+        assert_eq!(
+            r0.report.breakdown.working_alloc,
+            profile.kv_cache_alloc + profile.activation_alloc
+        );
+        // The joiner reads the pinned blob and only allocates its KV.
+        assert_eq!(r1.cached_fraction, 1.0);
+        assert_eq!(r1.report.restored_bytes, 0);
+        assert_eq!(r1.report.breakdown.framework_init, SimDuration::ZERO);
+        assert_eq!(r1.report.breakdown.working_alloc, profile.kv_cache_alloc);
+        assert_eq!(report.fleet.cold_starts, 1);
     }
 
     #[test]
@@ -3157,40 +2867,27 @@ mod tests {
 
     #[test]
     fn completion_frees_the_device_after_the_last_token_only() {
-        for config in [
-            ServingConfig::paper_default(PlatformProfile::rk3588()),
-            ServingConfig::overlap(PlatformProfile::rk3588()),
-        ] {
-            // output_len = 1: the single output token is the prefill's first
-            // token, so the device is free again exactly at first_token.
-            let mut server = Server::new(config.clone(), catalogue());
-            server.submit_at(SimTime::ZERO, 0, "qwen2.5-3b", 128, 1);
-            let report = server.run();
-            let r = &report.records[0];
-            assert_eq!(r.completed, r.first_token);
+        let config = ServingConfig::paper_default(PlatformProfile::rk3588());
+        // output_len = 1: the single output token is the prefill's first
+        // token, so the device is free again exactly at first_token.
+        let mut server = Server::new(config.clone(), catalogue());
+        server.submit_at(SimTime::ZERO, 0, "qwen2.5-3b", 128, 1);
+        let report = server.run();
+        let r = &report.records[0];
+        assert_eq!(r.completed, r.first_token);
 
-            // output_len = 9: eight more tokens decode after the first.  The
-            // slot dispatcher realises the report's decode rate exactly; the
-            // batched step loop prices steps from the affine cost
-            // coefficients, which agree with the graph-summed rate to within
-            // per-operator rounding (well under a microsecond over 8 tokens).
-            let tolerance = if config.continuous_batching {
-                2e-6
-            } else {
-                1e-9
-            };
-            let mut server = Server::new(config, catalogue());
-            server.submit_at(SimTime::ZERO, 0, "qwen2.5-3b", 128, 9);
-            let report = server.run();
-            let r = &report.records[0];
-            let decode = r.completed.saturating_since(r.first_token);
-            let expected = SimDuration::from_secs_f64(8.0 / r.report.decode_tokens_per_sec);
-            let diff = (decode.as_secs_f64() - expected.as_secs_f64()).abs();
-            assert!(
-                diff < tolerance,
-                "decode {decode} vs expected {expected} (tolerance {tolerance})"
-            );
-        }
+        // output_len = 9: eight more tokens decode after the first.  The
+        // step loop prices steps from the affine cost coefficients, which
+        // agree with the report's graph-summed decode rate to within
+        // per-operator rounding (well under a microsecond over 8 tokens).
+        let mut server = Server::new(config, catalogue());
+        server.submit_at(SimTime::ZERO, 0, "qwen2.5-3b", 128, 9);
+        let report = server.run();
+        let r = &report.records[0];
+        let decode = r.completed.saturating_since(r.first_token);
+        let expected = SimDuration::from_secs_f64(8.0 / r.report.decode_tokens_per_sec);
+        let diff = (decode.as_secs_f64() - expected.as_secs_f64()).abs();
+        assert!(diff < 2e-6, "decode {decode} vs expected {expected}");
     }
 
     #[test]
@@ -3215,68 +2912,11 @@ mod tests {
     }
 
     #[test]
-    fn overlap_dispatches_next_service_during_decode() {
-        // Two back-to-back requests with a long decode: under the overlapped
-        // dispatcher the second request's service phase starts at the first
-        // request's first token, not at its completion.
-        let config = ServingConfig::overlap(PlatformProfile::rk3588());
-        let mut server = Server::new(config, catalogue());
-        server.submit_at(SimTime::ZERO, 0, "qwen2.5-3b", 128, 256);
-        server.submit_at(SimTime::ZERO, 1, "qwen2.5-3b", 128, 8);
-        let report = server.run();
-        let by_id = |id: u64| report.records.iter().find(|r| r.request.id == id).unwrap();
-        let (r0, r1) = (by_id(0), by_id(1));
-        assert_eq!(r1.dispatched, r0.first_token);
-        assert!(
-            r1.dispatched < r0.completed,
-            "second service must start mid-decode: {} vs {}",
-            r1.dispatched,
-            r0.completed
-        );
-
-        // The serial dispatcher waits for the full completion.
-        let serial = ServingConfig::serial(PlatformProfile::rk3588());
-        let mut server = Server::new(serial, catalogue());
-        server.submit_at(SimTime::ZERO, 0, "qwen2.5-3b", 128, 256);
-        server.submit_at(SimTime::ZERO, 1, "qwen2.5-3b", 128, 8);
-        let serial_report = server.run();
-        let s1 = serial_report
-            .records
-            .iter()
-            .find(|r| r.request.id == 1)
-            .unwrap();
-        assert!(r1.ttft_e2e() < s1.ttft_e2e());
-    }
-
-    #[test]
-    fn prefill_preemption_pauses_the_running_decode() {
-        // Request 0 decodes for a long time; request 1's prefill preempts
-        // the NPU mid-decode, so request 0 finishes later than its intrinsic
-        // decode time says — by at least the prefill's NPU-exclusive window.
-        let config = ServingConfig::overlap(PlatformProfile::rk3588());
-        let mut server = Server::new(config, catalogue());
-        server.submit_at(SimTime::ZERO, 0, "qwen2.5-3b", 128, 512);
-        server.submit_at(SimTime::ZERO, 1, "qwen2.5-3b", 384, 1);
-        let report = server.run();
-        let r0 = report.records.iter().find(|r| r.request.id == 0).unwrap();
-        assert!(
-            r0.decode_stall() > SimDuration::ZERO,
-            "decode must stall while the second prefill holds the NPU"
-        );
-        assert!(
-            r0.stall_preemption > SimDuration::ZERO,
-            "the stall must be attributed to preemption"
-        );
-        assert!(report.fleet.mean_decode_stall_ms > 0.0);
-        assert!(report.fleet.mean_stall_preemption_ms > 0.0);
-    }
-
-    #[test]
     fn chunked_prefill_interleaves_instead_of_preempting() {
-        // The same scenario under continuous batching: the second request's
-        // prefill joins the step loop as chunks, so the running decode is
-        // never paused — preemption stall is exactly zero and the lost time
-        // shows up as (bounded) sharing stall instead.
+        // Request 0 decodes for a long time while request 1's long prefill
+        // lands: the prefill joins the step loop as chunks, so the running
+        // decode is never paused — it shares each chunk-carrying step, and
+        // the time it lost shows up as sharing stall.
         let config = ServingConfig::paper_default(PlatformProfile::rk3588());
         let mut server = Server::new(config, catalogue());
         server.submit_at(SimTime::ZERO, 0, "qwen2.5-3b", 128, 512);
@@ -3284,8 +2924,7 @@ mod tests {
         let report = server.run();
         let r0 = report.records.iter().find(|r| r.request.id == 0).unwrap();
         let r1 = report.records.iter().find(|r| r.request.id == 1).unwrap();
-        assert_eq!(r0.stall_preemption, SimDuration::ZERO);
-        assert_eq!(report.fleet.mean_stall_preemption_ms, 0.0);
+        assert!(r0.stall_sharing > SimDuration::ZERO);
         // The prefill really interleaved mid-decode rather than waiting out
         // the decode, and it paid for the interleaving.
         assert!(r1.first_token < r0.completed);
@@ -3296,16 +2935,23 @@ mod tests {
 
     #[test]
     fn batched_dispatch_starts_before_the_first_token() {
-        // Under continuous batching the second request's service phase can
-        // start as soon as the first's pre-NPU phase ends — even earlier
-        // than the slot dispatcher's first-token boundary.
-        let config = ServingConfig::paper_default(PlatformProfile::rk3588());
-        let mut server = Server::new(config, catalogue());
-        server.submit_at(SimTime::ZERO, 0, "qwen2.5-3b", 128, 256);
-        server.submit_at(SimTime::ZERO, 1, "qwen2.5-3b", 128, 8);
-        let report = server.run();
-        let by_id = |id: u64| report.records.iter().find(|r| r.request.id == id).unwrap();
-        let (r0, r1) = (by_id(0), by_id(1));
+        let run = |config: ServingConfig| {
+            let mut server = Server::new(config, catalogue());
+            server.submit_at(SimTime::ZERO, 0, "qwen2.5-3b", 128, 256);
+            server.submit_at(SimTime::ZERO, 1, "qwen2.5-3b", 128, 8);
+            server.run()
+        };
+        fn by_id(report: &ServingReport, id: u64) -> &RequestRecord {
+            report.records.iter().find(|r| r.request.id == id).unwrap()
+        }
+        // The serial device waits out the first request's whole decode.
+        let serial = run(ServingConfig::serial(PlatformProfile::rk3588()));
+        assert_eq!(by_id(&serial, 1).dispatched, by_id(&serial, 0).completed);
+
+        // The batched loop starts the second request's service phase as
+        // soon as the first's pre-NPU phase ends, before its first token.
+        let report = run(ServingConfig::paper_default(PlatformProfile::rk3588()));
+        let (r0, r1) = (by_id(&report, 0), by_id(&report, 1));
         assert!(
             r1.dispatched <= r0.first_token,
             "second service must not wait for the first token: {} vs {}",
@@ -3322,35 +2968,11 @@ mod tests {
     }
 
     #[test]
-    fn batching_off_reproduces_the_overlap_dispatcher_bit_for_bit() {
-        // The escape hatch: `paper_default` with batching disabled and the
-        // slot count restored must be indistinguishable from the PR-5
-        // dispatcher — every record, every counter.
-        let mut off = ServingConfig::paper_default(PlatformProfile::rk3588());
-        off.continuous_batching = false;
-        off.max_inflight = 2;
-        let workload = WorkloadSpec::standard(
-            ArrivalProcess::Poisson { rate_per_sec: 0.1 },
-            40,
-            "qwen2.5-3b",
-        );
-        let a = Server::run_workload(off, catalogue(), &workload, 0xBEEF);
-        let b = Server::run_workload(
-            ServingConfig::overlap(PlatformProfile::rk3588()),
-            catalogue(),
-            &workload,
-            0xBEEF,
-        );
-        assert_eq!(format!("{:?}", a.fleet), format!("{:?}", b.fleet));
-        assert_eq!(format!("{:?}", a.records), format!("{:?}", b.records));
-    }
-
-    #[test]
     fn restore_ahead_warms_the_next_request() {
-        // Two different models back to back, serial slot (so the second
-        // request waits out the first's decode) with restore-ahead on: the
-        // second model's parameters stream in during the first's decode and
-        // its dispatch finds a warm cache.
+        // Two different models back to back, one request in flight (so the
+        // second request waits out the first's decode) with restore-ahead
+        // on: the second model's parameters stream in during the first's
+        // decode and its dispatch finds a warm cache.
         let mut config = ServingConfig::serial(PlatformProfile::rk3588());
         config.restore_ahead = true;
         let mut server = Server::new(

@@ -58,16 +58,6 @@ impl InferenceConfig {
             use_checkpoint: true,
         }
     }
-
-    /// The paper-default configuration, but with the cached fraction taken
-    /// from the *live* state of a [`CacheController`] instead of a hand-set
-    /// knob — this is how the serving layer builds per-dispatch
-    /// configurations (§4.1 partial parameter caching across requests).
-    pub fn from_cache(model: ModelSpec, prompt_len: usize, cache: &CacheController) -> Self {
-        let mut config = Self::paper_default(model, prompt_len);
-        config.cached_fraction = cache.cached_fraction();
-        config
-    }
 }
 
 /// Where the TTFT of one request went.
@@ -118,8 +108,8 @@ pub struct InferenceReport {
     pub critical_paths: CriticalPaths,
     /// NPU busy time inside the prefill pipeline — the slice of the TTFT
     /// during which the NPU is genuinely occupied (the serving dispatcher
-    /// pauses concurrent decodes only for this window plus the world-switch
-    /// overhead).
+    /// runs this window plus the world-switch overhead as prefill chunks in
+    /// its step loop).
     pub npu_busy: SimDuration,
     /// Parameter bytes this request had to restore from flash (zero for a
     /// fully cached dispatch); the serving dispatcher uses this to decide
@@ -365,13 +355,41 @@ pub(crate) fn evaluate_service(
 
 /// Evaluates TZ-LLM on one inference request.
 ///
-/// Since the serving refactor this is a thin special case of the serving
-/// path: a [`crate::serving::Server`] with a one-model catalogue receives a
-/// single request at time zero, with its cache seeded to
-/// `config.cached_fraction` — so every figure binary exercises exactly the
-/// code the multi-session server runs.
+/// This is the evaluation the serving layer runs at every dispatch, priced
+/// for an idle TA context: the checkpoint restore (or a full framework
+/// initialisation when there is no checkpoint), a fresh KV cache plus
+/// activation arena, and no sealed KV to unseal.  The cached fraction is
+/// read back through a [`CacheController`] seeded in its own unit (the
+/// model's Q8 blob size), exactly as a dispatch reads the live controller,
+/// so the plan is built over the same cached bytes.
 pub fn evaluate_tzllm(profile: &PlatformProfile, config: &InferenceConfig) -> InferenceReport {
-    crate::serving::single_request(profile, config)
+    let model = &config.model;
+    let mut cache = CacheController::new(model.total_q8_bytes());
+    cache.seed((model.total_q8_bytes() as f64 * config.cached_fraction.clamp(0.0, 1.0)) as u64);
+    let framework_init = if config.use_checkpoint {
+        profile.checkpoint_restore
+    } else {
+        profile.framework_init_total()
+    };
+    let params = ServiceParams {
+        model,
+        model_key: 0, // keys the plan cache, which a lone evaluation skips
+        total_param_bytes: ComputationGraph::prefill(model, 1).total_param_bytes(),
+        prompt_len: config.prompt_len,
+        reused_prefix: 0,
+        output_len: config.output_len,
+        memory_pressure: config.memory_pressure,
+        cached_fraction: cache.cached_fraction(),
+        policy: config.policy,
+    };
+    evaluate_service(
+        profile,
+        &params,
+        framework_init,
+        profile.kv_cache_alloc + profile.activation_alloc,
+        SimDuration::ZERO,
+        None,
+    )
 }
 
 #[cfg(test)]
@@ -462,6 +480,36 @@ mod tests {
         knob.cached_fraction = 1.0;
         let warm = evaluate_tzllm(&profile(), &knob);
         assert_eq!(ttfts[plateau], warm.ttft);
+    }
+
+    /// `evaluate_tzllm` prices exactly what a lone request's dispatch on an
+    /// idle serial device reports, at any cached fraction, with or without
+    /// the checkpoint.
+    #[test]
+    fn single_evaluation_matches_a_lone_serial_dispatch() {
+        use crate::serving::{Server, ServingConfig};
+
+        for (fraction, checkpoint) in [(0.0, true), (0.37, true), (1.0, false)] {
+            let mut cfg = InferenceConfig::paper_default(ModelSpec::qwen2_5_3b(), 128);
+            cfg.cached_fraction = fraction;
+            cfg.use_checkpoint = checkpoint;
+            let mut serving = ServingConfig::serial(profile());
+            serving.memory_pressure = cfg.memory_pressure;
+            serving.use_checkpoint = checkpoint;
+            let mut server = Server::new(serving, vec![cfg.model.clone()]);
+            let seed_bytes = (cfg.model.total_q8_bytes() as f64 * fraction) as u64;
+            server.seed_cache("qwen2.5-3b", seed_bytes);
+            server.submit_at(
+                sim_core::SimTime::ZERO,
+                0,
+                "qwen2.5-3b",
+                cfg.prompt_len,
+                cfg.output_len,
+            );
+            let served = server.run().records.remove(0).report;
+            let direct = evaluate_tzllm(&profile(), &cfg);
+            assert_eq!(format!("{served:?}"), format!("{direct:?}"), "{fraction}");
+        }
     }
 
     #[test]

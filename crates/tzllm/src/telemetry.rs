@@ -32,7 +32,7 @@ pub fn lifecycle_segments(record: &RequestRecord) -> Vec<(&'static str, SimDurat
     let b = &report.breakdown;
     let mut out = Vec::with_capacity(6);
     out.push(("queued", record.queue_wait()));
-    // The exclusive NPU hold sits at the tail of the service TTFT; the
+    // The prefill's NPU window sits at the tail of the service TTFT; the
     // breakdown components fill the pre-NPU window and are clipped to it,
     // with the pipelined-restoration residue absorbing what remains.
     let npu_hold = (report.npu_busy + b.npu_overhead).min(report.ttft);

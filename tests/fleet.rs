@@ -95,11 +95,10 @@ fn heterogeneous_shard_stats() -> (ShardStats, ShardStats, ShardStats) {
         0xA,
     );
 
-    // KV-squeezed chat: a tight secure budget forces sealed spill and
-    // restore-ahead traffic under the two-slot dispatcher.
+    // KV-squeezed chat: a tight secure budget forces sealed spill, and two
+    // requests in flight keep turns queued for restore-ahead to prewarm.
     let mut kv_cfg = ServingConfig::chat_default(profile.clone());
     kv_cfg.kv.budget_fraction = 0.02;
-    kv_cfg.continuous_batching = false;
     kv_cfg.max_inflight = 2;
     let chat = Server::run_workload(
         kv_cfg,

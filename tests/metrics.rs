@@ -38,7 +38,7 @@ fn heterogeneous_metric_shards() -> (ShardStats, ShardStats, ShardStats) {
 
     let mut chat_cfg = ServingConfig::chat_default(profile.clone());
     chat_cfg.kv.budget_fraction = 0.02;
-    chat_cfg.continuous_batching = false;
+    // Two requests in flight keep turns queued for restore-ahead to prewarm.
     chat_cfg.max_inflight = 2;
     chat_cfg.metrics = Some(METRICS_WINDOW);
     let chat = Server::run_workload(

@@ -1,7 +1,8 @@
-//! Correctness properties of the overlapped serving dispatcher: resource
-//! capacity is never exceeded, restore-ahead never hurts any individual
-//! request, the overlap wins the acceptance comparison against the serial
-//! dispatcher, and the plan cache is semantically invisible.
+//! Correctness properties of the serving dispatcher's inter-request
+//! overlap: resource capacity is never exceeded, restore-ahead never hurts
+//! any individual request, the default dispatcher wins the acceptance
+//! comparison against the serial device, and the plan cache is semantically
+//! invisible.
 
 use sim_core::{DetRng, Phase, SimDuration};
 use tz_hal::PlatformProfile;
@@ -197,7 +198,7 @@ fn interrupted_restore_ahead_truncates_ledger_busy_time() {
 }
 
 /// The acceptance comparison: at a fixed sub-saturation arrival rate on
-/// cold-heavy traffic, the overlapped dispatcher strictly improves p95
+/// cold-heavy traffic, the default dispatcher strictly improves p95
 /// end-to-end TTFT; at an overload rate, saturation throughput does not
 /// regress.
 #[test]

@@ -28,13 +28,10 @@ fn catalogue() -> Vec<llm::ModelSpec> {
 /// decides how many tokens survive.
 fn squeezed(format: SpillFormat) -> ServingConfig {
     let mut config = ServingConfig::chat_default(PlatformProfile::rk3588());
-    // These properties are about the spill format, not the scheduler: pin
-    // the slot dispatcher (batching off, two slots) so turns still queue
-    // (restore-ahead needs a queued session to prewarm) and the
-    // sealed-demand peaks stay in the regime the page-count thresholds were
-    // calibrated for.  Batched KV coverage lives in tests/kv_reuse.rs and
-    // tests/batching.rs.
-    config.continuous_batching = false;
+    // These properties are about the spill format, not the scheduler: two
+    // requests in flight keep turns queued, so restore-ahead has a queued
+    // session to prewarm.  KV coverage at the default twelve in flight
+    // lives in tests/kv_reuse.rs.
     config.max_inflight = 2;
     config.kv.budget_fraction = 0.02;
     config.kv.spill_budget = SPILL_BUDGET;
@@ -146,7 +143,6 @@ fn f16_default_is_bit_for_bit_the_unquantized_config() {
     // every counter, every percentile.
     let default = chat_run({
         let mut c = ServingConfig::chat_default(PlatformProfile::rk3588());
-        c.continuous_batching = false;
         c.max_inflight = 2;
         c.kv.budget_fraction = 0.02;
         c.kv.spill_budget = SPILL_BUDGET;

@@ -15,8 +15,8 @@ fn catalogue() -> Vec<llm::ModelSpec> {
 }
 
 /// The same traffic seed through the serving layer yields *byte-identical*
-/// fleet stats across two runs — under both the serial dispatcher and the
-/// overlapped dispatcher (multi-slot + restore-ahead + plan cache): the
+/// fleet stats across two runs — on both the serial device and the batched
+/// dispatcher (twelve in flight + restore-ahead + plan cache): the
 /// `sim_core::rng` streams and the engine's insertion-order tie-breaking are
 /// a determinism contract this test guards.
 #[test]
@@ -46,7 +46,7 @@ fn deterministic_replay_yields_byte_identical_fleet_stats() {
         ),
     ];
     let dispatchers = [
-        ("overlap", config()),
+        ("batched", config()),
         ("serial", ServingConfig::serial(PlatformProfile::rk3588())),
     ];
     for (i, workload) in workloads.iter().enumerate() {
