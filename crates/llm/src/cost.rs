@@ -159,16 +159,18 @@ impl CostModel {
     ///
     /// One iteration-level NPU step advances every batched decode sequence by
     /// one token (and may run one prefill chunk alongside).  Its cost splits
-    /// into a memory side paid **once per step** — streaming the quantized
-    /// weights through DRAM, which a solo decode is bound by — and a compute
-    /// side paid **per sequence**.  Per-sequence compute is affine in the
+    /// into a side paid **once per model per step** and a side paid **per
+    /// sequence**.  Once per model: streaming the quantized weights through
+    /// DRAM, which a solo decode is bound by, and launching every operator —
+    /// the co-driver submits each layer segment as one fused NPU job for all
+    /// of the model's sequences.  Per sequence: the MACs, affine in the
     /// sequence's KV length (only the CPU attention operator scales with it,
     /// linearly; every other operator is constant at one token), so two
     /// decode-graph evaluations far apart in `kv_len` recover the
     /// coefficients exactly and the serving step loop never rebuilds graphs.
     pub fn batched_step_costs(&self, model: &ModelSpec, use_npu: bool) -> BatchedStepCosts {
-        let compute = |kv_len: usize| -> f64 {
-            ComputationGraph::decode(model, kv_len)
+        let compute = |graph: &ComputationGraph| -> f64 {
+            graph
                 .ops
                 .iter()
                 .map(|op| {
@@ -182,8 +184,21 @@ impl CostModel {
                 .as_secs_f64()
         };
         let (kv_lo, kv_hi) = (1usize, 4097usize);
-        let (c_lo, c_hi) = (compute(kv_lo), compute(kv_hi));
+        let lo = ComputationGraph::decode(model, kv_lo);
+        let (c_lo, c_hi) = (
+            compute(&lo),
+            compute(&ComputationGraph::decode(model, kv_hi)),
+        );
         let per_kv = (c_hi - c_lo) / (kv_hi - kv_lo) as f64;
+        let launch_secs = lo
+            .ops
+            .iter()
+            .map(|op| match (use_npu, op.device) {
+                (true, Device::Npu) => self.params.npu_op_overhead,
+                _ => self.params.cpu_op_overhead,
+            })
+            .sum::<SimDuration>()
+            .as_secs_f64();
         let memory_secs = model.total_q8_bytes() as f64 / self.params.dram_bytes_per_sec;
         let weight_pass_secs = if use_npu {
             memory_secs / self.params.npu_decode_gain
@@ -192,6 +207,7 @@ impl CostModel {
         };
         BatchedStepCosts {
             weight_pass_secs,
+            launch_secs,
             decode_compute_base_secs: c_lo - per_kv,
             decode_compute_per_kv_secs: per_kv,
         }
@@ -199,11 +215,13 @@ impl CostModel {
 
     /// Duration of one batched NPU step: every sequence in `decode_kv_lens`
     /// advances one token, and `prefill_chunk` (if any) executes its chunk
-    /// graph in the same pass.  The weight read is paid once and amortized
-    /// across the whole batch; per-sequence KV-dependent compute is summed.
-    /// A chunk-only step (no decodes) is compute-bound — the chunk's weights
-    /// are already streaming for its own matmuls — and a small chunk beside
-    /// a memory-bound decode batch rides in the weight-read slack for free.
+    /// graph in the same pass.  The weight read and the operator launches
+    /// are paid once and amortized across the whole batch; per-sequence
+    /// KV-dependent compute is summed.  A one-sequence step is the solo
+    /// decode token.  A chunk-only step (no decodes) is compute-bound — the
+    /// chunk's weights are already streaming for its own matmuls — and a
+    /// small chunk beside a memory-bound decode batch rides in the
+    /// weight-read slack for free.
     pub fn batched_step_time(
         &self,
         model: &ModelSpec,
@@ -217,11 +235,11 @@ impl CostModel {
         if decode_kv_lens.is_empty() {
             return SimDuration::from_secs_f64(chunk_secs);
         }
-        let compute: f64 = decode_kv_lens
+        let solo: f64 = decode_kv_lens
             .iter()
             .map(|&kv| costs.decode_compute_secs(kv))
-            .sum::<f64>()
-            + chunk_secs;
+            .sum();
+        let compute = solo - costs.fused_launch_saving_secs(decode_kv_lens.len()) + chunk_secs;
         SimDuration::from_secs_f64(compute.max(costs.weight_pass_secs))
     }
 
@@ -232,60 +250,38 @@ impl CostModel {
     /// like a small batched decode step on the draft's coefficients) and one
     /// *verify* pass in which the target scores each sequence's proposals
     /// plus one bonus token in a single sweep.  The verify pass launches
-    /// each operator once per sequence no matter how many positions it
-    /// scores, so its per-sequence cost splits into a launch overhead paid
-    /// once per pass and a MAC term that scales with the scored positions
-    /// (and, for attention, with the KV context).  The MAC-only affine is
-    /// recovered the same way as [`CostModel::batched_step_costs`]: two
-    /// decode-graph evaluations far apart in `kv_len`, overheads excluded.
+    /// each operator once per model no matter how many sequences and
+    /// positions it scores, so a sequence's share of it is its decode MACs
+    /// once per scored position.
     pub fn speculative_step_costs(
         &self,
         draft: &ModelSpec,
         target: &ModelSpec,
         use_npu: bool,
     ) -> SpeculativeStepCosts {
-        let macs = |kv_len: usize| -> f64 {
-            ComputationGraph::decode(target, kv_len)
-                .ops
-                .iter()
-                .map(|op| {
-                    let rate = match (use_npu, op.device) {
-                        (true, Device::Npu) => self.params.npu_macs_per_sec,
-                        _ => self.params.cpu_macs_per_sec,
-                    };
-                    op.macs as f64 / rate
-                })
-                .sum()
-        };
-        let (kv_lo, kv_hi) = (1usize, 4097usize);
-        let (m_lo, m_hi) = (macs(kv_lo), macs(kv_hi));
-        let mac_per_kv = (m_hi - m_lo) / (kv_hi - kv_lo) as f64;
-        let mac_base = m_lo - mac_per_kv;
-        let target_costs = self.batched_step_costs(target, use_npu);
         SpeculativeStepCosts {
             draft: self.batched_step_costs(draft, use_npu),
-            target: target_costs,
-            // Whatever the affine decode compute carries beyond the MACs is
-            // launch overhead; defining it by subtraction pins the
-            // single-position verify to the plain batched decode compute.
-            verify_overhead_secs: target_costs.decode_compute_base_secs - mac_base,
-            verify_mac_base_secs: mac_base,
-            verify_mac_per_kv_secs: target_costs.decode_compute_per_kv_secs,
+            target: self.batched_step_costs(target, use_npu),
         }
     }
 }
 
 /// Per-model coefficients of the batched step-cost model, recovered once by
 /// [`CostModel::batched_step_costs`] so a serving step loop prices every
-/// iteration with three multiplications instead of a graph build.
+/// iteration with a few multiplications instead of a graph build.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchedStepCosts {
     /// One pass over the quantized weights through DRAM (with the NPU's
     /// decode-side DMA gain applied) — paid once per step per model present
     /// in the batch, no matter how many of its sequences advance.
     pub weight_pass_secs: f64,
-    /// KV-length-independent compute of one decode token (matmuls, norms,
-    /// per-op launch overheads).
+    /// Launch overhead of one decode pass: one NPU job submission per NPU
+    /// operator and one launch per CPU operator.  A batched step fuses a
+    /// model's sequences into one job per operator, so it pays this once per
+    /// model per step (see [`BatchedStepCosts::fused_launch_saving_secs`]).
+    pub launch_secs: f64,
+    /// KV-length-independent compute of one solo decode token: the launch
+    /// overhead plus the matmul and norm MACs.
     pub decode_compute_base_secs: f64,
     /// Additional compute per token of KV context (the CPU attention
     /// operator's scores + weighted sum).
@@ -293,10 +289,20 @@ pub struct BatchedStepCosts {
 }
 
 impl BatchedStepCosts {
-    /// Compute seconds for one decode token of a sequence with `kv_len`
-    /// tokens of context.
+    /// Compute seconds for one solo decode token of a sequence with
+    /// `kv_len` tokens of context, its own operator launches included.
     pub fn decode_compute_secs(&self, kv_len: usize) -> f64 {
         self.decode_compute_base_secs + self.decode_compute_per_kv_secs * kv_len.max(1) as f64
+    }
+
+    /// The launch overhead one fused pass over `sequences` of this model's
+    /// sequences saves against the sum of their solo compute: the pass
+    /// launches every operator once, not once per sequence.  Every batched
+    /// price is that sum minus this saving, so each sequence keeps its MACs
+    /// and KV-dependent attention while the model pays one launch set, and a
+    /// one-sequence pass (saving exactly 0) is the solo price.
+    pub fn fused_launch_saving_secs(&self, sequences: usize) -> f64 {
+        sequences.saturating_sub(1) as f64 * self.launch_secs
     }
 }
 
@@ -307,57 +313,56 @@ impl BatchedStepCosts {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpeculativeStepCosts {
     /// The draft model's own batched step coefficients: one draft pass per
-    /// proposed position, its weight read amortized across the batch like
-    /// any batched decode step.
+    /// proposed position, its weight read and operator launches amortized
+    /// across the batch like any batched decode step.
     pub draft: BatchedStepCosts,
     /// The target model's batched step coefficients — the verify pass pays
-    /// the target's weight read once, exactly like a plain step.
+    /// the target's weight read and launch set once, exactly like a plain
+    /// step.
     pub target: BatchedStepCosts,
-    /// Per-sequence launch overhead of one verify pass: operators are
-    /// launched once per pass no matter how many positions the pass scores.
-    pub verify_overhead_secs: f64,
-    /// MAC seconds of scoring one position at zero KV context.
-    pub verify_mac_base_secs: f64,
-    /// Additional MAC seconds per KV-context token per scored position.
-    pub verify_mac_per_kv_secs: f64,
 }
 
 impl SpeculativeStepCosts {
     /// Compute seconds of one sequence's verify sweep scoring `positions`
     /// tokens (the draft's proposals plus the bonus token) at `kv_len` of
-    /// context.  At `positions == 1` this equals
+    /// context, on its own: the target's launch set plus one decode token's
+    /// MACs per scored position.  At `positions == 1` this equals
     /// [`BatchedStepCosts::decode_compute_secs`] — a non-speculating
     /// sequence's share of the step is unchanged.
     pub fn verify_compute_secs(&self, positions: usize, kv_len: usize) -> f64 {
-        self.verify_overhead_secs
-            + positions.max(1) as f64
-                * (self.verify_mac_base_secs + self.verify_mac_per_kv_secs * kv_len.max(1) as f64)
+        let target = &self.target;
+        target.launch_secs
+            + positions.max(1) as f64 * (target.decode_compute_secs(kv_len) - target.launch_secs)
     }
 
     /// Duration of one draft pass proposing one token for every sequence in
-    /// `draft_kv_lens`: summed per-sequence draft compute against the
-    /// draft's weight read, whichever binds.
+    /// `draft_kv_lens`: per-sequence draft compute, with the draft's
+    /// operators launched once for the pass, against the draft's weight
+    /// read, whichever binds.
     pub fn draft_pass_secs(&self, draft_kv_lens: &[usize]) -> f64 {
         if draft_kv_lens.is_empty() {
             return 0.0;
         }
-        draft_kv_lens
+        let solo: f64 = draft_kv_lens
             .iter()
             .map(|&kv| self.draft.decode_compute_secs(kv))
-            .sum::<f64>()
+            .sum();
+        (solo - self.draft.fused_launch_saving_secs(draft_kv_lens.len()))
             .max(self.draft.weight_pass_secs)
     }
 
     /// Duration of one verify pass over `(kv_len, positions)` pairs: the
-    /// target's weight read is paid once for the whole sweep.
+    /// target's weight read and launch set are paid once for the whole
+    /// sweep.
     pub fn verify_pass_secs(&self, seqs: &[(usize, usize)]) -> f64 {
         if seqs.is_empty() {
             return 0.0;
         }
-        seqs.iter()
+        let solo: f64 = seqs
+            .iter()
             .map(|&(kv, positions)| self.verify_compute_secs(positions, kv))
-            .sum::<f64>()
-            .max(self.target.weight_pass_secs)
+            .sum();
+        (solo - self.target.fused_launch_saving_secs(seqs.len())).max(self.target.weight_pass_secs)
     }
 }
 
@@ -459,6 +464,58 @@ mod tests {
     }
 
     #[test]
+    fn a_fused_pass_launches_each_operator_once() {
+        // qwen2.5-3b's decode graph launches 145 NPU jobs at 25 µs and 110
+        // CPU operators at 6 µs: 4.285 ms per pass, whatever the batch.
+        let cost = CostModel::rk3588();
+        let model = ModelSpec::qwen2_5_3b();
+        let costs = cost.batched_step_costs(&model, true);
+        let graph = ComputationGraph::decode(&model, 1);
+        let npu_ops = graph
+            .ops
+            .iter()
+            .filter(|op| op.device == Device::Npu)
+            .count();
+        let cpu_ops = graph.ops.len() - npu_ops;
+        assert_eq!((npu_ops, cpu_ops), (145, 110));
+        assert!((costs.launch_secs - 4.285e-3).abs() < 1e-12);
+        // Past the weight-bound knee, one more sequence adds exactly its
+        // solo compute less one launch set: its MACs and attention.
+        let batch = [3000usize; 12];
+        let step = |n: usize| {
+            cost.batched_step_time(&model, &batch[..n], None, true)
+                .as_secs_f64()
+        };
+        assert!(step(11) > costs.weight_pass_secs);
+        let added = step(12) - step(11);
+        let macs = costs.decode_compute_secs(3000) - costs.launch_secs;
+        assert!((added - macs).abs() < 2e-9, "{added} vs {macs}");
+        // The verify and draft passes follow the same rule, and a
+        // one-sequence pass is the solo price.
+        let spec = cost.speculative_step_costs(&ModelSpec::qwen2_5_0_5b(), &model, true);
+        assert_eq!(
+            spec.verify_pass_secs(&[(3000, 3)]),
+            spec.verify_compute_secs(3, 3000)
+                .max(costs.weight_pass_secs)
+        );
+        let verify = |seqs: &[(usize, usize)]| spec.verify_pass_secs(seqs);
+        let added = verify(&[(3000, 3); 12]) - verify(&[(3000, 3); 11]);
+        let macs = spec.verify_compute_secs(3, 3000) - costs.launch_secs;
+        assert!((added - macs).abs() < 1e-12, "{added} vs {macs}");
+        let draft = |kvs: &[usize]| spec.draft_pass_secs(kvs);
+        assert_eq!(
+            draft(&[3000]),
+            spec.draft
+                .decode_compute_secs(3000)
+                .max(spec.draft.weight_pass_secs)
+        );
+        let added = draft(&[3000; 12]) - draft(&[3000; 11]);
+        let macs = spec.draft.decode_compute_secs(3000) - spec.draft.launch_secs;
+        assert!(draft(&[3000; 11]) > spec.draft.weight_pass_secs);
+        assert!((added - macs).abs() < 1e-12, "{added} vs {macs}");
+    }
+
+    #[test]
     fn a_small_chunk_rides_the_weight_read_slack() {
         // A short prefill chunk beside a memory-bound decode batch fits in
         // the weight pass the decodes already pay for.
@@ -508,8 +565,7 @@ mod tests {
             cost.speculative_step_costs(&ModelSpec::qwen2_5_0_5b(), &ModelSpec::qwen2_5_3b(), true);
         assert!(spec.verify_compute_secs(2, 512) > spec.verify_compute_secs(1, 512));
         assert!(spec.verify_compute_secs(3, 2048) > spec.verify_compute_secs(3, 64));
-        assert!(spec.verify_overhead_secs > 0.0);
-        assert!(spec.verify_mac_per_kv_secs > 0.0);
+        assert!(spec.target.launch_secs > 0.0);
     }
 
     #[test]

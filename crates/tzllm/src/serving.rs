@@ -29,9 +29,9 @@
 //! * **The step loop**: the NPU runs one *step* at a time, and each step is
 //!   one batched decode pass over every active sequence plus at most one
 //!   *chunk* of the active prefill ([`ServingConfig::prefill_chunk_tokens`]).
-//!   A step costs the weight read once per distinct model — amortised
-//!   across the whole batch — plus every sequence's per-token KV/compute
-//!   cost, the serving-level realisation of
+//!   A step costs the weight read and the operator launches once per
+//!   distinct model — amortised across the whole batch — plus every
+//!   sequence's per-token KV/compute cost, the serving-level realisation of
 //!   [`llm::CostModel::batched_step_time`].  Decode on this hardware is
 //!   memory-bound, so a small prefill chunk rides in the weight-read slack
 //!   nearly for free, and a long prefill interleaves between decode steps
@@ -189,7 +189,10 @@ pub struct SpeculationConfig {
     pub enabled: bool,
     /// Draft model name, resolved via [`llm::ModelSpec::by_name`] (which
     /// also knows the non-catalogue draft entries, see
-    /// [`llm::ModelSpec::drafts`]).
+    /// [`llm::ModelSpec::drafts`]).  The draft proposes only for catalogue
+    /// models that share its tokenizer (equal `vocab`); the others decode
+    /// plainly.  When no catalogue model shares it, no draft entry is wired
+    /// and the run is bit for bit the run with speculation off.
     pub draft_model: String,
     /// Maximum draft depth: the most tokens the draft proposes per sequence
     /// per step.  Each step chooses its depth in `0..=k`.
@@ -1503,10 +1506,11 @@ fn on_service_ready_for_batch(state: &mut ServerState, sched: &mut EventSchedule
 /// Prices and schedules the next batched NPU step, if the batch has work and
 /// no step is already in flight.  One step = one decode token for every
 /// member sequence (more under speculation) plus at most one chunk of the
-/// active prefill; it costs the weight read once per distinct model
-/// (amortised across the batch), every sequence's per-token compute, and the
-/// per-token world-switch handoffs — `llm::CostModel::batched_step_time` at
-/// serving granularity, priced by [`StepBatch`].
+/// active prefill; it costs the weight read, the operator launches and the
+/// world-switch handoffs once per distinct model (amortised across the
+/// batch) plus every sequence's per-token MACs —
+/// `llm::CostModel::batched_step_time` at serving granularity, priced by
+/// [`StepBatch`].
 fn maybe_start_batch_step(state: &mut ServerState, sched: &mut EventScheduler<ServerState>) {
     if state.batch_running {
         return;
@@ -1541,7 +1545,7 @@ fn maybe_start_batch_step(state: &mut ServerState, sched: &mut EventScheduler<Se
         .batch_prefill
         .as_ref()
         .map_or(0.0, |p| p.chunk_secs.min(p.npu_secs_left));
-    let deciding = state.config.speculation.enabled && state.batch_prefill.is_none();
+    let deciding = state.draft.is_some() && state.batch_prefill.is_none();
     let max_depth = if deciding {
         state.config.speculation.k as u64
     } else {
@@ -1656,7 +1660,7 @@ fn on_batch_step_end(state: &mut ServerState, sched: &mut EventScheduler<ServerS
     state.batch_running = false;
     let step_secs = state.batch_step_secs;
     let chunk_secs = state.batch_step_chunk_secs;
-    let speculating = state.config.speculation.enabled;
+    let speculating = state.draft.is_some();
     let mut tokens_this_step = 0u64;
     for d in &mut state.batch_decodes {
         d.steps_seen += 1;
@@ -1780,6 +1784,7 @@ fn on_batched_first_token(
             kv_len,
             tokens_left: tokens,
             compute_secs,
+            drafts: coeffs.spec.is_some(),
         },
         steps_seen: 0,
         intrinsic_secs,
@@ -2081,12 +2086,18 @@ impl Server {
         } else {
             None
         };
+        // A target can only verify proposals its own tokenizer reads, so the
+        // draft pairs with the catalogue models of its vocabulary; when none
+        // pairs, no draft is wired and the server runs as with speculation
+        // off.
+        let draft_spec = draft_spec.filter(|d| catalogue.iter().any(|spec| spec.vocab == d.vocab));
         let mut models = Vec::with_capacity(catalogue.len());
         let mut step_models = Vec::with_capacity(catalogue.len());
         let mut model_ids = BTreeMap::new();
         for spec in catalogue {
             model_ids.insert(spec.name.clone(), ModelId(models.len() as u32));
-            let (entry, coeffs) = model_entry(&config, &cost, spec, draft_spec.as_ref());
+            let paired = draft_spec.as_ref().filter(|d| d.vocab == spec.vocab);
+            let (entry, coeffs) = model_entry(&config, &cost, spec, paired);
             models.push(entry);
             step_models.push(coeffs);
         }
@@ -2100,7 +2111,7 @@ impl Server {
             step_models.push(coeffs);
             id
         });
-        let spec_depths = if config.speculation.enabled {
+        let spec_depths = if draft.is_some() {
             config.speculation.k + 1
         } else {
             0

@@ -6,12 +6,19 @@
 //! `k_i = min(k, tokens_left − 1)` tokens, and the step costs:
 //!
 //! * `max(k_i)` serial draft rounds — round `r` batches every member with
-//!   `k_i > r` and costs `max(Σ draft compute, draft weight pass)` plus the
-//!   draft's handoffs;
+//!   `k_i > r` and costs `max(draft launches + Σ draft MACs, draft weight
+//!   pass)` plus the draft's handoffs;
 //! * the target's fused sweep — each member scores `k_i + 1` positions (its
-//!   plain decode compute at `k_i = 0`), the chunk rides along, and the
-//!   whole sweep is bounded below by one weight pass per distinct model;
+//!   plain decode MACs at `k_i = 0`), each distinct model launches its
+//!   operators once, the chunk rides along, and the whole sweep is bounded
+//!   below by one weight pass per distinct model;
 //! * one world-switch handoff per distinct model.
+//!
+//! Every pass is one fused NPU job per layer segment, so its operator
+//! launches are paid once per model (once per round for the draft), not once
+//! per sequence: each price is the members' summed solo compute less
+//! [`llm::BatchedStepCosts::fused_launch_saving_secs`].  A one-member step
+//! saves nothing, so it is priced exactly as the solo decode.
 //!
 //! With per-position acceptance `p`, member `i` is expected to emit
 //! `Σ_{j=0..k_i} p^j` tokens (the accepted prefix plus the target's bonus
@@ -38,7 +45,8 @@ pub(crate) struct StepModel {
     /// co-driver handoffs per layer), seconds.
     pub handoff_secs: f64,
     /// Speculative step-cost coefficients against the configured draft
-    /// (`None` when speculation is off, and on the draft's own entry).
+    /// (`None` when speculation is off, on the draft's own entry, and for a
+    /// model whose tokenizer the draft does not share).
     pub spec: Option<llm::SpeculativeStepCosts>,
 }
 
@@ -71,16 +79,25 @@ pub(crate) struct StepMember {
     pub kv_len: usize,
     /// Tokens the sequence still has to emit.
     pub tokens_left: u64,
-    /// Plain decode compute of one token at `kv_len`, seconds.
+    /// Solo decode compute of one token at `kv_len`, seconds: the model's
+    /// operator launches plus the sequence's MACs.  A step with several
+    /// members of the model charges the launches once.
     pub compute_secs: f64,
+    /// Whether the draft can propose tokens for this sequence: its model
+    /// shares the draft's tokenizer.
+    pub drafts: bool,
 }
 
 impl StepMember {
     /// Tokens the member drafts at `depth`: never its final token, which
     /// always comes from the target so the sequence cannot overshoot its
-    /// scripted length.
+    /// scripted length, and none when the draft cannot propose for it.
     pub fn proposals(&self, depth: u64) -> u64 {
-        depth.min(self.tokens_left.saturating_sub(1))
+        if self.drafts {
+            depth.min(self.tokens_left.saturating_sub(1))
+        } else {
+            0
+        }
     }
 }
 
@@ -143,15 +160,19 @@ where
                 tokens: 0.0,
             };
         }
-        // One weight pass and one handoff per distinct model, whatever the
-        // depth: the weight read is amortised across the batch.
+        // One weight pass, one handoff and one launch set per distinct
+        // model, whatever the depth: the weight read and the fused jobs are
+        // amortised across the batch.
         let mut weight_secs = 0.0f64;
         let mut handoff_secs = 0.0f64;
+        let mut launch_saving_secs = 0.0f64;
         for (i, m) in members().enumerate() {
             if !members().take(i).any(|e| e.model == m.model) {
                 let model = &self.models[m.model.0 as usize];
+                let sequences = members().filter(|e| e.model == m.model).count();
                 weight_secs += model.step.weight_pass_secs;
                 handoff_secs += model.handoff_secs;
+                launch_saving_secs += model.step.fused_launch_saving_secs(sequences);
             }
         }
         let mut best: Option<StepPrice> = None;
@@ -165,7 +186,7 @@ where
                 // token r.
                 let draft = self.draft.expect("speculating without a draft model");
                 let mut round_compute = 0.0f64;
-                let mut drafting = 0u32;
+                let mut drafting = 0usize;
                 for m in members().filter(|m| m.proposals(depth) == depth) {
                     round_compute += draft.step.decode_compute_secs(m.kv_len);
                     drafting += 1;
@@ -173,11 +194,13 @@ where
                 if drafting == 0 {
                     break;
                 }
-                draft_secs += round_compute.max(draft.step.weight_pass_secs) + draft.handoff_secs;
+                draft_secs += (round_compute - draft.step.fused_launch_saving_secs(drafting))
+                    .max(draft.step.weight_pass_secs)
+                    + draft.handoff_secs;
                 accept_pow *= accept;
                 tokens += accept_pow * drafting as f64;
             }
-            let compute_secs: f64 = members()
+            let solo_secs: f64 = members()
                 .map(|m| match m.proposals(depth) {
                     0 => m.compute_secs,
                     // The verify sweep scores the proposals plus the bonus
@@ -189,6 +212,7 @@ where
                         .verify_compute_secs(k as usize + 1, m.kv_len),
                 })
                 .sum();
+            let compute_secs = solo_secs - launch_saving_secs;
             let price = StepPrice {
                 depth,
                 draft_secs,
@@ -218,52 +242,69 @@ pub(crate) fn acceptance_estimate(accepted: u64, examined: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use llm::{CostModel, ModelSpec};
+    use llm::{BatchedStepCosts, CostModel, ModelSpec};
     use sim_core::DetRng;
 
-    /// The RK3588 qwen2.5-3b target (id 0) and its qwen2.5-0.5b draft.
-    fn rk3588_pair() -> ([StepModel; 1], StepModel) {
+    /// The RK3588 catalogue the tests price — qwen2.5-3b (id 0), which
+    /// verifies the qwen2.5-0.5b draft, and tinyllama-1.1b (id 1), whose
+    /// tokenizer the draft does not share — and the draft itself.
+    fn rk3588_models() -> ([StepModel; 2], StepModel) {
         let cost = CostModel::rk3588();
         let profile = PlatformProfile::rk3588();
         let draft = ModelSpec::qwen2_5_0_5b();
-        let target = StepModel::new(&cost, &profile, &ModelSpec::qwen2_5_3b(), Some(&draft));
-        ([target], StepModel::new(&cost, &profile, &draft, None))
+        let qwen = StepModel::new(&cost, &profile, &ModelSpec::qwen2_5_3b(), Some(&draft));
+        let tiny = StepModel::new(&cost, &profile, &ModelSpec::tinyllama_1_1b(), None);
+        ([qwen, tiny], StepModel::new(&cost, &profile, &draft, None))
     }
 
-    fn member(models: &[StepModel], kv_len: usize, tokens_left: u64) -> StepMember {
+    fn member_of(models: &[StepModel], model: u32, kv_len: usize, tokens_left: u64) -> StepMember {
+        let coeffs = &models[model as usize];
         StepMember {
-            model: ModelId(0),
+            model: ModelId(model),
             kv_len,
             tokens_left,
-            compute_secs: models[0].step.decode_compute_secs(kv_len),
+            compute_secs: coeffs.step.decode_compute_secs(kv_len),
+            drafts: coeffs.spec.is_some(),
+        }
+    }
+
+    /// A qwen2.5-3b member.
+    fn member(models: &[StepModel], kv_len: usize, tokens_left: u64) -> StepMember {
+        member_of(models, 0, kv_len, tokens_left)
+    }
+
+    fn batch<'a>(
+        models: &'a [StepModel],
+        draft: &'a StepModel,
+        members: &'a [StepMember],
+    ) -> StepBatch<'a, std::slice::Iter<'a, StepMember>> {
+        StepBatch {
+            members: members.iter(),
+            models,
+            draft: Some(draft),
+            chunk_secs: 0.0,
         }
     }
 
     fn chosen_depth(members: &[StepMember], accept: f64) -> u64 {
-        let (models, draft) = rk3588_pair();
-        StepBatch {
-            members: members.iter(),
-            models: &models,
-            draft: Some(&draft),
-            chunk_secs: 0.0,
-        }
-        .choose(4, accept)
-        .depth
+        let (models, draft) = rk3588_models();
+        batch(&models, &draft, members).choose(4, accept).depth
     }
 
     #[test]
     fn depth_falls_as_the_batch_fills() {
-        let (models, _) = rk3588_pair();
+        let (models, _) = rk3588_models();
         let batch = |n: usize, kv: usize| vec![member(&models, kv, 1_000); n];
         assert_eq!(chosen_depth(&batch(1, 200), 0.87), 4);
         assert_eq!(chosen_depth(&batch(5, 200), 0.87), 2);
         assert_eq!(chosen_depth(&batch(6, 600), 0.87), 1);
-        assert_eq!(chosen_depth(&batch(12, 200), 0.87), 0);
+        assert_eq!(chosen_depth(&batch(12, 200), 0.87), 1);
+        assert_eq!(chosen_depth(&batch(16, 200), 0.87), 0);
     }
 
     #[test]
     fn one_early_rejection_does_not_switch_speculation_off() {
-        let (models, _) = rk3588_pair();
+        let (models, _) = rk3588_models();
         // One examined position, rejected: the prior puts p̂ at 1/3.
         let accept = acceptance_estimate(0, 1);
         assert_eq!(accept, 1.0 / 3.0);
@@ -272,26 +313,83 @@ mod tests {
 
     #[test]
     fn depth_zero_is_the_plain_batched_step() {
-        let (models, draft) = rk3588_pair();
+        let (models, draft) = rk3588_models();
         let members = [member(&models, 300, 50), member(&models, 900, 2)];
-        let batch = StepBatch {
-            members: members.iter(),
-            models: &models,
-            draft: Some(&draft),
+        let plain = StepBatch {
             chunk_secs: 0.004,
-        };
-        let plain = batch.choose(0, 0.9);
-        let compute = members[0].compute_secs + members[1].compute_secs;
-        let expected =
-            (compute + 0.004).max(models[0].step.weight_pass_secs) + models[0].handoff_secs;
+            ..batch(&models, &draft, &members)
+        }
+        .choose(0, 0.9);
+        let qwen = &models[0].step;
+        let compute = members[0].compute_secs + members[1].compute_secs - qwen.launch_secs;
+        let expected = (compute + 0.004).max(qwen.weight_pass_secs) + models[0].handoff_secs;
         assert_eq!(plain.depth, 0);
         assert_eq!(plain.draft_secs, 0.0);
         assert_eq!(plain.step_secs, expected);
         assert_eq!(plain.tokens, 2.0);
+        // A lone member is priced exactly as its solo decode token.
+        let solo = batch(&models, &draft, &members[..1]).choose(0, 0.9);
+        assert_eq!(
+            solo.step_secs,
+            members[0].compute_secs.max(qwen.weight_pass_secs) + models[0].handoff_secs
+        );
     }
 
-    /// A direct evaluation of the step price at one depth, written
-    /// independently of the incremental walk.
+    #[test]
+    fn a_step_launches_each_model_once() {
+        let (models, draft) = rk3588_models();
+        let price = |members: &[StepMember]| batch(&models, &draft, members).choose(0, 0.9);
+        let (qwen, tiny) = (&models[0], &models[1]);
+        // Eleven qwen2.5-3b members at KV 3000 make a compute-bound step.
+        let mut members = vec![member(&models, 3000, 100); 11];
+        let before = price(&members).step_secs;
+        assert!(before > qwen.step.weight_pass_secs + qwen.handoff_secs + 0.1);
+        // One more qwen member adds exactly its MACs and attention.
+        members.push(member(&models, 2000, 100));
+        let after = price(&members).step_secs;
+        let macs = qwen.step.decode_compute_secs(2000) - qwen.step.launch_secs;
+        assert!(
+            (after - before - macs).abs() < 1e-12,
+            "{} vs {macs}",
+            after - before
+        );
+        // A tinyllama member brings its model's launch set, once, and its
+        // model's handoffs; the step stays compute-bound, so its weight pass
+        // hides under the compute.
+        members.push(member_of(&models, 1, 500, 100));
+        let with_tiny = price(&members).step_secs;
+        let added = with_tiny - after;
+        let expected = tiny.step.decode_compute_secs(500) + tiny.handoff_secs;
+        assert!((added - expected).abs() < 1e-12, "{added} vs {expected}");
+        // A second tinyllama member pays no second launch set.
+        members.push(member_of(&models, 1, 700, 100));
+        let added = price(&members).step_secs - with_tiny;
+        let macs = tiny.step.decode_compute_secs(700) - tiny.step.launch_secs;
+        assert!((added - macs).abs() < 1e-12, "{added} vs {macs}");
+    }
+
+    #[test]
+    fn a_model_without_the_drafts_tokenizer_never_drafts() {
+        let (models, draft) = rk3588_models();
+        let tiny = member_of(&models, 1, 300, 1_000);
+        assert_eq!(tiny.proposals(4), 0);
+        // Alone, it cannot speculate at any depth.
+        let price = batch(&models, &draft, std::slice::from_ref(&tiny)).choose(4, 0.99);
+        assert_eq!((price.depth, price.draft_secs), (0, 0.0));
+        // Beside a qwen member that drafts, it keeps its plain compute.
+        let members = [member(&models, 300, 1_000), tiny];
+        let price = batch(&models, &draft, &members).choose(4, 0.99);
+        assert_eq!(price.depth, 4);
+        assert_eq!(
+            price.tokens,
+            1.0 + (0..=4).map(|j| 0.99f64.powi(j)).sum::<f64>()
+        );
+    }
+
+    /// A direct evaluation of the step price at one depth under the fused
+    /// rule, written independently of the incremental walk: every distinct
+    /// model launches its operators once (the draft once per round), and
+    /// every member adds one decode token's MACs per position it scores.
     fn direct_price(
         models: &[StepModel],
         draft: &StepModel,
@@ -299,6 +397,7 @@ mod tests {
         depth: u64,
         accept: f64,
     ) -> StepPrice {
+        let macs = |c: &BatchedStepCosts, kv: usize| c.decode_compute_secs(kv) - c.launch_secs;
         let rounds = members
             .iter()
             .map(|m| m.proposals(depth))
@@ -306,23 +405,31 @@ mod tests {
             .unwrap_or(0);
         let mut draft_secs = 0.0;
         for r in 0..rounds {
-            let compute: f64 = members
-                .iter()
-                .filter(|m| m.proposals(depth) > r)
-                .map(|m| draft.step.decode_compute_secs(m.kv_len))
-                .sum();
+            let compute: f64 = draft.step.launch_secs
+                + members
+                    .iter()
+                    .filter(|m| m.proposals(depth) > r)
+                    .map(|m| macs(&draft.step, m.kv_len))
+                    .sum::<f64>();
             draft_secs += compute.max(draft.step.weight_pass_secs) + draft.handoff_secs;
         }
-        let compute: f64 = members
-            .iter()
-            .map(|m| match m.proposals(depth) {
-                0 => m.compute_secs,
-                k => models[0]
-                    .spec
-                    .unwrap()
-                    .verify_compute_secs(k as usize + 1, m.kv_len),
-            })
-            .sum();
+        let mut present: Vec<ModelId> = members.iter().map(|m| m.model).collect();
+        present.sort();
+        present.dedup();
+        let per_model = |f: fn(&StepModel) -> f64| -> f64 {
+            present.iter().map(|id| f(&models[id.0 as usize])).sum()
+        };
+        let launches = per_model(|p| p.step.launch_secs);
+        let weights = per_model(|p| p.step.weight_pass_secs);
+        let handoffs = per_model(|p| p.handoff_secs);
+        let compute: f64 = launches
+            + members
+                .iter()
+                .map(|m| {
+                    let positions = m.proposals(depth) + 1;
+                    positions as f64 * macs(&models[m.model.0 as usize].step, m.kv_len)
+                })
+                .sum::<f64>();
         let tokens: f64 = members
             .iter()
             .map(|m| {
@@ -334,23 +441,24 @@ mod tests {
         StepPrice {
             depth,
             draft_secs,
-            step_secs: draft_secs
-                + compute.max(models[0].step.weight_pass_secs)
-                + models[0].handoff_secs,
+            step_secs: draft_secs + compute.max(weights) + handoffs,
             tokens,
         }
     }
 
     #[test]
     fn the_chosen_depth_beats_every_other_candidate() {
-        let (models, draft) = rk3588_pair();
+        let (models, draft) = rk3588_models();
         let mut rng = DetRng::new(0x5DEC);
         for case in 0..500 {
             let n = rng.gen_range(1, 17) as usize;
             let members: Vec<StepMember> = (0..n)
                 .map(|_| {
-                    member(
+                    // Mostly qwen2.5-3b members, some tinyllama-1.1b ones.
+                    let model = u32::from(rng.gen_bool(0.25));
+                    member_of(
                         &models,
+                        model,
                         rng.gen_range(1, 4097) as usize,
                         rng.gen_range(1, 9),
                     )
@@ -358,13 +466,7 @@ mod tests {
                 .collect();
             let accept = rng.gen_range_f64(0.05, 0.99);
             let max_depth = rng.gen_range(0, 7);
-            let chosen = StepBatch {
-                members: members.iter(),
-                models: &models,
-                draft: Some(&draft),
-                chunk_secs: 0.0,
-            }
-            .choose(max_depth, accept);
+            let chosen = batch(&models, &draft, &members).choose(max_depth, accept);
             assert!(chosen.depth <= max_depth, "case {case}");
             let at_chosen = direct_price(&models, &draft, &members, chosen.depth, accept);
             assert!(

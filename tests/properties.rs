@@ -231,6 +231,73 @@ fn batched_step_time_is_monotone_and_permutation_invariant() {
     }
 }
 
+/// The speculative passes price sets of sequences the same way: the verify
+/// sweep is monotone in every sequence's KV length and scored positions, the
+/// draft pass in every sequence's KV length, and neither depends on the
+/// order of the batch (up to float summation order).
+#[test]
+fn verify_and_draft_passes_are_monotone_and_permutation_invariant() {
+    let cost = CostModel::rk3588();
+    let mut rng = DetRng::new(0x76657269); // "veri"
+    let close = |a: f64, b: f64| (a - b).abs() <= 1e-12 * a.max(b);
+    for case in 0..CASES {
+        let draft = small_model(
+            rng.gen_range(2, 4) as usize,
+            ((rng.gen_range(32, 64) as usize) / 16) * 16,
+        );
+        let target = small_model(
+            rng.gen_range(4, 8) as usize,
+            ((rng.gen_range(64, 128) as usize) / 16) * 16,
+        );
+        let spec = cost.speculative_step_costs(&draft, &target, rng.gen_bool(0.5));
+        let n = rng.gen_range(1, 9) as usize;
+        let mut seqs: Vec<(usize, usize)> = (0..n)
+            .map(|_| {
+                (
+                    rng.gen_range(1, 4096) as usize,
+                    rng.gen_range(1, 6) as usize,
+                )
+            })
+            .collect();
+        let mut kv_lens: Vec<usize> = seqs.iter().map(|&(kv, _)| kv).collect();
+        let verify = spec.verify_pass_secs(&seqs);
+        let draft_pass = spec.draft_pass_secs(&kv_lens);
+
+        let mut shuffled = seqs.clone();
+        rng.shuffle(&mut shuffled);
+        assert!(
+            close(verify, spec.verify_pass_secs(&shuffled)),
+            "case {case}: verify {seqs:?} vs {shuffled:?}"
+        );
+        let mut shuffled = kv_lens.clone();
+        rng.shuffle(&mut shuffled);
+        assert!(
+            close(draft_pass, spec.draft_pass_secs(&shuffled)),
+            "case {case}: draft {kv_lens:?} vs {shuffled:?}"
+        );
+
+        // Growing one sequence's KV length, or its scored positions, never
+        // makes a pass cheaper.
+        let victim = rng.gen_range(0, n as u64) as usize;
+        seqs[victim].0 += rng.gen_range(1, 512) as usize;
+        kv_lens[victim] = seqs[victim].0;
+        let grown_kv = spec.verify_pass_secs(&seqs);
+        assert!(
+            grown_kv >= verify,
+            "case {case}: growing sequence {victim}'s KV made the verify cheaper"
+        );
+        assert!(
+            spec.draft_pass_secs(&kv_lens) >= draft_pass,
+            "case {case}: growing sequence {victim}'s KV made the draft pass cheaper"
+        );
+        seqs[victim].1 += 1;
+        assert!(
+            spec.verify_pass_secs(&seqs) >= grown_kv,
+            "case {case}: scoring one more position made the verify cheaper"
+        );
+    }
+}
+
 /// The cache controller never caches more than the model and never releases
 /// more than it holds.
 #[test]

@@ -1,6 +1,7 @@
 //! Acceptance properties of speculative draft-model decoding on the batched
-//! step loop: the escape hatch reproduces the plain batched dispatcher bit
-//! for bit, accepted-token traces are deterministic per seed, the token
+//! step loop: the escape hatch — and a draft no catalogue model shares a
+//! tokenizer with — reproduces the plain batched dispatcher bit for bit,
+//! accepted-token traces are deterministic per seed, the token
 //! accounting conserves, sequences never overrun their scripted output, the
 //! decode-heavy fleet hits the paper-style ≥1.5× speedup at unchanged
 //! cold-heavy p95 TTFT, the per-step draft depth drafts deep for a lone
@@ -70,6 +71,44 @@ fn speculation_off_is_bit_for_bit_the_batched_step_loop() {
     assert_eq!(baseline.fleet.spec_steps, 0);
     assert_eq!(baseline.fleet.spec_proposed_tokens, 0);
     assert!(baseline.fleet.spec_emitted_per_step.is_empty());
+}
+
+/// A target can verify only proposals its own tokenizer reads.  Neither
+/// tinyllama-1.1b (32,000-token vocabulary) nor phi-3-3.8b (32,064) shares
+/// the qwen2.5-0.5b draft's 151,936, so over that catalogue speculation on
+/// wires no draft entry and is bit-for-bit speculation off: every record,
+/// counter and lane integral is identical, and no step decides a depth.
+#[test]
+fn speculation_without_a_same_tokenizer_target_is_speculation_off() {
+    let models = ["tinyllama-1.1b", "phi-3-3.8b"];
+    let catalogue = || -> Vec<llm::ModelSpec> {
+        models
+            .iter()
+            .map(|m| llm::ModelSpec::by_name(m).expect("catalogue model"))
+            .collect()
+    };
+    let draft = llm::ModelSpec::by_name(&SpeculationConfig::paper_default().draft_model)
+        .expect("draft model");
+    assert!(catalogue().iter().all(|m| m.vocab != draft.vocab));
+    let workload =
+        WorkloadSpec::standard_multi(ArrivalProcess::Poisson { rate_per_sec: 0.25 }, 80, &models);
+    let run = |config| Server::run_workload(config, catalogue(), &workload, 0xC01D);
+    let off = run(ServingConfig::paper_default(PlatformProfile::rk3588()));
+    let on = run(spec_on(ServingConfig::paper_default(
+        PlatformProfile::rk3588(),
+    )));
+    assert!(
+        off.fleet.mean_batch_occupancy > 1.5,
+        "the trace must batch several decodes per step"
+    );
+    assert_eq!(format!("{:?}", off.fleet), format!("{:?}", on.fleet));
+    assert_eq!(format!("{:?}", off.records), format!("{:?}", on.records));
+    assert_eq!(
+        format!("{:?}", off.resources),
+        format!("{:?}", on.resources)
+    );
+    assert_eq!(on.fleet.spec_steps, 0);
+    assert!(on.fleet.spec_depth_per_step.is_empty());
 }
 
 /// Identical seeds produce identical accepted-token traces — speculation is
@@ -225,8 +264,9 @@ fn agent_burst_run(sessions: usize, k: usize) -> ServingReport {
 /// Once the batch fills, the step is compute-bound and a fixed deep draft
 /// costs more NPU time than its accepted tokens return.  Choosing the depth
 /// per step must then beat (6 sessions) or match (12 sessions) capping the
-/// depth at 1.  Drafting four tokens on every step serves 4.5% and 9.3%
-/// less than the cap of 1 on these runs, so both floors need the choice.
+/// depth at 1.  Drafting four tokens on every step serves 1.7% and 10.2%
+/// less than a fixed depth of 1 on these runs, so both floors need the
+/// choice.
 #[test]
 fn chosen_depth_keeps_up_with_a_shallow_cap_once_the_batch_fills() {
     for (sessions, floor) in [(6, 1.02), (12, 0.99)] {
