@@ -12,10 +12,11 @@
 //! * [`resource`] — server pools for CPU cores / NPU / I/O engine.
 //! * [`engine`] — a generic discrete-event engine for concurrency experiments.
 //! * [`trace`] — span recording for figure generation and ordering assertions.
-//! * [`telemetry`] — zero-cost-when-off serving telemetry: interned labels,
-//!   request/lane span tracks, a metrics registry, Perfetto trace export.
-//! * [`metrics`] — windowed metrics: per-window counters/gauges and
-//!   mergeable log-bucketed latency histograms (≤1% quantile error).
+//! * [`telemetry`] — zero-cost-when-off serving telemetry: a span store of
+//!   request/lane tracks over interned labels, with Perfetto trace export.
+//! * [`metrics`] — windowed metrics, where every reported number lives:
+//!   per-window counters/gauges and mergeable log-bucketed latency
+//!   histograms (≤1% quantile error).
 //! * [`stats`] — means, geometric means, percentiles, overhead computations.
 //! * [`rng`] — deterministic random streams for workload generation.
 

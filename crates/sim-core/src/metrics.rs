@@ -2,7 +2,7 @@
 //! mergeable log-bucketed latency histograms.
 //!
 //! The telemetry module ([`crate::telemetry`]) records *traces*: every span,
-//! every sample, unbounded.  That is the right tool for one run under a
+//! unbounded.  That is the right tool for one run under a
 //! microscope and the wrong tool for a fleet — shipping every per-request
 //! latency sample across a 64-shard merge is exactly what the ROADMAP's
 //! fleet scale-out forbids.  This module is the *metrics* dimension:

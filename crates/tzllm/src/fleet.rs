@@ -24,15 +24,19 @@
 //!   (disjoint-key union is associative and permutation-invariant by
 //!   construction); order-sensitive floating-point aggregates are *derived*
 //!   from the map in shard-index order at read time, never accumulated in
-//!   completion order.  Percentiles merge exactly: each shard keeps its raw
-//!   sorted sample vectors and the fleet summary is computed over their
-//!   multiset union.
+//!   completion order.  TTFT percentiles merge exactly: each shard keeps
+//!   its raw sorted end-to-end and follow-up TTFT samples and the fleet
+//!   summary is computed over their multiset union; every other
+//!   distribution travels as the shard's mergeable [`WindowedMetrics`]
+//!   sketches.
 //!
 //! Device heterogeneity comes from [`DeviceMix`]: each shard's
 //! [`PlatformProfile`] is a pure function of its index, so a fleet can span
 //! flagship/midrange/entry SoC calibrations without threatening determinism.
 
+use std::any::Any;
 use std::collections::BTreeMap;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -82,12 +86,12 @@ impl FleetConfig {
 }
 
 /// The mergeable statistics of one device shard: every deterministic counter
-/// the serving layer's [`FleetStats`](crate::serving::FleetStats) carries
-/// (KV, batching, speculation — PRs 3–7), plus the raw sorted latency
-/// samples exact percentile merging needs.  Derived ratios and means are
-/// deliberately absent: they are recomputed from these exact quantities at
-/// fleet level, because merged ratios of ratios are neither associative nor
-/// meaningful.
+/// the serving layer's [`ServingStats`](crate::serving::ServingStats)
+/// carries (KV, batching, speculation), the two raw sorted TTFT sample
+/// vectors the exact fleet percentiles read, and the shard's windowed
+/// metric series.  Derived ratios and means are deliberately absent: they
+/// are recomputed from these exact quantities at fleet level, because
+/// merged ratios of ratios are neither associative nor meaningful.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardStats {
     /// Shard index within the fleet.
@@ -140,10 +144,6 @@ pub struct ShardStats {
     pub kv_deduped_bytes: u64,
     /// End-to-end TTFT samples, milliseconds, sorted ascending.
     pub ttft_ms: Vec<f64>,
-    /// Service TTFT samples (dispatch → first token), ms, sorted ascending.
-    pub service_ttft_ms: Vec<f64>,
-    /// Queue-wait samples, milliseconds, sorted ascending.
-    pub queue_wait_ms: Vec<f64>,
     /// Follow-up-turn TTFT samples (requests with a shared prefix), ms,
     /// sorted ascending.
     pub followup_ttft_ms: Vec<f64>,
@@ -198,20 +198,6 @@ impl ShardStats {
                     .map(|r| r.ttft_e2e().as_millis_f64())
                     .collect(),
             ),
-            service_ttft_ms: sorted(
-                report
-                    .records
-                    .iter()
-                    .map(|r| r.service_ttft().as_millis_f64())
-                    .collect(),
-            ),
-            queue_wait_ms: sorted(
-                report
-                    .records
-                    .iter()
-                    .map(|r| r.queue_wait().as_millis_f64())
-                    .collect(),
-            ),
             followup_ttft_ms: sorted(
                 report
                     .records
@@ -257,12 +243,7 @@ impl ShardStats {
         ] {
             hasher.update(&counter.to_le_bytes());
         }
-        for samples in [
-            &self.ttft_ms,
-            &self.service_ttft_ms,
-            &self.queue_wait_ms,
-            &self.followup_ttft_ms,
-        ] {
+        for samples in [&self.ttft_ms, &self.followup_ttft_ms] {
             hasher.update(&(samples.len() as u64).to_le_bytes());
             for v in samples.iter() {
                 hasher.update(&v.to_bits().to_le_bytes());
@@ -386,16 +367,6 @@ impl FleetStats {
         self.merged_summary(|s| &s.ttft_ms)
     }
 
-    /// Exact fleet-wide service-TTFT percentiles.
-    pub fn service_ttft_ms(&self) -> Option<PercentileSummary> {
-        self.merged_summary(|s| &s.service_ttft_ms)
-    }
-
-    /// Exact fleet-wide queue-wait percentiles.
-    pub fn queue_wait_ms(&self) -> Option<PercentileSummary> {
-        self.merged_summary(|s| &s.queue_wait_ms)
-    }
-
     /// Exact fleet-wide follow-up-turn TTFT percentiles.
     pub fn followup_ttft_ms(&self) -> Option<PercentileSummary> {
         self.merged_summary(|s| &s.followup_ttft_ms)
@@ -487,6 +458,11 @@ impl FleetStats {
 /// forfeit.  Shard `i` runs with seed [`shard_seed`]`(seed, i)`, so a
 /// 1-shard fleet reproduces `Server::run_workload(config, catalogue,
 /// workload, seed)` exactly.
+///
+/// # Panics
+/// If any shard panics, the other shards still run, and then this panics
+/// on the caller's thread naming the lowest failing shard — its index,
+/// SoC, `shard_seed` and original message — whatever the thread count.
 pub fn run_fleet<F>(
     workload: &WorkloadSpec,
     catalogue: &[ModelSpec],
@@ -500,6 +476,7 @@ where
     let sub_workloads = workload.partition(config.shards);
     let next_shard = AtomicUsize::new(0);
     let results: Mutex<Vec<ShardStats>> = Mutex::new(Vec::with_capacity(config.shards));
+    let failures: Mutex<Vec<(usize, String)>> = Mutex::new(Vec::new());
     let workers = config.threads.clamp(1, config.shards);
     std::thread::scope(|scope| {
         for _ in 0..workers {
@@ -509,23 +486,45 @@ where
                     break;
                 }
                 let profile = config.mix.profile_for_shard(shard as u64);
-                let serving = make_config(profile);
-                let report = Server::run_workload(
-                    serving,
-                    catalogue.to_vec(),
-                    &sub_workloads[shard],
-                    shard_seed(seed, shard as u64),
-                );
-                // Reduce to mergeable stats immediately: the per-request
-                // records die here, keeping fleet memory O(samples), not
-                // O(requests × record).
-                let stats = ShardStats::from_report(shard as u32, profile.soc, &report);
-                results
-                    .lock()
-                    .expect("a sibling worker panicked")
-                    .push(stats);
+                let run = panic::catch_unwind(AssertUnwindSafe(|| {
+                    let report = Server::run_workload(
+                        make_config(profile),
+                        catalogue.to_vec(),
+                        &sub_workloads[shard],
+                        shard_seed(seed, shard as u64),
+                    );
+                    // Reduce to mergeable stats immediately: the per-request
+                    // records die here, keeping fleet memory O(samples), not
+                    // O(requests × record).
+                    ShardStats::from_report(shard as u32, profile.soc, &report)
+                }));
+                match run {
+                    Ok(stats) => results.lock().expect("shard panics are caught").push(stats),
+                    Err(payload) => failures
+                        .lock()
+                        .expect("shard panics are caught")
+                        .push((shard, panic_message(payload.as_ref()).to_string())),
+                }
             });
         }
     });
+    let failures = failures.into_inner().expect("workers joined");
+    if let Some((shard, message)) = failures.into_iter().min_by_key(|&(shard, _)| shard) {
+        panic!(
+            "fleet shard {shard} (soc {}, shard_seed {:#x}) panicked: {message}",
+            config.mix.profile_for_shard(shard as u64).soc,
+            shard_seed(seed, shard as u64)
+        );
+    }
     FleetStats::from_shards(results.into_inner().expect("workers joined"))
+}
+
+/// The text of a caught panic (the `panic!` message, or a placeholder for
+/// a non-string payload).
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload")
 }

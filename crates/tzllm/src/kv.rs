@@ -189,7 +189,7 @@ pub struct KvStats {
 }
 
 /// Per-model introspection of the content-addressed chain store: where the
-/// sharing wins come from, exposed through `FleetStats` so benchmarks can
+/// sharing wins come from, exposed through `ServingStats` so benchmarks can
 /// report it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChainStoreStats {

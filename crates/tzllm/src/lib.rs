@@ -48,8 +48,8 @@ pub use kv::{ChainStoreStats, KvConfig, KvPool, KvReuse, KvStats};
 pub use pipeline::{simulate, PipelineConfig, PipelineResult, Policy};
 pub use restore::{CriticalPaths, OpLabel, PipeOp, PipeOpKind, RestorePlan, RestoreRates};
 pub use serving::{
-    FleetStats, ModelId, Request, RequestRecord, RetentionPolicy, Server, ServingConfig,
-    ServingReport,
+    ModelId, Request, RequestRecord, RetentionPolicy, Server, ServingConfig, ServingReport,
+    ServingStats,
 };
 pub use slo::{
     csv_timeseries, openmetrics, validate_openmetrics, OverloadEpisode, SloConfig, SloReport,

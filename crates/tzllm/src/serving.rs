@@ -100,7 +100,7 @@
 //! ([`llm::PromptContent`]), so every session of a model whose prompt opens
 //! with the same head (a product-wide system prompt) references one secure
 //! copy — a **cold first turn** of a brand-new session hits KV state other
-//! sessions produced, and [`FleetStats`] reports the shared-hit rate and
+//! sessions produced, and [`ServingStats`] reports the shared-hit rate and
 //! the deduped bytes.  With a quantized [`crate::kv::KvConfig::spill_format`]
 //! sealed pages cross the world boundary as INT8/INT4 blocks — the spill
 //! budget holds 2–4× the pages — and restores pay a dequant pass charged to
@@ -132,8 +132,8 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use llm::{derive_seed, ComputationGraph, ModelSpec, PromptContent};
 use sim_core::telemetry::{LabelId, Phase, Telemetry, Track};
 use sim_core::{
-    CapacityLedger, DetRng, Engine, EventScheduler, LaneEvent, LaneId, LaneUsage,
-    PercentileSummary, SimDuration, SimTime, WindowedMetrics,
+    CapacityLedger, DetRng, Engine, EventScheduler, LaneId, LaneUsage, PercentileSummary,
+    SimDuration, SimTime, WindowedMetrics,
 };
 use tz_hal::PlatformProfile;
 use workloads::{SessionScript, WorkloadSpec};
@@ -268,9 +268,11 @@ pub struct ServingConfig {
     /// default; when off, batched runs reproduce the plain step loop bit
     /// for bit.
     pub speculation: SpeculationConfig,
-    /// Step-level telemetry: per-request lifecycle spans, per-lane
-    /// occupancy spans, and the counter/gauge/histogram registry, exported
-    /// on [`ServingReport::telemetry`].  Off by default; telemetry is
+    /// Step-level telemetry: per-request lifecycle spans and per-lane
+    /// step, restore-ahead, seal and occupancy spans, exported on
+    /// [`ServingReport::telemetry`].  Spans only: counters, gauges and
+    /// latency distributions are recorded once, by
+    /// [`ServingConfig::metrics`].  Off by default; telemetry is
     /// observe-only — enabling it changes no event time, RNG draw, or stat
     /// (the serial-reproduction suite proves this bit for bit).
     pub telemetry: bool,
@@ -463,9 +465,10 @@ impl RequestRecord {
     }
 }
 
-/// Fleet-level statistics over one serving run.
+/// Aggregate statistics over one serving run (one device); the sharded
+/// fleet's merge of many runs is [`crate::fleet::FleetStats`].
 #[derive(Debug, Clone, PartialEq)]
-pub struct FleetStats {
+pub struct ServingStats {
     /// Completed requests.
     pub completed: usize,
     /// Requests rejected by admission control.
@@ -478,8 +481,6 @@ pub struct FleetStats {
     pub ttft_ms: Option<PercentileSummary>,
     /// Service TTFT (dispatch → first token), milliseconds.
     pub service_ttft_ms: Option<PercentileSummary>,
-    /// Queue wait, milliseconds.
-    pub queue_wait_ms: Option<PercentileSummary>,
     /// Time-weighted mean number of waiting requests.
     pub mean_queue_depth: f64,
     /// Maximum number of waiting requests.
@@ -488,8 +489,6 @@ pub struct FleetStats {
     pub mean_cached_fraction: f64,
     /// Dispatches that found a completely cold cache.
     pub cold_starts: usize,
-    /// Mean decode speed across requests, tokens/s.
-    pub mean_decode_tps: f64,
     /// Parameter bytes restored ahead of dispatch on otherwise idle lanes.
     pub restore_ahead_bytes: u64,
     /// Dispatches whose restoration plan came from the plan cache.
@@ -498,17 +497,12 @@ pub struct FleetStats {
     pub plan_cache_misses: u64,
     /// NPU busy fraction over the run.
     pub npu_utilisation: f64,
-    /// Flash-channel busy fraction over the run.
-    pub flash_utilisation: f64,
     /// Mean per-request [`RequestRecord::decode_stall`]: decode time beyond
     /// the intrinsic token rate, milliseconds.
     pub mean_decode_stall_ms: f64,
     /// Mean per-request [`RequestRecord::stall_sharing`]: decode time lost
     /// to sharing the NPU with the rest of the batch, milliseconds.
     pub mean_stall_sharing_ms: f64,
-    /// Mean per-request prefill time beyond the ideal service TTFT (chunked
-    /// prefills waiting on the decode steps they interleave with), ms.
-    pub mean_prefill_stall_ms: f64,
     /// NPU steps the step loop executed over the run.
     pub batch_steps: u64,
     /// Busy-time-weighted mean number of sequences per batched step.
@@ -555,7 +549,7 @@ pub struct FleetStats {
     /// server, including steps that carried a prefill chunk or chose depth
     /// 0.  Empty when speculation is off.
     pub spec_emitted_per_step: Vec<(u32, u64)>,
-    /// Mean of [`FleetStats::spec_emitted_per_step`]: tokens emitted per
+    /// Mean of [`ServingStats::spec_emitted_per_step`]: tokens emitted per
     /// decode sequence-step while speculation is on — the *effective*
     /// tokens/step that service-demand estimates (e.g. for SLO-aware
     /// admission) must use instead of 1.
@@ -599,8 +593,6 @@ pub struct FleetStats {
     /// End-to-end TTFT of follow-up turns (requests with a shared prefix),
     /// milliseconds — the KV manager's headline metric.
     pub followup_ttft_ms: Option<PercentileSummary>,
-    /// Service TTFT (dispatch → first token) of follow-up turns, ms.
-    pub followup_service_ttft_ms: Option<PercentileSummary>,
     /// Per-model chain-store snapshot at the end of the run (page counts,
     /// refs histogram, residency split) — where the sharing wins come from.
     pub kv_chain: Vec<ChainStoreStats>,
@@ -616,22 +608,22 @@ pub struct ServingReport {
     pub records: Vec<RequestRecord>,
     /// Requests rejected by admission control, in arrival order.
     pub rejected: Vec<Request>,
-    /// Fleet-level statistics.
-    pub fleet: FleetStats,
+    /// Run-level statistics.
+    pub fleet: ServingStats,
     /// Final accounting of the device lanes (capacity, peak concurrent use,
     /// busy time) — the overlap property tests assert peaks never exceed
     /// capacity.
     pub resources: Vec<LaneUsage>,
-    /// The telemetry side buffer (`Some` iff [`ServingConfig::telemetry`]):
-    /// request-lifecycle and lane spans, counters, gauges, histograms —
-    /// export with [`Telemetry::chrome_trace_json`] or the report helpers
-    /// in [`crate::telemetry`].
+    /// The telemetry span store (`Some` iff [`ServingConfig::telemetry`]):
+    /// request-lifecycle and lane spans — export with
+    /// [`Telemetry::chrome_trace_json`] or the report helpers in
+    /// [`crate::telemetry`].
     pub telemetry: Option<Telemetry>,
     /// The windowed metrics registry (`Some` iff [`ServingConfig::metrics`]):
     /// per-class TTFT/TBT latency sketches, queue-depth and batch-occupancy
-    /// gauges, and per-lane busy-time counters, all in fixed-width time
-    /// windows — what the fleet merge aggregates and the SLO monitor
-    /// ([`crate::slo`]) evaluates.
+    /// gauges, per-lane busy-time counters and sealed KV bytes, all in
+    /// fixed-width time windows — what the fleet merge aggregates and the
+    /// SLO monitor ([`crate::slo`]) evaluates.
     pub metrics: Option<WindowedMetrics>,
 }
 
@@ -954,21 +946,17 @@ fn on_arrival(
             .metrics
             .add("requests_rejected", request.style_label, sched.now(), 1);
         state.rejected.push(rejected);
-        state.telemetry.count("requests.rejected", 1);
         schedule_session_continuation(state, sched, session);
     } else {
         let style = request.style_label;
         state.queue.push_back((request, sched.now()));
         state.note_depth(sched.now());
-        state.telemetry.count("requests.admitted", 1);
-        let depth = state.queue.len() as f64;
-        state.telemetry.gauge("queue_depth", sched.now(), depth);
         state
             .metrics
             .add("requests_admitted", style, sched.now(), 1);
         state
             .metrics
-            .gauge("queue_depth", "all", sched.now(), depth);
+            .gauge("queue_depth", "all", sched.now(), state.queue.len() as f64);
     }
     try_progress(state, sched);
 }
@@ -1031,10 +1019,6 @@ fn dispatch_next(state: &mut ServerState, sched: &mut EventScheduler<ServerState
     state.note_depth(now);
     if state.telemetry.is_enabled() || state.metrics.is_enabled() {
         state.styles.insert(qreq.id, qreq.style_label);
-    }
-    if state.telemetry.is_enabled() {
-        let depth = state.queue.len() as f64;
-        state.telemetry.gauge("queue_depth", now, depth);
     }
     state
         .metrics
@@ -1235,9 +1219,10 @@ fn complete_request(
     record.completed = now;
     let session = record.request.session;
     // Snapshot the cumulative spill counter so the sealing this completion
-    // triggers (retention + budget enforcement below) can be attributed to
-    // this request's track.  Read-only; taken only while telemetry is on.
-    let sealed_before = if state.telemetry.is_enabled() && state.config.kv.enabled {
+    // triggers (retention + budget enforcement below) can be observed.
+    // Read-only; taken only while telemetry or metrics is on.
+    let observed = state.telemetry.is_enabled() || state.metrics.is_enabled();
+    let sealed_before = if observed && state.config.kv.enabled {
         Some(state.kv.stats().spilled_bytes)
     } else {
         None
@@ -1304,16 +1289,16 @@ fn complete_request(
         let active = state.active_sessions();
         state.kv.enforce(secure_budget, &active, now);
     }
+    let style = state
+        .styles
+        .remove(&record.request.id)
+        .unwrap_or("independent");
+    let sealed = sealed_before.map_or(0, |before| state.kv.stats().spilled_bytes - before);
     if state.metrics.is_enabled() {
         // Per-class windowed series.  Latencies are attributed to the
         // window in which they became known (TTFT at the first token, TBT
         // at completion), so a spike shows up in the windows it happened
         // in, not smeared to the end of the run.
-        let style = state
-            .styles
-            .get(&record.request.id)
-            .copied()
-            .unwrap_or("independent");
         let ttft = record.ttft_e2e();
         if record.request.shared_prefix_len == 0 {
             state
@@ -1338,13 +1323,12 @@ fn complete_request(
             now,
             record.request.output_len as u64,
         );
+        if sealed > 0 {
+            state.metrics.add("kv_sealed_bytes", "all", now, sealed);
+        }
     }
     if state.telemetry.is_enabled() {
-        record_lifecycle_spans(state, &record, sealed_before, now);
-    } else if state.metrics.is_enabled() {
-        // `record_lifecycle_spans` normally retires the style entry; keep
-        // the map bounded when only metrics are on.
-        state.styles.remove(&record.request.id);
+        record_lifecycle_spans(state, &record, style, sealed, now);
     }
     state.records.push(record);
     state.inflight -= 1;
@@ -1354,105 +1338,46 @@ fn complete_request(
     schedule_session_continuation(state, sched, session);
 }
 
-/// Records a completed request's lifecycle spans onto its telemetry track.
-///
-/// The TTFT phases tile `[arrival, first_token]` exactly: `Queued` covers
-/// the admission wait, the breakdown components (`framework_init`,
-/// `working_alloc`, `kv_restore`) are laid end to end and clipped to the
-/// pre-NPU window, `RestorePipeline` absorbs the pipelined-overlap
-/// residue, and `Prefill` runs from the pre-NPU boundary to the first
-/// token — so the span sum reconciles with [`RequestRecord::ttft_e2e`] by
-/// construction.  `Decode` follows but is excluded from the TTFT sum.
-/// Only called while telemetry is enabled; purely observational.
+/// Records a completed request's lifecycle spans onto its telemetry track:
+/// the [`crate::telemetry::lifecycle_segments`] tiling of
+/// `[arrival, first_token]` laid end to end, then `Decode`, which stays out
+/// of the TTFT sum.  A completion that sealed `sealed` KV bytes also marks
+/// a `Seal` event on the CPU lane.  Only called while telemetry is enabled;
+/// purely observational.
 fn record_lifecycle_spans(
     state: &mut ServerState,
     record: &RequestRecord,
-    sealed_before: Option<u64>,
+    style: &str,
+    sealed: u64,
     now: SimTime,
 ) {
     let id = record.request.id;
-    let style = state.styles.remove(&id).unwrap_or("independent");
     let track = Track::Request(id);
     state.telemetry.name_track(
         track,
         &format!("req {id} {} ({style})", record.request.model),
     );
-    let report = &record.report;
-    let b = &report.breakdown;
-    // The prefill's NPU window (what the step loop runs as chunks) sits at
-    // the tail of the service TTFT; what precedes it is the pre-NPU window
-    // the breakdown components fill.
-    let npu_hold = (report.npu_busy + b.npu_overhead).min(report.ttft);
-    let pre_npu_end =
-        (record.dispatched + report.ttft.saturating_sub(npu_hold)).min(record.first_token);
-    if record.dispatched > record.arrival {
-        state.telemetry.span(
-            track,
-            Phase::Queued,
-            "queued",
-            record.arrival,
-            record.dispatched,
-        );
-    }
-    let mut cursor = record.dispatched;
-    for (phase, d) in [
-        (Phase::FrameworkInit, b.framework_init),
-        (Phase::WorkingAlloc, b.working_alloc),
-        (Phase::KvUnseal, b.kv_restore),
-    ] {
-        let end = (cursor + d).min(pre_npu_end);
-        if end > cursor {
-            state
-                .telemetry
-                .span(track, phase, phase.label(), cursor, end);
-            cursor = end;
-        }
-    }
-    if pre_npu_end > cursor {
-        state.telemetry.span(
-            track,
-            Phase::RestorePipeline,
-            "restore-pipeline",
-            cursor,
-            pre_npu_end,
-        );
-    }
-    if record.first_token > pre_npu_end {
-        state.telemetry.span(
-            track,
-            Phase::Prefill,
-            "prefill",
-            pre_npu_end,
-            record.first_token,
-        );
+    let mut cursor = record.arrival;
+    for (phase, d) in crate::telemetry::lifecycle_segments(record) {
+        state
+            .telemetry
+            .span(track, phase, phase.label(), cursor, cursor + d);
+        cursor += d;
     }
     if now > record.first_token {
         state
             .telemetry
             .span(track, Phase::Decode, "decode", record.first_token, now);
     }
-    state.telemetry.count("requests.completed", 1);
-    state
-        .telemetry
-        .observe("request.ttft_e2e_ms", record.ttft_e2e().as_secs_f64() * 1e3);
-    state.telemetry.observe(
-        "request.queue_wait_ms",
-        record.queue_wait().as_secs_f64() * 1e3,
-    );
-    if let Some(before) = sealed_before {
-        let delta = state.kv.stats().spilled_bytes.saturating_sub(before);
-        if delta > 0 {
-            let lane = state.tl_cpu;
-            state.telemetry.span(
-                Track::Lane(lane),
-                Phase::Seal,
-                &format!("seal req {id} ({delta} B)"),
-                now,
-                now,
-            );
-            state.telemetry.count("kv.seal_events", 1);
-            state.telemetry.count("kv.sealed_bytes", delta);
-        }
+    if sealed > 0 {
+        let lane = state.tl_cpu;
+        state.telemetry.span(
+            Track::Lane(lane),
+            Phase::Seal,
+            &format!("seal req {id} ({sealed} B)"),
+            now,
+            now,
+        );
     }
 }
 
@@ -1640,8 +1565,6 @@ fn maybe_start_batch_step(state: &mut ServerState, sched: &mut EventScheduler<Se
                     .span(npu, Phase::PrefillChunk, &chunk_label, now, chunk_end);
             }
         }
-        state.telemetry.observe("batch.step_ms", ns as f64 / 1e6);
-        state.telemetry.observe("batch.occupancy", occupancy as f64);
     }
     state
         .metrics
@@ -1962,12 +1885,6 @@ fn record_restore_ahead_span(
         r.started,
         now,
     );
-    let counter = if interrupted {
-        "restore_ahead.interrupted"
-    } else {
-        "restore_ahead.completed"
-    };
-    state.telemetry.count(counter, 1);
 }
 
 fn on_restore_ahead_done(
@@ -2325,18 +2242,17 @@ impl Server {
         let mut state = self.engine.into_state();
         let fleet = fleet_stats(&state);
         let resources = state.ledger.usage(fleet.horizon);
-        let telemetry = if state.telemetry.is_enabled() {
-            derive_occupancy_spans(&mut state);
-            Some(std::mem::take(&mut state.telemetry))
-        } else {
-            None
-        };
-        let metrics = if state.metrics.is_enabled() {
-            derive_lane_busy_windows(&mut state);
-            Some(std::mem::take(&mut state.metrics))
-        } else {
-            None
-        };
+        if state.telemetry.is_enabled() || state.metrics.is_enabled() {
+            observe_lane_occupancy(&mut state);
+        }
+        let telemetry = state
+            .telemetry
+            .is_enabled()
+            .then(|| std::mem::take(&mut state.telemetry));
+        let metrics = state
+            .metrics
+            .is_enabled()
+            .then(|| std::mem::take(&mut state.metrics));
         ServingReport {
             records: state.records,
             rejected: state.rejected,
@@ -2363,85 +2279,68 @@ impl Server {
     }
 }
 
-/// Converts the capacity-ledger journal into per-lane occupancy spans and
-/// `in_use` gauge series on the lane tracks.  Runs once after the
-/// simulation completes; the journal is itself recorded only while
-/// telemetry is on, so this is purely observational.
-fn derive_occupancy_spans(state: &mut ServerState) {
-    let journal: Vec<LaneEvent> = state.ledger.journal().to_vec();
-    if journal.is_empty() {
-        return;
-    }
-    // (segment start, level) per lane; level-0 segments are idle and
-    // produce no span.
-    let mut seg: Vec<(SimTime, u64)> = vec![(SimTime::ZERO, 0); state.ledger.lane_count()];
-    for e in &journal {
-        let name = state.ledger.lane_name(e.lane);
-        let (start, level) = seg[e.lane.index()];
-        if level != e.in_use {
-            if level > 0 && e.at > start {
-                let lid = state.telemetry.intern(name);
-                let label = format!("{name}={level}");
-                state
-                    .telemetry
-                    .span(Track::Lane(lid), Phase::Occupancy, &label, start, e.at);
-            }
-            seg[e.lane.index()] = (e.at, e.in_use);
-        }
-        state
-            .telemetry
-            .gauge(&format!("{name} in_use"), e.at, e.in_use as f64);
-    }
-}
-
-/// Converts the capacity-ledger journal into per-window lane busy-time
-/// counters: `lane_inuse_ns` integrates `in_use` over each window per lane
-/// (so per-window utilisation = `inuse_ns / (capacity × window width)`,
-/// with the capacity on the `lane_capacity` gauge).  Runs once after the
-/// simulation completes; purely observational, like the journal itself.
-fn derive_lane_busy_windows(state: &mut ServerState) {
-    let window_ns = state.metrics.window().as_nanos();
-    let lanes: [(LaneId, &'static str); 3] = [
-        (state.lane_npu, "npu"),
-        (state.lane_flash, "flash"),
-        (state.lane_cpu, "cpu"),
+/// Walks the capacity-ledger journal once, as constant-level segments per
+/// lane, and hands every busy segment to both observers: an occupancy span
+/// `name=level` on the lane's telemetry track, and `level × length` on the
+/// lane's `lane_inuse_ns` metrics counter, split at window boundaries so
+/// each window's integral is exact (per-window utilisation =
+/// `inuse_ns / (capacity × window width)`, with the capacity on the
+/// `lane_capacity` gauge).  Runs once after the simulation completes; the
+/// journal is recorded only while an observer is on, so this is purely
+/// observational.
+fn observe_lane_occupancy(state: &mut ServerState) {
+    let lanes = [
+        (state.lane_npu, "npu", state.tl_npu),
+        (state.lane_flash, "flash", state.tl_flash),
+        (state.lane_cpu, "cpu", state.tl_cpu),
     ];
-    for (lane, class) in lanes {
-        state.metrics.gauge(
-            "lane_capacity",
-            class,
-            SimTime::ZERO,
-            state.ledger.lane_capacity(lane) as f64,
-        );
+    let ServerState {
+        ledger,
+        telemetry,
+        metrics,
+        ..
+    } = state;
+    for &(lane, class, _) in &lanes {
+        let capacity = ledger.lane_capacity(lane) as f64;
+        metrics.gauge("lane_capacity", class, SimTime::ZERO, capacity);
     }
-    let journal: Vec<LaneEvent> = state.ledger.journal().to_vec();
-    let mut seg: Vec<(SimTime, u64)> = vec![(SimTime::ZERO, 0); state.ledger.lane_count()];
-    for e in &journal {
+    let window_ns = metrics.window().as_nanos();
+    // (segment start, level) per lane; level-0 segments are idle.
+    let mut seg: Vec<(SimTime, u64)> = vec![(SimTime::ZERO, 0); ledger.lane_count()];
+    for e in ledger.journal() {
         let (start, level) = seg[e.lane.index()];
-        if level > 0 && e.at > start {
-            if let Some(&(_, class)) = lanes.iter().find(|(id, _)| *id == e.lane) {
-                // Split the busy segment at window boundaries so each
-                // window's integral is exact.
-                let mut t = start.as_nanos();
-                let end_ns = e.at.as_nanos();
-                while t < end_ns {
-                    let next_boundary = (t / window_ns + 1) * window_ns;
-                    let piece_end = next_boundary.min(end_ns);
-                    state.metrics.add(
-                        "lane_inuse_ns",
-                        class,
-                        SimTime::from_nanos(t),
-                        (piece_end - t) * level,
-                    );
-                    t = piece_end;
-                }
-            }
+        if level == e.in_use {
+            continue;
         }
         seg[e.lane.index()] = (e.at, e.in_use);
+        if level == 0 || e.at <= start {
+            continue;
+        }
+        let Some(&(_, class, track)) = lanes.iter().find(|(id, _, _)| *id == e.lane) else {
+            continue;
+        };
+        if telemetry.is_enabled() {
+            let label = format!("{class}={level}");
+            telemetry.span(Track::Lane(track), Phase::Occupancy, &label, start, e.at);
+        }
+        if metrics.is_enabled() {
+            let mut t = start.as_nanos();
+            let end_ns = e.at.as_nanos();
+            while t < end_ns {
+                let piece_end = ((t / window_ns + 1) * window_ns).min(end_ns);
+                metrics.add(
+                    "lane_inuse_ns",
+                    class,
+                    SimTime::from_nanos(t),
+                    (piece_end - t) * level,
+                );
+                t = piece_end;
+            }
+        }
     }
 }
 
-fn fleet_stats(state: &ServerState) -> FleetStats {
+fn fleet_stats(state: &ServerState) -> ServingStats {
     let records = &state.records;
     let horizon = records
         .iter()
@@ -2459,19 +2358,10 @@ fn fleet_stats(state: &ServerState) -> FleetStats {
         .iter()
         .map(|r| r.service_ttft().as_millis_f64())
         .collect();
-    let wait: Vec<f64> = records
-        .iter()
-        .map(|r| r.queue_wait().as_millis_f64())
-        .collect();
     let followup: Vec<f64> = records
         .iter()
         .filter(|r| r.request.shared_prefix_len > 0)
         .map(|r| r.ttft_e2e().as_millis_f64())
-        .collect();
-    let followup_service: Vec<f64> = records
-        .iter()
-        .filter(|r| r.request.shared_prefix_len > 0)
-        .map(|r| r.service_ttft().as_millis_f64())
         .collect();
     let mean_ms = |f: &dyn Fn(&RequestRecord) -> SimDuration| {
         if records.is_empty() {
@@ -2488,9 +2378,8 @@ fn fleet_stats(state: &ServerState) -> FleetStats {
         .sum();
     let kv_stats = state.kv.stats();
     let horizon_secs = horizon.as_secs_f64();
-    let usage = state.ledger.usage(horizon);
-    let lane_util = |id: LaneId| usage[id.index()].utilisation(horizon);
-    FleetStats {
+    let npu_usage = &state.ledger.usage(horizon)[state.lane_npu.index()];
+    ServingStats {
         completed: records.len(),
         rejected: state.rejected.len(),
         horizon,
@@ -2501,7 +2390,6 @@ fn fleet_stats(state: &ServerState) -> FleetStats {
         },
         ttft_ms: ms(ttft),
         service_ttft_ms: ms(service),
-        queue_wait_ms: ms(wait),
         mean_queue_depth: if horizon_secs > 0.0 {
             state.depth_integral / horizon_secs
         } else {
@@ -2514,31 +2402,12 @@ fn fleet_stats(state: &ServerState) -> FleetStats {
             records.iter().map(|r| r.cached_fraction).sum::<f64>() / records.len() as f64
         },
         cold_starts: records.iter().filter(|r| r.cached_fraction == 0.0).count(),
-        mean_decode_tps: if records.is_empty() {
-            0.0
-        } else {
-            records
-                .iter()
-                .map(|r| r.report.decode_tokens_per_sec)
-                .sum::<f64>()
-                / records.len() as f64
-        },
         restore_ahead_bytes: state.restore_ahead_bytes,
         plan_cache_hits: state.plan_cache.hits(),
         plan_cache_misses: state.plan_cache.misses(),
-        npu_utilisation: lane_util(state.lane_npu),
-        flash_utilisation: lane_util(state.lane_flash),
-        mean_decode_stall_ms: if records.is_empty() {
-            0.0
-        } else {
-            records
-                .iter()
-                .map(|r| r.decode_stall().as_millis_f64())
-                .sum::<f64>()
-                / records.len() as f64
-        },
+        npu_utilisation: npu_usage.utilisation(horizon),
+        mean_decode_stall_ms: mean_ms(&|r| r.decode_stall()),
         mean_stall_sharing_ms: mean_ms(&|r| r.stall_sharing),
-        mean_prefill_stall_ms: mean_ms(&|r| r.prefill_stall),
         batch_steps: state.batch_steps,
         mean_batch_occupancy: if batch_busy_secs > 0.0 {
             occupancy_weighted / batch_busy_secs
@@ -2618,7 +2487,6 @@ fn fleet_stats(state: &ServerState) -> FleetStats {
         },
         kv_deduped_bytes: kv_stats.peak_deduped_bytes,
         followup_ttft_ms: ms(followup),
-        followup_service_ttft_ms: ms(followup_service),
         kv_chain: state.kv.chain_stats(),
         kv_hit_depth: state.kv.hit_depth_histogram(),
     }

@@ -7,8 +7,9 @@
 //!
 //! * [`ttft_waterfall`] — one line per request tiling its end-to-end TTFT
 //!   into queue / init / alloc / kv-unseal / pipeline / prefill segments
-//!   (the same tiling the request's telemetry track records, so the
-//!   segment sum reconciles with the recorded TTFT exactly);
+//!   ([`lifecycle_segments`], the same tiling the request's telemetry track
+//!   records, so the segment sum reconciles with the recorded TTFT
+//!   exactly);
 //! * [`critical_path_report`] — for every *cold* request (one that
 //!   restored parameters from flash), names the device lane that bounded
 //!   its TTFT and attributes each breakdown component to a lane, so a
@@ -18,46 +19,41 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use sim_core::SimDuration;
+use sim_core::{Phase, SimDuration};
 
 use crate::serving::{RequestRecord, ServingReport};
 
-/// One request's TTFT tiled into named segments.
+/// One request's TTFT tiled into its lifecycle phases, zero-length phases
+/// skipped.
 ///
-/// The segments are exactly the request-track telemetry phases: laid end
-/// to end they cover `[arrival, first_token]` without gap or overlap, so
-/// their sum equals [`RequestRecord::ttft_e2e`] by construction.
-pub fn lifecycle_segments(record: &RequestRecord) -> Vec<(&'static str, SimDuration)> {
+/// This is the one definition of the tiling: the serving layer lays these
+/// segments end to end from the arrival to record the request's telemetry
+/// track, and [`ttft_waterfall`] prints them.  They cover
+/// `[arrival, first_token]` without gap or overlap, so their sum equals
+/// [`RequestRecord::ttft_e2e`] by construction.
+pub fn lifecycle_segments(record: &RequestRecord) -> Vec<(Phase, SimDuration)> {
     let report = &record.report;
     let b = &report.breakdown;
-    let mut out = Vec::with_capacity(6);
-    out.push(("queued", record.queue_wait()));
     // The prefill's NPU window sits at the tail of the service TTFT; the
     // breakdown components fill the pre-NPU window and are clipped to it,
     // with the pipelined-restoration residue absorbing what remains.
     let npu_hold = (report.npu_busy + b.npu_overhead).min(report.ttft);
     let service = record.service_ttft();
     let pre_npu = report.ttft.saturating_sub(npu_hold).min(service);
+    let mut out = vec![(Phase::Queued, record.queue_wait())];
     let mut used = SimDuration::ZERO;
-    for (name, d) in [
-        ("framework-init", b.framework_init),
-        ("working-alloc", b.working_alloc),
-        ("kv-unseal", b.kv_restore),
+    for (phase, d) in [
+        (Phase::FrameworkInit, b.framework_init),
+        (Phase::WorkingAlloc, b.working_alloc),
+        (Phase::KvUnseal, b.kv_restore),
     ] {
         let take = d.min(pre_npu.saturating_sub(used));
-        if take > SimDuration::ZERO {
-            out.push((name, take));
-            used += take;
-        }
+        out.push((phase, take));
+        used += take;
     }
-    let residue = pre_npu.saturating_sub(used);
-    if residue > SimDuration::ZERO {
-        out.push(("restore-pipeline", residue));
-    }
-    let prefill = service.saturating_sub(pre_npu);
-    if prefill > SimDuration::ZERO {
-        out.push(("prefill", prefill));
-    }
+    out.push((Phase::RestorePipeline, pre_npu.saturating_sub(used)));
+    out.push((Phase::Prefill, service.saturating_sub(pre_npu)));
+    out.retain(|&(_, d)| d > SimDuration::ZERO);
     out
 }
 
@@ -85,9 +81,9 @@ pub fn ttft_waterfall(report: &ServingReport) -> String {
     records.sort_by_key(|r| (r.arrival, r.request.id));
     for r in records {
         let segs = lifecycle_segments(r);
-        let get = |name: &str| {
+        let get = |phase: Phase| {
             segs.iter()
-                .find(|(n, _)| *n == name)
+                .find(|&&(p, _)| p == phase)
                 .map(|&(_, d)| d.as_millis_f64())
                 .unwrap_or(0.0)
         };
@@ -97,12 +93,12 @@ pub fn ttft_waterfall(report: &ServingReport) -> String {
             "{:>6} {:<14} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>10.3} {:>10.3}",
             r.request.id,
             r.request.model,
-            get("queued"),
-            get("framework-init"),
-            get("working-alloc"),
-            get("kv-unseal"),
-            get("restore-pipeline"),
-            get("prefill"),
+            get(Phase::Queued),
+            get(Phase::FrameworkInit),
+            get(Phase::WorkingAlloc),
+            get(Phase::KvUnseal),
+            get(Phase::RestorePipeline),
+            get(Phase::Prefill),
             sum,
             r.ttft_e2e().as_millis_f64(),
         );

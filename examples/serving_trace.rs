@@ -5,9 +5,10 @@
 //! The trace opens directly in Perfetto (https://ui.perfetto.dev) or
 //! `chrome://tracing`: one track per request showing the lifecycle tiling
 //! (queued → framework-init → working-alloc → kv-unseal →
-//! restore-pipeline → prefill → decode), one track per device lane
+//! restore-pipeline → prefill → decode), and one track per device lane
 //! (npu, flash, cpu) showing batched steps, restore-aheads and occupancy
-//! levels, plus counter tracks for queue depth and lane utilisation.
+//! levels.  The numbers (queue depth, step times, lane busy time) live in
+//! the report's stats and in `ServingConfig::metrics`, not in the trace.
 //!
 //! Run with: `cargo run --release --example serving_trace [-- <out.json>]`
 
@@ -45,13 +46,11 @@ fn main() {
 
     let telemetry = report.telemetry.as_ref().expect("telemetry was enabled");
     println!(
-        "recorded {} spans across {} requests; batch.step_ms {}",
+        "recorded {} spans across {} requests; {} batched steps, longest {:.2} ms",
         telemetry.spans().len(),
         report.records.len(),
-        telemetry
-            .histogram_stats("batch.step_ms")
-            .map(|(n, mean, max)| format!("n={n} mean={mean:.2} max={max:.2}"))
-            .unwrap_or_else(|| "(not observed)".into()),
+        report.fleet.batch_steps,
+        report.fleet.max_batch_step_ms,
     );
 
     let json = telemetry.chrome_trace_json();

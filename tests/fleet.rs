@@ -225,3 +225,27 @@ fn metrics_on_fleet_is_thread_invariant_and_digest_covered() {
         "the canonical digest must cover the windowed metric series"
     );
 }
+
+/// A shard that panics names itself on the caller's thread: its index,
+/// SoC, `shard_seed` and the original message.  Shards 1 and 2 of the
+/// default mix are rk3576 and both fail; whichever worker meets its
+/// failure first, the lowest failing shard is the one reported.
+#[test]
+#[should_panic(expected = "fleet shard 1 (soc rk3576, shard_seed")]
+fn a_failing_shard_names_its_index_soc_and_seed() {
+    let workload = WorkloadSpec::standard_multi(
+        ArrivalProcess::Poisson { rate_per_sec: 0.2 },
+        12,
+        &["tinyllama-1.1b"],
+    );
+    let _ = run_fleet(
+        &workload,
+        &catalogue(),
+        7,
+        &FleetConfig::heterogeneous(3, 2),
+        |profile| {
+            assert_ne!(profile.soc, "rk3576", "no rk3576 config in this test");
+            paper_config(profile)
+        },
+    );
+}

@@ -134,9 +134,10 @@ fn restore_ahead_never_worsens_any_ttft_on_the_same_trace() {
 /// *truncated* interval, not the reserved one.  The proof is exact: each
 /// lane's busy integral (`in_use × dt`), accumulated incrementally at
 /// every acquire/release, must equal the integral recomputed from the
-/// telemetry occupancy spans, which derive from the reservation journal's
-/// actual release instants.  A restore credited to its reserved end would
-/// leave the two disagreeing by the cancelled tail.
+/// telemetry occupancy spans and the sum of the windowed `lane_inuse_ns`
+/// counters, both fed by one walk of the reservation journal's actual
+/// release instants.  A restore credited to its reserved end would leave
+/// them disagreeing by the cancelled tail.
 #[test]
 fn interrupted_restore_ahead_truncates_ledger_busy_time() {
     let workload = cold_heavy(0.08, 60);
@@ -144,18 +145,34 @@ fn interrupted_restore_ahead_truncates_ledger_busy_time() {
     config.retention = RetentionPolicy::ReleaseAll;
     config.restore_ahead = true;
     config.telemetry = true;
+    config.metrics = Some(SimDuration::from_secs(60));
     let report = Server::run_workload(config, catalogue(), &workload, 11);
     let telemetry = report.telemetry.as_ref().expect("telemetry was enabled");
+    let metrics = report.metrics.as_ref().expect("metrics were enabled");
+    // Cancelled restores are visible as such on the lane tracks, each closed
+    // at its interruption instant (end == the moment the lanes were handed
+    // to the dispatch, which the occupancy cross-check below pins).
+    let restore_aheads = |interrupted: bool| {
+        telemetry
+            .spans()
+            .iter()
+            .filter(|s| {
+                s.phase == Phase::RestoreAhead
+                    && telemetry.resolve(s.label).ends_with("(interrupted)") == interrupted
+            })
+            .count()
+    };
     assert!(
-        telemetry.counter("restore_ahead.interrupted") > 0,
+        restore_aheads(true) > 0,
         "the trace must cancel at least one in-flight restore"
     );
     assert!(
-        telemetry.counter("restore_ahead.completed") > 0,
+        restore_aheads(false) > 0,
         "and still let some restores run to completion"
     );
 
     for lane in &report.resources {
+        let busy = lane.busy_unit_time.as_nanos() as u128;
         let mut from_spans: u128 = 0; // nanoseconds × units
         for s in telemetry.spans() {
             if s.phase != Phase::Occupancy {
@@ -172,29 +189,29 @@ fn interrupted_restore_ahead_truncates_ledger_busy_time() {
             from_spans += level * s.duration().as_nanos() as u128;
         }
         assert_eq!(
-            from_spans,
-            lane.busy_unit_time.as_nanos() as u128,
+            from_spans, busy,
             "lane {}: the busy integral must match the journal-derived \
              occupancy spans exactly — a cancelled restore contributes its \
              truncated interval, not the reserved one",
             lane.name
         );
+        // The same journal walk feeds the windowed metrics: the lane's
+        // per-window busy integrals sum to the same total.
+        let from_windows: u128 = metrics
+            .counter_classes("lane_inuse_ns")
+            .into_iter()
+            .filter(|&class| class == lane.name)
+            .flat_map(|class| metrics.counter_series("lane_inuse_ns", class))
+            .flat_map(|series| series.values())
+            .map(|&ns| ns as u128)
+            .sum();
+        assert_eq!(
+            from_windows, busy,
+            "lane {}: the per-window lane_inuse_ns integrals must sum to the \
+             ledger's busy integral exactly",
+            lane.name
+        );
     }
-
-    // The cancelled restores are visible as such on the lane tracks, each
-    // closed at its interruption instant (end == the moment the lanes were
-    // handed to the dispatch, which the occupancy cross-check above pins).
-    let interrupted = telemetry
-        .spans()
-        .iter()
-        .filter(|s| {
-            s.phase == Phase::RestoreAhead && telemetry.resolve(s.label).contains("(interrupted)")
-        })
-        .count();
-    assert_eq!(
-        interrupted as u64,
-        telemetry.counter("restore_ahead.interrupted")
-    );
 }
 
 /// The acceptance comparison: at a fixed sub-saturation arrival rate on

@@ -4,7 +4,7 @@
 //! restores now pay a dequant pass, the dequant cost is really charged (and
 //! really hidden behind the NPU window), the F16 default is bit-for-bit the
 //! unquantized behaviour, and the new introspection (chain-store stats,
-//! hit-depth distribution) surfaces through `FleetStats`.
+//! hit-depth distribution) surfaces through `ServingStats`.
 
 use sim_core::SimDuration;
 use tz_hal::PlatformProfile;
