@@ -86,10 +86,10 @@ fn speculation_off_reproduces_the_committed_batched_baseline() {
     assert_eq!(batched.fleet.spec_proposed_tokens, 0);
 
     // And the escape hatch really is that step loop: the speculation knobs
-    // populated but the master switch off is bit-for-bit the same run.
+    // populated but the depth cap at zero is bit-for-bit the same run.
     let mut off = ServingConfig::paper_default(profile);
     off.speculation = SpeculationConfig {
-        enabled: false,
+        k: 0,
         ..SpeculationConfig::paper_default()
     };
     let off_run = cold_heavy(off, 0.06);

@@ -15,9 +15,8 @@
 //! * [`quant`] — [`SpillFormat`] (F16 / Int8 / Int4), the packed layout,
 //!   [`quantize`] / [`dequantize`], exact [`SpillFormat::sealed_len`]
 //!   arithmetic shared by the byte-exact and accounting halves of the KV
-//!   manager, and the modelled quality knob
-//!   ([`SpillFormat::modelled_rms_noise`] /
-//!   [`SpillFormat::for_noise_budget`]).
+//!   manager, and each format's modelled quantization noise
+//!   ([`SpillFormat::modelled_rms_noise`]).
 //!
 //! The crate is deliberately dependency-free and deterministic: the
 //! byte-exact sealing path (`tee-kernel`) and the serving-layer accounting

@@ -150,26 +150,11 @@ impl SpillFormat {
 
     /// Modelled quantization noise as a fraction of the block's full scale:
     /// the RMS of a uniform rounding error of one step, `1 / (levels · √12)`.
-    /// This is the quality knob's currency — a serving policy picks the
-    /// densest format whose modelled noise fits its budget rather than
-    /// reasoning about formats directly.
     pub fn modelled_rms_noise(self) -> f64 {
         match self.levels() {
             None => 0.0,
             Some(levels) => 1.0 / (levels as f64 * 12f64.sqrt()),
         }
-    }
-
-    /// The densest format whose modelled RMS noise stays within
-    /// `noise_budget` (fraction of full scale).  `0.0` always picks
-    /// [`SpillFormat::F16`]; `≥ 0.042` admits INT4.
-    pub fn for_noise_budget(noise_budget: f64) -> SpillFormat {
-        Self::ALL
-            .iter()
-            .rev()
-            .copied()
-            .find(|f| f.modelled_rms_noise() <= noise_budget)
-            .unwrap_or(SpillFormat::F16)
     }
 }
 
@@ -419,9 +404,6 @@ mod tests {
 
     #[test]
     fn quality_knob_picks_the_densest_admissible_format() {
-        assert_eq!(SpillFormat::for_noise_budget(0.0), SpillFormat::F16);
-        assert_eq!(SpillFormat::for_noise_budget(0.003), SpillFormat::Int8);
-        assert_eq!(SpillFormat::for_noise_budget(0.05), SpillFormat::Int4);
         assert!(SpillFormat::Int4.modelled_rms_noise() > SpillFormat::Int8.modelled_rms_noise());
         assert_eq!(SpillFormat::F16.modelled_rms_noise(), 0.0);
     }

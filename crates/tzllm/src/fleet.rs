@@ -85,13 +85,13 @@ impl FleetConfig {
     }
 }
 
-/// The mergeable statistics of one device shard: every deterministic counter
-/// the serving layer's [`ServingStats`](crate::serving::ServingStats)
-/// carries (KV, batching, speculation), the two raw sorted TTFT sample
-/// vectors the exact fleet percentiles read, and the shard's windowed
-/// metric series.  Derived ratios and means are deliberately absent: they
-/// are recomputed from these exact quantities at fleet level, because
-/// merged ratios of ratios are neither associative nor meaningful.
+/// The mergeable statistics of one device shard — only what the fleet
+/// reads: the completion, rejection and horizon counts its throughput and
+/// admission figures fold, the two raw sorted TTFT sample vectors the exact
+/// fleet percentiles read, and the shard's windowed metric series.  Derived
+/// ratios and means are deliberately absent: they are recomputed from these
+/// exact quantities at fleet level, because merged ratios of ratios are
+/// neither associative nor meaningful.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardStats {
     /// Shard index within the fleet.
@@ -104,44 +104,6 @@ pub struct ShardStats {
     pub rejected: u64,
     /// Completion time of the shard's last request, nanoseconds.
     pub horizon_ns: u64,
-    /// Dispatches that found a completely cold cache.
-    pub cold_starts: u64,
-    /// Parameter bytes restored ahead of dispatch.
-    pub restore_ahead_bytes: u64,
-    /// Restoration-plan cache hits.
-    pub plan_cache_hits: u64,
-    /// Restoration-plan cache misses.
-    pub plan_cache_misses: u64,
-    /// NPU steps the shard's step loop executed.
-    pub batch_steps: u64,
-    /// Starvation guard maximum across the shard's steps.
-    pub batch_max_steps_behind: u64,
-    /// Batched steps that ran a speculative draft + verify pass.
-    pub spec_steps: u64,
-    /// Draft tokens proposed.
-    pub spec_proposed_tokens: u64,
-    /// Draft tokens accepted by the verify pass.
-    pub spec_accepted_tokens: u64,
-    /// Draft tokens rejected and rewound.
-    pub spec_rejected_tokens: u64,
-    /// Prompt tokens served from retained KV state.
-    pub kv_reused_tokens: u64,
-    /// Plain (f16) KV bytes sealed and spilled.
-    pub kv_spilled_bytes: u64,
-    /// Compressed bytes those seals actually wrote.
-    pub kv_spilled_compressed_bytes: u64,
-    /// Sealed bytes unsealed at dispatch time.
-    pub kv_unsealed_bytes: u64,
-    /// Sealed bytes unsealed ahead of dispatch.
-    pub kv_restore_ahead_bytes: u64,
-    /// f16 bytes reconstructed by dequantization.
-    pub kv_dequant_bytes: u64,
-    /// Retained KV bytes dropped.
-    pub kv_dropped_bytes: u64,
-    /// Prompt tokens served from other sessions' shared pages.
-    pub kv_shared_tokens: u64,
-    /// Peak secure bytes saved by content-addressed dedup.
-    pub kv_deduped_bytes: u64,
     /// End-to-end TTFT samples, milliseconds, sorted ascending.
     pub ttft_ms: Vec<f64>,
     /// Follow-up-turn TTFT samples (requests with a shared prefix), ms,
@@ -165,32 +127,12 @@ impl ShardStats {
             v.sort_by(|a, b| a.partial_cmp(b).expect("latencies are never NaN"));
             v
         };
-        let fleet = &report.fleet;
         ShardStats {
             shard,
             soc: soc.to_string(),
             completed: report.records.len() as u64,
             rejected: report.rejected.len() as u64,
-            horizon_ns: fleet.horizon.as_nanos(),
-            cold_starts: fleet.cold_starts as u64,
-            restore_ahead_bytes: fleet.restore_ahead_bytes,
-            plan_cache_hits: fleet.plan_cache_hits,
-            plan_cache_misses: fleet.plan_cache_misses,
-            batch_steps: fleet.batch_steps,
-            batch_max_steps_behind: fleet.batch_max_steps_behind,
-            spec_steps: fleet.spec_steps,
-            spec_proposed_tokens: fleet.spec_proposed_tokens,
-            spec_accepted_tokens: fleet.spec_accepted_tokens,
-            spec_rejected_tokens: fleet.spec_rejected_tokens,
-            kv_reused_tokens: fleet.kv_reused_tokens,
-            kv_spilled_bytes: fleet.kv_spilled_bytes,
-            kv_spilled_compressed_bytes: fleet.kv_spilled_compressed_bytes,
-            kv_unsealed_bytes: fleet.kv_unsealed_bytes,
-            kv_restore_ahead_bytes: fleet.kv_restore_ahead_bytes,
-            kv_dequant_bytes: fleet.kv_dequant_bytes,
-            kv_dropped_bytes: fleet.kv_dropped_bytes,
-            kv_shared_tokens: fleet.kv_shared_tokens,
-            kv_deduped_bytes: fleet.kv_deduped_bytes,
+            horizon_ns: report.fleet.horizon.as_nanos(),
             ttft_ms: sorted(
                 report
                     .records
@@ -217,30 +159,7 @@ impl ShardStats {
         hasher.update(&self.shard.to_le_bytes());
         hasher.update(&(self.soc.len() as u64).to_le_bytes());
         hasher.update(self.soc.as_bytes());
-        for counter in [
-            self.completed,
-            self.rejected,
-            self.horizon_ns,
-            self.cold_starts,
-            self.restore_ahead_bytes,
-            self.plan_cache_hits,
-            self.plan_cache_misses,
-            self.batch_steps,
-            self.batch_max_steps_behind,
-            self.spec_steps,
-            self.spec_proposed_tokens,
-            self.spec_accepted_tokens,
-            self.spec_rejected_tokens,
-            self.kv_reused_tokens,
-            self.kv_spilled_bytes,
-            self.kv_spilled_compressed_bytes,
-            self.kv_unsealed_bytes,
-            self.kv_restore_ahead_bytes,
-            self.kv_dequant_bytes,
-            self.kv_dropped_bytes,
-            self.kv_shared_tokens,
-            self.kv_deduped_bytes,
-        ] {
+        for counter in [self.completed, self.rejected, self.horizon_ns] {
             hasher.update(&counter.to_le_bytes());
         }
         for samples in [&self.ttft_ms, &self.followup_ttft_ms] {
@@ -354,11 +273,6 @@ impl FleetStats {
                 }
             })
             .sum()
-    }
-
-    /// Sums one counter across shards in shard-index order.
-    pub fn counter(&self, f: impl Fn(&ShardStats) -> u64) -> u64 {
-        self.shards.values().map(f).sum()
     }
 
     /// Exact fleet-wide end-to-end TTFT percentiles (multiset union of the

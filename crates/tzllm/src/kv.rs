@@ -14,34 +14,46 @@
 //! * A session's retained state is `[shared pages][private tail]`: whole
 //!   pages live in the per-model content-addressed store with a reference
 //!   count, the trailing partial page is private to the session.
-//! * Reuse walks the prompt's page-hash chain through the store: the longest
-//!   chain prefix present is served without prefilling — including on the
-//!   **cold first turn** of a brand-new session, where every hit comes from
-//!   pages other sessions produced.
+//! * **One claim rule** decides what a prompt ([`KvQuery`]) gets: the
+//!   leading run of its page-hash chain present in the store — whoever put
+//!   it there, so a **cold first turn** hits pages other sessions produced
+//!   — up to the reuse cap, plus the session's own private tail when that
+//!   run ends exactly at the session's own pages, within the declared
+//!   overlap.  [`KvPool::reuse_plan`] takes the claim,
+//!   [`KvPool::sealed_bytes_for`] sizes its sealed parts and
+//!   [`KvPool::prewarm`] unseals them ahead of dispatch, all from the same
+//!   read-only walk, so restore-ahead prefetches exactly what the dispatch
+//!   then reads.
 //! * Copy-on-divergence is structural: the chain key of page `p` commits to
 //!   all tokens of pages `0..=p`, so the first diverging token changes every
 //!   subsequent key and the diverging session simply references new private
 //!   pages.  One session can never observe another's private suffix — a
 //!   suffix page is only reachable through a chain that reproduces its exact
 //!   content.
-//! * Under secure-memory pressure cold pages are *spilled*: optionally
-//!   block-quantized to INT8/INT4 ([`KvConfig::spill_format`]), then sealed
-//!   with AES-CTR and HMAC (see [`tee_kernel::kv_pool`] for the byte-exact
-//!   path) and moved to normal-world CMA memory.  The pool accounts
-//!   **resident f16 bytes** and **spilled compressed bytes** separately: a
-//!   fixed [`KvConfig::spill_budget`] holds ~1.94× the pages at INT8 and
-//!   ~3.77× at INT4, and restoring a quantized page pays a dequantization
-//!   pass ([`KvReuse::dequant_bytes`]) on top of the MAC + decrypt — the
-//!   serving layer charges both to the decrypt lane, where they hide behind
-//!   the prefill's NPU window.  Sealing a shared page seals **one copy**,
-//!   not one per referencing session, and unsealing it once serves them all.
+//! * Under secure-memory pressure cold pages are always *spilled*:
+//!   optionally block-quantized to INT8/INT4 ([`KvConfig::spill_format`]),
+//!   then sealed with AES-CTR and HMAC (see [`tee_kernel::kv_pool`] for the
+//!   byte-exact path) and moved to normal-world CMA memory.  The pool
+//!   accounts **resident f16 bytes** and **spilled compressed bytes**
+//!   separately: a fixed [`KvConfig::spill_budget`] holds ~1.94× the pages
+//!   at INT8 and ~3.77× at INT4, and restoring a quantized page pays a
+//!   dequantization pass ([`KvReuse::dequant_bytes`]) on top of the MAC +
+//!   decrypt — the serving layer charges both to the decrypt lane, where
+//!   they hide behind the prefill's NPU window.  Sealing a shared page seals
+//!   **one copy**, not one per referencing session, and unsealing it once
+//!   serves them all.
 //! * A page is dropped outright only when nothing references it (the last
-//!   referencing session released it, or spill is disabled and the budget
-//!   forces a truncation, which releases the references first).
+//!   referencing session released it, or the spill budget forces a
+//!   truncation, which releases the references first).
 //! * With [`KvConfig::popularity_retention`] on, spill/eviction victims are
 //!   weighted by reference count before recency: a system-prompt page twenty
 //!   sessions reference outlives a refs-1 private suffix under pressure,
 //!   because it is worth twenty sessions' prefill per secure byte.
+//! * **One byte ledger.** Pages and private tails are both *parts*, held
+//!   resident or sealed, and the pool's residency counters ([`KvBalance`])
+//!   change only when a part is admitted, sealed, unsealed or released.
+//!   [`KvPool::recount`] recomputes them from the parts themselves, so the
+//!   byte balance is checked rather than assumed.
 //!
 //! With [`KvConfig::shared`] off, page keys are salted per session and the
 //! pool degenerates to the previous per-session retention semantics.  With
@@ -71,9 +83,6 @@ pub struct KvConfig {
     /// budget only ever uses memory the parameter policy did not claim, so
     /// enabling KV reuse never shrinks the parameter cache.
     pub budget_fraction: f64,
-    /// Whether cold pages are sealed and spilled to normal-world CMA memory
-    /// (`false` drops them immediately — spill-free ablation).
-    pub spill: bool,
     /// Maximum sealed bytes resident in normal-world CMA memory, counted in
     /// *compressed* (post-quantization) bytes — what the CMA actually holds.
     pub spill_budget: u64,
@@ -101,7 +110,6 @@ impl KvConfig {
             shared: true,
             page_bytes: 2 * sim_core::MIB,
             budget_fraction: 0.5,
-            spill: true,
             spill_budget: sim_core::GIB,
             max_sessions: 64,
             spill_format: SpillFormat::F16,
@@ -129,14 +137,29 @@ impl KvConfig {
             ..Self::chat_default()
         }
     }
+}
 
-    /// Picks the densest spill format whose modelled quantization noise
-    /// (fraction of block full scale, RMS) fits `noise_budget` — the quality
-    /// knob: `0.0` keeps f16, `0.003` admits INT8, `0.05` admits INT4.
-    pub fn with_noise_budget(mut self, noise_budget: f64) -> Self {
-        self.spill_format = SpillFormat::for_noise_budget(noise_budget);
-        self
-    }
+/// One prompt's question to the pool — which retained state would its
+/// dispatch claim?  The same query drives [`KvPool::reuse_plan`],
+/// [`KvPool::sealed_bytes_for`] and [`KvPool::prewarm`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct KvQuery {
+    /// The requesting session.
+    pub session: u64,
+    /// Interned model identity.
+    pub model: u32,
+    /// The chain over the prompt's whole pages
+    /// ([`llm::PromptContent::page_keys`] at this pool's page size for the
+    /// model).
+    pub page_hashes: Vec<u64>,
+    /// KV bytes per token of the model.
+    pub bytes_per_token: u64,
+    /// Declared overlap with the session's *own* previous context: the
+    /// private tail carries no verifying hash, so it is reused only up to
+    /// here.
+    pub shared_prefix: usize,
+    /// Reuse cap, so at least one prompt token is always prefilled.
+    pub max_reuse: usize,
 }
 
 /// What a dispatch gets out of the pool for one request.
@@ -186,6 +209,44 @@ pub struct KvStats {
     pub peak_sealed_pages: u64,
     /// Peak compressed bytes simultaneously held in the spill region.
     pub peak_sealed_bytes: u64,
+}
+
+/// The pool's residency counters: what the secure region and the spill
+/// region hold right now.  A *part* is one store page or one session's
+/// private tail; the counters change only when a part is admitted, sealed,
+/// unsealed or released.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct KvBalance {
+    /// Plain bytes resident in the secure region (shared pages once).
+    pub resident_bytes: u64,
+    /// Compressed bytes in the spill region — the CMA footprint the spill
+    /// budget bounds.
+    pub sealed_bytes: u64,
+    /// Parts (pages and tails) in the spill region.
+    pub sealed_pages: u64,
+}
+
+impl KvBalance {
+    /// Books a part of `plain` bytes: resident, or sealed at `format`'s
+    /// compressed size.
+    fn admit(&mut self, format: SpillFormat, plain: u64, sealed: bool) {
+        if sealed {
+            self.sealed_bytes += comp_len(format, plain);
+            self.sealed_pages += 1;
+        } else {
+            self.resident_bytes += plain;
+        }
+    }
+
+    /// Un-books a part booked by [`KvBalance::admit`].
+    fn release(&mut self, format: SpillFormat, plain: u64, sealed: bool) {
+        if sealed {
+            self.sealed_bytes -= comp_len(format, plain);
+            self.sealed_pages -= 1;
+        } else {
+            self.resident_bytes -= plain;
+        }
+    }
 }
 
 /// Per-model introspection of the content-addressed chain store: where the
@@ -253,24 +314,46 @@ struct SessionKv {
     last_use: SimTime,
 }
 
+/// One ledger part: a store page, or a session's private tail.
+#[derive(Clone, Copy)]
+enum Part {
+    Page(PageKey),
+    Tail(u64),
+}
+
+/// What a [`KvQuery`] claims, computed read-only by [`KvPool::claim`].
+#[derive(Clone, Copy)]
+struct Claim {
+    /// The session's retained state diverges from the prompt (or belongs to
+    /// another model); the dispatch drops it.
+    stale: bool,
+    /// Whole pages the session itself retains (zero when stale).
+    own_pages: usize,
+    /// Leading prompt pages claimed from the store.
+    pages: usize,
+    /// Private-tail tokens the dispatch keeps: those within the declared
+    /// overlap when the claimed run ends exactly at the session's own
+    /// pages, none when the run goes past them (the pages subsume the
+    /// tail), all when the cap stops the run short of them.
+    tail_keep: usize,
+    /// Of those, tail tokens reused; the tail is part of the claim exactly
+    /// when this is non-zero.
+    tail_reuse: usize,
+}
+
 /// The per-server KV retention pool: pure accounting (tokens, bytes; time is
 /// charged by the serving layer), deterministic by construction.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct KvPool {
     page_bytes: u64,
     shared: bool,
-    spill: bool,
     spill_budget: u64,
     max_sessions: usize,
     format: SpillFormat,
     popularity: bool,
     pages: BTreeMap<PageKey, PageEntry>,
     sessions: BTreeMap<u64, SessionKv>,
-    resident_bytes: u64,
-    /// Compressed bytes in the spill region (the CMA footprint).
-    sealed_bytes: u64,
-    /// Sealed pages/tails currently in the spill region.
-    sealed_pages: u64,
+    balance: KvBalance,
     /// Live `Σ (refs − 1) × bytes` over all pages.
     deduped_bytes: u64,
     /// `reuse_plan` calls by whole pages matched (the hit-depth
@@ -279,8 +362,7 @@ pub struct KvPool {
     stats: KvStats,
 }
 
-/// Compressed footprint of `plain` f16 bytes under `format` — shared by the
-/// free-standing accounting sites that already hold field borrows.
+/// Compressed footprint of `plain` f16 bytes under `format`.
 fn comp_len(format: SpillFormat, plain: u64) -> u64 {
     format.sealed_len(plain as usize) as u64
 }
@@ -291,16 +373,13 @@ impl KvPool {
         KvPool {
             page_bytes: config.page_bytes.max(1),
             shared: config.shared,
-            spill: config.spill,
             spill_budget: config.spill_budget,
             max_sessions: config.max_sessions.max(1),
             format: config.spill_format,
             popularity: config.popularity_retention,
             pages: BTreeMap::new(),
             sessions: BTreeMap::new(),
-            resident_bytes: 0,
-            sealed_bytes: 0,
-            sealed_pages: 0,
+            balance: KvBalance::default(),
             deduped_bytes: 0,
             hit_depth: BTreeMap::new(),
             stats: KvStats::default(),
@@ -310,18 +389,39 @@ impl KvPool {
     /// Bytes of KV currently resident in the secure region (shared pages
     /// counted once).
     pub fn resident_bytes(&self) -> u64 {
-        self.resident_bytes
+        self.balance.resident_bytes
     }
 
     /// Compressed bytes currently sealed in normal-world memory — the CMA
     /// footprint the spill budget bounds.
     pub fn sealed_bytes(&self) -> u64 {
-        self.sealed_bytes
+        self.balance.sealed_bytes
     }
 
     /// Sealed pages/tails currently in the spill region.
     pub fn sealed_pages(&self) -> u64 {
-        self.sealed_pages
+        self.balance.sealed_pages
+    }
+
+    /// The running residency counters.
+    pub fn balance(&self) -> KvBalance {
+        self.balance
+    }
+
+    /// The residency counters recomputed from the pages and private tails
+    /// themselves: an audit compares this with [`KvPool::balance`].
+    pub fn recount(&self) -> KvBalance {
+        let pages = self.pages.values().map(|e| (e.bytes, e.sealed));
+        let tails = self
+            .sessions
+            .values()
+            .filter(|kv| kv.tail_tokens > 0)
+            .map(|kv| (kv.tail_tokens as u64 * kv.bytes_per_token, kv.tail_sealed));
+        let mut balance = KvBalance::default();
+        for (plain, sealed) in pages.chain(tails) {
+            balance.admit(self.format, plain, sealed);
+        }
+        balance
     }
 
     /// The spill encoding this pool seals evicted pages with.
@@ -417,6 +517,23 @@ impl KvPool {
         self.stats.peak_deduped_bytes = self.stats.peak_deduped_bytes.max(self.deduped_bytes);
     }
 
+    /// Moves a resident part of `plain` bytes into the spill region.
+    fn seal(&mut self, plain: u64) {
+        self.balance.release(self.format, plain, false);
+        self.balance.admit(self.format, plain, true);
+        self.stats.spilled_bytes += plain;
+        self.stats.spilled_compressed_bytes += comp_len(self.format, plain);
+    }
+
+    /// Moves a sealed part of `plain` bytes back into the secure region.
+    fn unseal(&mut self, plain: u64) {
+        self.balance.release(self.format, plain, true);
+        self.balance.admit(self.format, plain, false);
+        if self.format.is_quantized() {
+            self.stats.dequant_bytes += plain;
+        }
+    }
+
     /// Creates (resident) or references an existing store page.
     fn ref_page(&mut self, key: PageKey, bytes: u64, depth: u32, now: SimTime) {
         match self.pages.get_mut(&key) {
@@ -441,7 +558,7 @@ impl KvPool {
                         last_use: now,
                     },
                 );
-                self.resident_bytes += bytes;
+                self.balance.admit(self.format, bytes, false);
             }
         }
         self.note_dedup();
@@ -471,43 +588,44 @@ impl KvPool {
             return;
         };
         debug_assert_eq!(entry.refs, 0, "only unreferenced pages are removed");
-        if entry.sealed {
-            self.sealed_bytes -= comp_len(self.format, entry.bytes);
-            self.sealed_pages -= 1;
-        } else {
-            self.resident_bytes -= entry.bytes;
-        }
+        self.balance.release(self.format, entry.bytes, entry.sealed);
         self.stats.dropped_bytes += entry.bytes;
+    }
+
+    /// Cuts `session`'s private tail to its first `keep` tokens (a sealed
+    /// tail stays sealed), counting the cut tokens as dropped.
+    fn cut_tail(&mut self, session: u64, keep: usize) {
+        let Some(kv) = self.sessions.get_mut(&session) else {
+            return;
+        };
+        if keep >= kv.tail_tokens {
+            return;
+        }
+        let (bpt, old, sealed) = (kv.bytes_per_token, kv.tail_tokens, kv.tail_sealed);
+        kv.tail_tokens = keep;
+        kv.tail_sealed = sealed && keep > 0;
+        self.balance.release(self.format, old as u64 * bpt, sealed);
+        if keep > 0 {
+            self.balance.admit(self.format, keep as u64 * bpt, sealed);
+        }
+        self.stats.dropped_bytes += (old - keep) as u64 * bpt;
     }
 
     /// Truncates `session`'s retained pages at chain position `pos`
     /// (dereferencing every deeper page) and drops its tail.
     fn truncate_session(&mut self, session: u64, pos: usize) {
+        self.cut_tail(session, 0);
         let Some(kv) = self.sessions.get_mut(&session) else {
             return;
         };
         let model = kv.model;
         let removed: Vec<u64> = kv.page_hashes.split_off(pos);
-        let tail_bytes = kv.tail_tokens as u64 * kv.bytes_per_token;
-        let tail_sealed = kv.tail_sealed;
-        kv.tail_tokens = 0;
-        kv.tail_sealed = false;
-        let empty = kv.page_hashes.is_empty();
-        if tail_bytes > 0 {
-            if tail_sealed {
-                self.sealed_bytes -= comp_len(self.format, tail_bytes);
-                self.sealed_pages -= 1;
-            } else {
-                self.resident_bytes -= tail_bytes;
-            }
-            self.stats.dropped_bytes += tail_bytes;
+        if kv.page_hashes.is_empty() {
+            self.sessions.remove(&session);
         }
         for hash in removed {
             let key = self.key(session, model, hash);
             self.deref_page(key);
-        }
-        if empty {
-            self.sessions.remove(&session);
         }
     }
 
@@ -516,188 +634,163 @@ impl KvPool {
         self.truncate_session(session, 0);
     }
 
-    /// Claims the reusable prefix for a dispatch of `session` on `model`.
-    ///
-    /// `page_hashes` is the chain over the *prompt's* whole pages
-    /// ([`llm::PromptContent::page_keys`] at this pool's page size for the
-    /// model); the longest leading run present in the store — whoever put it
-    /// there — is served from retained state, and the session's own private
-    /// tail extends the run when it continues it exactly.  `shared_prefix`
-    /// is the declared overlap with the session's *own* previous context
-    /// (the tail carries no verifying hash, so it reuses only up to the
-    /// declaration); `max_reuse` caps reuse so at least one prompt token is
-    /// always prefilled.  Retained state that diverges from the prompt is
-    /// dropped.  Sealed parts of the claimed prefix are unsealed — the
-    /// serving layer charges the decrypt-lane time for them.
-    #[allow(clippy::too_many_arguments)]
-    pub fn reuse_plan(
-        &mut self,
-        session: u64,
-        model: u32,
-        page_hashes: &[u64],
-        bytes_per_token: u64,
-        shared_prefix: usize,
-        max_reuse: usize,
-        now: SimTime,
-    ) -> KvReuse {
-        let bytes_per_token = bytes_per_token.max(1);
+    /// The one claim rule: what a dispatch of `q` would take, computed
+    /// without changing the pool.  The claim is the longest leading run of
+    /// the prompt's chain present in the store, up to `max_reuse` whole
+    /// pages, plus the session's private tail when that run ends exactly
+    /// where the session's own pages do, up to the declared overlap and the
+    /// cap.  A session whose state no longer matches the prompt is stale:
+    /// the dispatch drops it first, and since a salted page dies with its
+    /// last reference, only shared pages outlive it.
+    fn claim(&self, q: &KvQuery) -> Claim {
+        let bytes_per_token = q.bytes_per_token.max(1);
         let pt = self.page_tokens(bytes_per_token);
-
-        // Divergence / model-switch: retained state that no longer matches
-        // the prompt's content chain is unusable — drop it.
-        let mut own_pages = 0usize;
-        if let Some(kv) = self.sessions.get(&session) {
-            let matches = kv.model == model
-                && kv.bytes_per_token == bytes_per_token
-                && kv.page_hashes.len() <= page_hashes.len()
-                && kv.page_hashes.iter().zip(page_hashes).all(|(a, b)| a == b);
-            if matches {
-                own_pages = kv.page_hashes.len();
-            } else {
-                self.drop_session(session);
+        let session = self.sessions.get(&q.session);
+        let stale = session.is_some_and(|kv| {
+            kv.model != q.model
+                || kv.bytes_per_token != bytes_per_token
+                || !q.page_hashes.starts_with(&kv.page_hashes)
+        });
+        let own = session.filter(|_| !stale);
+        let own_pages = own.map_or(0, |kv| kv.page_hashes.len());
+        let max_pages = if stale && !self.shared {
+            0
+        } else {
+            (q.max_reuse / pt).min(q.page_hashes.len())
+        };
+        let pages = q.page_hashes[..max_pages]
+            .iter()
+            .take_while(|&&hash| self.pages.contains_key(&self.key(q.session, q.model, hash)))
+            .count();
+        let (tail_keep, tail_reuse) = match own {
+            Some(kv) if pages == own_pages => {
+                let offset = own_pages * pt;
+                let keep = kv.tail_tokens.min(q.shared_prefix.saturating_sub(offset));
+                (keep, keep.min(q.max_reuse.saturating_sub(offset)))
             }
+            Some(kv) if pages < own_pages => (kv.tail_tokens, 0),
+            _ => (0, 0),
+        };
+        Claim {
+            stale,
+            own_pages,
+            pages,
+            tail_keep,
+            tail_reuse,
         }
+    }
 
-        // The longest leading chain run present in the store.
-        let max_pages = (max_reuse / pt).min(page_hashes.len());
-        let mut matched = 0usize;
-        while matched < max_pages {
-            let key = self.key(session, model, page_hashes[matched]);
-            if self.pages.contains_key(&key) {
-                matched += 1;
-            } else {
+    /// The claim's sealed parts in unseal order — leading pages first, then
+    /// the private tail — with their plain bytes.
+    fn sealed_parts<'a>(
+        &'a self,
+        q: &'a KvQuery,
+        claim: Claim,
+    ) -> impl Iterator<Item = (Part, u64)> + 'a {
+        let pages = q.page_hashes[..claim.pages]
+            .iter()
+            .filter_map(move |&hash| {
+                let key = self.key(q.session, q.model, hash);
+                let entry = &self.pages[&key];
+                entry.sealed.then_some((Part::Page(key), entry.bytes))
+            });
+        let tail = self
+            .sessions
+            .get(&q.session)
+            .filter(|kv| claim.tail_reuse > 0 && kv.tail_sealed)
+            .map(|kv| {
+                let plain = claim.tail_keep as u64 * kv.bytes_per_token;
+                (Part::Tail(q.session), plain)
+            });
+        pages.chain(tail)
+    }
+
+    /// Unseals the claim's sealed parts in order while their compressed
+    /// bytes fit `budget`, stopping at the first that does not.  Returns the
+    /// compressed bytes unsealed and the f16 bytes they restore.
+    fn unseal_claim(&mut self, q: &KvQuery, claim: Claim, budget: u64, now: SimTime) -> (u64, u64) {
+        let (mut comp, mut plain) = (0u64, 0u64);
+        let parts: Vec<(Part, u64)> = self.sealed_parts(q, claim).collect();
+        for (part, bytes) in parts {
+            let part_comp = comp_len(self.format, bytes);
+            if comp + part_comp > budget {
                 break;
             }
-        }
-
-        // Unseal and touch the matched pages.  Unseal work is counted in
-        // compressed bytes (MAC + decrypt over what the spill actually
-        // holds); a quantized format additionally pays a dequant pass over
-        // the reconstructed f16 bytes.
-        let mut unseal_bytes = 0u64;
-        let mut dequant_bytes = 0u64;
-        let quantized = self.format.is_quantized();
-        for &hash in &page_hashes[..matched] {
-            let key = self.key(session, model, hash);
-            let entry = self.pages.get_mut(&key).expect("matched page exists");
-            if entry.sealed {
-                entry.sealed = false;
-                let comp = comp_len(self.format, entry.bytes);
-                self.sealed_bytes -= comp;
-                self.sealed_pages -= 1;
-                self.resident_bytes += entry.bytes;
-                unseal_bytes += comp;
-                self.stats.unsealed_bytes += comp;
-                if quantized {
-                    dequant_bytes += entry.bytes;
-                    self.stats.dequant_bytes += entry.bytes;
+            match part {
+                Part::Page(key) => {
+                    let entry = self.pages.get_mut(&key).expect("claimed pages exist");
+                    entry.sealed = false;
+                    entry.last_use = now;
                 }
-            }
-            entry.last_use = now;
-        }
-
-        // The private tail continues the run only when the store coverage
-        // ends exactly where the session's own pages do.
-        let mut tail_reuse = 0usize;
-        if matched == own_pages {
-            if let Some(kv) = self.sessions.get_mut(&session) {
-                let offset = own_pages * pt;
-                let valid = kv.tail_tokens.min(shared_prefix.saturating_sub(offset));
-                let diverged = kv.tail_tokens - valid;
-                if diverged > 0 {
-                    // Tail tokens past the declared overlap are stale.
-                    let db = diverged as u64 * kv.bytes_per_token;
-                    if kv.tail_sealed {
-                        let old_tb = kv.tail_tokens as u64 * kv.bytes_per_token;
-                        let new_tb = valid as u64 * kv.bytes_per_token;
-                        self.sealed_bytes -=
-                            comp_len(self.format, old_tb) - comp_len(self.format, new_tb);
-                        if valid == 0 {
-                            kv.tail_sealed = false;
-                            self.sealed_pages -= 1;
-                        }
-                    } else {
-                        self.resident_bytes -= db;
-                    }
-                    self.stats.dropped_bytes += db;
-                    kv.tail_tokens = valid;
-                }
-                tail_reuse = valid.min(max_reuse.saturating_sub(offset));
-                if tail_reuse > 0 && kv.tail_sealed {
-                    let tb = kv.tail_tokens as u64 * kv.bytes_per_token;
-                    let comp = comp_len(self.format, tb);
+                Part::Tail(session) => {
+                    // Tokens past the declared overlap are never unsealed.
+                    self.cut_tail(session, claim.tail_keep);
+                    let kv = self
+                        .sessions
+                        .get_mut(&session)
+                        .expect("claimed tail exists");
                     kv.tail_sealed = false;
-                    self.sealed_bytes -= comp;
-                    self.sealed_pages -= 1;
-                    self.resident_bytes += tb;
-                    unseal_bytes += comp;
-                    self.stats.unsealed_bytes += comp;
-                    if quantized {
-                        dequant_bytes += tb;
-                        self.stats.dequant_bytes += tb;
-                    }
                 }
             }
+            self.unseal(bytes);
+            comp += part_comp;
+            plain += bytes;
         }
+        (comp, plain)
+    }
 
+    /// Claims the reusable prefix for a dispatch of `q` under the one claim
+    /// rule (see the [module docs](self)): a session whose retained state
+    /// diverges from the prompt is dropped, the claimed pages and tail are
+    /// unsealed where sealed — the serving layer charges the decrypt-lane
+    /// time for them — and referenced, and tail tokens outside the claim
+    /// are dropped.
+    pub fn reuse_plan(&mut self, q: &KvQuery, now: SimTime) -> KvReuse {
+        let claim = self.claim(q);
+        let bytes_per_token = q.bytes_per_token.max(1);
+        let pt = self.page_tokens(bytes_per_token);
+        if claim.stale {
+            self.drop_session(q.session);
+        }
+        self.cut_tail(q.session, claim.tail_keep);
+        let (unseal_bytes, plain) = self.unseal_claim(q, claim, u64::MAX, now);
+        self.stats.unsealed_bytes += unseal_bytes;
         // The hit-depth distribution records every dispatch, misses included.
-        *self.hit_depth.entry(matched as u32).or_insert(0) += 1;
+        *self.hit_depth.entry(claim.pages as u32).or_insert(0) += 1;
 
-        if matched == 0 && tail_reuse == 0 {
-            if let Some(kv) = self.sessions.get_mut(&session) {
-                kv.last_use = now;
-            }
-            return KvReuse::default();
-        }
-
-        // Reference newly claimed shared pages and update the session state.
-        let shared_tokens = matched.saturating_sub(own_pages) * pt;
-        for (i, &hash) in page_hashes.iter().enumerate().take(matched).skip(own_pages) {
-            let key = self.key(session, model, hash);
-            self.ref_page(key, pt as u64 * bytes_per_token, i as u32, now);
-        }
-        if matched > own_pages {
-            match self.sessions.get_mut(&session) {
-                Some(kv) => {
-                    // The old tail (if any) is subsumed by the claimed pages.
-                    let tb = kv.tail_tokens as u64 * kv.bytes_per_token;
-                    if tb > 0 {
-                        if kv.tail_sealed {
-                            self.sealed_bytes -= comp_len(self.format, tb);
-                            self.sealed_pages -= 1;
-                        } else {
-                            self.resident_bytes -= tb;
-                        }
-                        self.stats.dropped_bytes += tb;
-                    }
-                    kv.page_hashes = page_hashes[..matched].to_vec();
-                    kv.tail_tokens = 0;
-                    kv.tail_sealed = false;
-                }
-                None => {
-                    self.sessions.insert(
-                        session,
-                        SessionKv {
-                            model,
-                            bytes_per_token,
-                            page_hashes: page_hashes[..matched].to_vec(),
-                            tail_tokens: 0,
-                            tail_sealed: false,
-                            last_use: now,
-                        },
-                    );
-                }
+        // Touch the session's own pages; reference the newly claimed ones.
+        for (i, &hash) in q.page_hashes[..claim.pages].iter().enumerate() {
+            let key = self.key(q.session, q.model, hash);
+            if i < claim.own_pages {
+                self.pages
+                    .get_mut(&key)
+                    .expect("claimed pages exist")
+                    .last_use = now;
+            } else {
+                self.ref_page(key, pt as u64 * bytes_per_token, i as u32, now);
             }
         }
-        if let Some(kv) = self.sessions.get_mut(&session) {
+        if claim.pages > claim.own_pages {
+            let kv = self.sessions.entry(q.session).or_insert_with(|| SessionKv {
+                model: q.model,
+                bytes_per_token,
+                page_hashes: Vec::new(),
+                tail_tokens: 0,
+                tail_sealed: false,
+                last_use: now,
+            });
+            kv.page_hashes = q.page_hashes[..claim.pages].to_vec();
+        }
+        if let Some(kv) = self.sessions.get_mut(&q.session) {
             kv.last_use = now;
         }
+        let shared_tokens = claim.pages.saturating_sub(claim.own_pages) * pt;
         self.stats.shared_tokens += shared_tokens as u64;
 
         KvReuse {
-            reused_tokens: matched * pt + tail_reuse,
+            reused_tokens: claim.pages * pt + claim.tail_reuse,
             unseal_bytes,
-            dequant_bytes,
+            dequant_bytes: if self.format.is_quantized() { plain } else { 0 },
             shared_tokens,
         }
     }
@@ -735,14 +828,9 @@ impl KvPool {
                     .count()
                     .min(full_pages);
             }
-            let tb = old.tail_tokens as u64 * old.bytes_per_token;
-            if old.tail_sealed {
-                self.sealed_bytes -= comp_len(self.format, tb);
-                if tb > 0 {
-                    self.sealed_pages -= 1;
-                }
-            } else {
-                self.resident_bytes -= tb;
+            if old.tail_tokens > 0 {
+                let plain = old.tail_tokens as u64 * old.bytes_per_token;
+                self.balance.release(self.format, plain, old.tail_sealed);
             }
         }
         // Reference the new pages first, then release the old ones, so a
@@ -763,7 +851,8 @@ impl KvPool {
                 self.deref_page(key);
             }
         }
-        self.resident_bytes += tail_tokens as u64 * bytes_per_token;
+        self.balance
+            .admit(self.format, tail_tokens as u64 * bytes_per_token, false);
         self.sessions.insert(
             session,
             SessionKv {
@@ -778,108 +867,27 @@ impl KvPool {
         self.note_dedup();
     }
 
-    /// Sealed *compressed* bytes a dispatch of this prompt would have to
-    /// unseal — what restore-ahead could unseal on idle lanes before the
-    /// queued request dispatches.
-    pub fn sealed_bytes_for(
-        &self,
-        session: u64,
-        model: u32,
-        page_hashes: &[u64],
-        bytes_per_token: u64,
-    ) -> u64 {
-        let mut total = 0u64;
-        let mut matched = 0usize;
-        while matched < page_hashes.len() {
-            let key = self.key(session, model, page_hashes[matched]);
-            match self.pages.get(&key) {
-                Some(entry) => {
-                    if entry.sealed {
-                        total += comp_len(self.format, entry.bytes);
-                    }
-                    matched += 1;
-                }
-                None => break,
-            }
-        }
-        if let Some(kv) = self.sessions.get(&session) {
-            if kv.model == model
-                && kv.bytes_per_token == bytes_per_token.max(1)
-                && kv.tail_sealed
-                && kv.page_hashes.len() <= matched
-                && kv.page_hashes.iter().zip(page_hashes).all(|(a, b)| a == b)
-            {
-                total += comp_len(self.format, kv.tail_tokens as u64 * kv.bytes_per_token);
-            }
-        }
-        total
+    /// Sealed *compressed* bytes a dispatch of `q` would unseal — what
+    /// restore-ahead could unseal on idle lanes before the queued request
+    /// dispatches.  Exactly [`KvReuse::unseal_bytes`] of a
+    /// [`KvPool::reuse_plan`] on the same pool.
+    pub fn sealed_bytes_for(&self, q: &KvQuery) -> u64 {
+        self.sealed_parts(q, self.claim(q))
+            .map(|(_, plain)| comp_len(self.format, plain))
+            .sum()
     }
 
     /// Unseals up to `budget_bytes` *compressed* bytes of the sealed state a
-    /// dispatch of this prompt would claim (restore-ahead on idle lanes),
-    /// leading pages first, returning the compressed bytes actually
-    /// credited.  The budget is in compressed bytes because that is what the
-    /// decrypt lane streams; the serving layer derates its crediting rate by
-    /// the dequant cost per compressed byte.
-    pub fn prewarm(
-        &mut self,
-        session: u64,
-        model: u32,
-        page_hashes: &[u64],
-        bytes_per_token: u64,
-        budget_bytes: u64,
-        now: SimTime,
-    ) -> u64 {
-        let quantized = self.format.is_quantized();
-        let mut credited = 0u64;
-        let mut matched = 0usize;
-        while matched < page_hashes.len() {
-            let key = self.key(session, model, page_hashes[matched]);
-            let Some(entry) = self.pages.get_mut(&key) else {
-                break;
-            };
-            if entry.sealed {
-                let comp = comp_len(self.format, entry.bytes);
-                if credited + comp > budget_bytes {
-                    break;
-                }
-                entry.sealed = false;
-                entry.last_use = now;
-                self.sealed_bytes -= comp;
-                self.sealed_pages -= 1;
-                self.resident_bytes += entry.bytes;
-                self.stats.prewarmed_bytes += comp;
-                if quantized {
-                    self.stats.dequant_bytes += entry.bytes;
-                }
-                credited += comp;
-            }
-            matched += 1;
-        }
-        if matched == page_hashes.len() || credited > 0 || matched > 0 {
-            if let Some(kv) = self.sessions.get_mut(&session) {
-                let continues = kv.model == model
-                    && kv.bytes_per_token == bytes_per_token.max(1)
-                    && kv.tail_sealed
-                    && kv.page_hashes.len() <= matched
-                    && kv.page_hashes.iter().zip(page_hashes).all(|(a, b)| a == b);
-                if continues {
-                    let tb = kv.tail_tokens as u64 * kv.bytes_per_token;
-                    let comp = comp_len(self.format, tb);
-                    if credited + comp <= budget_bytes {
-                        kv.tail_sealed = false;
-                        self.sealed_bytes -= comp;
-                        self.sealed_pages -= 1;
-                        self.resident_bytes += tb;
-                        self.stats.prewarmed_bytes += comp;
-                        if quantized {
-                            self.stats.dequant_bytes += tb;
-                        }
-                        credited += comp;
-                    }
-                }
-            }
-        }
+    /// dispatch of `q` would claim (restore-ahead on idle lanes), in claim
+    /// order and stopping at the first part that does not fit, returning
+    /// the compressed bytes actually credited.  The budget is in compressed
+    /// bytes because that is what the decrypt lane streams; the serving
+    /// layer derates its crediting rate by the dequant cost per compressed
+    /// byte.
+    pub fn prewarm(&mut self, q: &KvQuery, budget_bytes: u64, now: SimTime) -> u64 {
+        let claim = self.claim(q);
+        let (credited, _) = self.unseal_claim(q, claim, budget_bytes, now);
+        self.stats.prewarmed_bytes += credited;
         credited
     }
 
@@ -896,38 +904,31 @@ impl KvPool {
         pinned
     }
 
-    /// Enforces the secure and spill budgets: seals (or drops) the coldest
-    /// unpinned pages and tails until resident KV fits under
-    /// `secure_budget`, trims the sealed area to its budget, then evicts
-    /// sessions beyond the cap.  Sessions in `active` (requests in flight)
-    /// and their pages are never victims.  Victim order is LRU, deepest
-    /// chain position first on ties, so retained prefixes shrink from the
-    /// tail and never get holes.
-    pub fn enforce(&mut self, secure_budget: u64, active: &BTreeSet<u64>, now: SimTime) {
-        let _ = now;
+    /// Enforces the secure and spill budgets: seals the coldest unpinned
+    /// pages and tails until resident KV fits under `secure_budget`, trims
+    /// the sealed area to its budget, then evicts sessions beyond the cap.
+    /// Sessions in `active` (requests in flight) and their pages are never
+    /// victims.  Victim order is LRU, deepest chain position first on ties,
+    /// so retained prefixes shrink from the tail and never get holes.
+    pub fn enforce(&mut self, secure_budget: u64, active: &BTreeSet<u64>) {
         let pinned = self.pinned_pages(active);
 
-        // Resident pressure: seal (spill on) or drop (spill off) the worst
-        // victim.  With popularity retention on, reference count leads the
-        // rank: a page twenty sessions share is the last to leave secure
-        // memory, because each secure byte it occupies saves twenty
-        // sessions' prefill.  A private tail counts as one reference.
-        while self.resident_bytes > secure_budget {
-            #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-            enum Victim {
-                Page(PageKey),
-                Tail(u64),
-            }
+        // Resident pressure: seal the worst victim.  With popularity
+        // retention on, reference count leads the rank: a page twenty
+        // sessions share is the last to leave secure memory, because each
+        // secure byte it occupies saves twenty sessions' prefill.  A private
+        // tail counts as one reference.
+        while self.balance.resident_bytes > secure_budget {
             let popularity = self.popularity;
             let weight = |refs: u32| if popularity { refs } else { 0 };
-            let mut best: Option<((u32, SimTime, u32), Victim)> = None;
+            let mut best: Option<((u32, SimTime, u32), Part)> = None;
             for (&key, entry) in &self.pages {
                 if entry.sealed || pinned.contains(&key) {
                     continue;
                 }
                 let rank = (weight(entry.refs), entry.last_use, u32::MAX - entry.depth);
                 if best.as_ref().is_none_or(|(r, _)| rank < *r) {
-                    best = Some((rank, Victim::Page(key)));
+                    best = Some((rank, Part::Page(key)));
                 }
             }
             for (&session, kv) in &self.sessions {
@@ -940,51 +941,28 @@ impl KvPool {
                     u32::MAX - kv.page_hashes.len() as u32,
                 );
                 if best.as_ref().is_none_or(|(r, _)| rank < *r) {
-                    best = Some((rank, Victim::Tail(session)));
+                    best = Some((rank, Part::Tail(session)));
                 }
             }
-            match best {
-                Some((_, Victim::Page(key))) => {
-                    if self.spill {
-                        let entry = self.pages.get_mut(&key).expect("victim exists");
-                        entry.sealed = true;
-                        let plain = entry.bytes;
-                        let comp = comp_len(self.format, plain);
-                        self.resident_bytes -= plain;
-                        self.sealed_bytes += comp;
-                        self.sealed_pages += 1;
-                        self.stats.spilled_bytes += plain;
-                        self.stats.spilled_compressed_bytes += comp;
-                    } else {
-                        self.evict_page(key);
-                    }
+            let plain = match best {
+                Some((_, Part::Page(key))) => {
+                    let entry = self.pages.get_mut(&key).expect("victim exists");
+                    entry.sealed = true;
+                    entry.bytes
                 }
-                Some((_, Victim::Tail(session))) => {
+                Some((_, Part::Tail(session))) => {
                     let kv = self.sessions.get_mut(&session).expect("victim exists");
-                    let tb = kv.tail_tokens as u64 * kv.bytes_per_token;
-                    self.resident_bytes -= tb;
-                    if self.spill {
-                        kv.tail_sealed = true;
-                        let comp = comp_len(self.format, tb);
-                        self.sealed_bytes += comp;
-                        self.sealed_pages += 1;
-                        self.stats.spilled_bytes += tb;
-                        self.stats.spilled_compressed_bytes += comp;
-                    } else {
-                        kv.tail_tokens = 0;
-                        self.stats.dropped_bytes += tb;
-                        if kv.page_hashes.is_empty() {
-                            self.sessions.remove(&session);
-                        }
-                    }
+                    kv.tail_sealed = true;
+                    kv.tail_tokens as u64 * kv.bytes_per_token
                 }
                 None => break, // everything resident is pinned
-            }
+            };
+            self.seal(plain);
         }
 
         // Spill pressure: drop unreferenced sealed cache first, then sealed
         // tails, then (last resort) truncate sessions off a sealed page.
-        while self.sealed_bytes > self.spill_budget {
+        while self.balance.sealed_bytes > self.spill_budget {
             let unreferenced = self
                 .pages
                 .iter()
@@ -1000,18 +978,9 @@ impl KvPool {
                 .iter()
                 .filter(|(s, kv)| !active.contains(s) && kv.tail_sealed && kv.tail_tokens > 0)
                 .min_by_key(|(&s, kv)| (kv.last_use, s))
-                .map(|(&s, _)| s);
-            if let Some(session) = tail {
-                let kv = self.sessions.get_mut(&session).expect("victim exists");
-                let tb = kv.tail_tokens as u64 * kv.bytes_per_token;
-                kv.tail_tokens = 0;
-                kv.tail_sealed = false;
-                self.sealed_bytes -= comp_len(self.format, tb);
-                self.sealed_pages -= 1;
-                self.stats.dropped_bytes += tb;
-                if kv.page_hashes.is_empty() {
-                    self.sessions.remove(&session);
-                }
+                .map(|(&s, kv)| (s, kv.page_hashes.len()));
+            if let Some((session, pages)) = tail {
+                self.truncate_session(session, pages);
                 continue;
             }
             let popularity = self.popularity;
@@ -1054,8 +1023,8 @@ impl KvPool {
         self.stats.peak_sealed_pages = self
             .stats
             .peak_sealed_pages
-            .max(self.sealed_pages - sealed_tails);
-        self.stats.peak_sealed_bytes = self.stats.peak_sealed_bytes.max(self.sealed_bytes);
+            .max(self.balance.sealed_pages - sealed_tails);
+        self.stats.peak_sealed_bytes = self.stats.peak_sealed_bytes.max(self.balance.sealed_bytes);
     }
 
     /// Drops a store page outright: releases it from every referencing
@@ -1092,14 +1061,14 @@ mod tests {
 
     const BPT: u64 = 1024; // bytes per token, for round numbers
     const PT: usize = 16; // tokens per page under the test configs
+    const ANY: usize = usize::MAX; // no overlap or cap limit
 
-    fn config(spill: bool, shared: bool) -> KvConfig {
+    fn config(shared: bool) -> KvConfig {
         KvConfig {
             enabled: true,
             shared,
             page_bytes: PT as u64 * BPT,
             budget_fraction: 1.0,
-            spill,
             spill_budget: 1 << 40,
             max_sessions: 8,
             spill_format: SpillFormat::F16,
@@ -1107,8 +1076,21 @@ mod tests {
         }
     }
 
-    fn pool(spill: bool) -> KvPool {
-        KvPool::new(&config(spill, true))
+    fn pool() -> KvPool {
+        KvPool::new(&config(true))
+    }
+
+    /// A query of `session`'s prompt chain `h` with declared overlap
+    /// `shared_prefix` and reuse cap `max_reuse`.
+    fn q(session: u64, model: u32, h: &[u64], shared_prefix: usize, max_reuse: usize) -> KvQuery {
+        KvQuery {
+            session,
+            model,
+            page_hashes: h.to_vec(),
+            bytes_per_token: BPT,
+            shared_prefix,
+            max_reuse,
+        }
     }
 
     fn t(secs: u64) -> SimTime {
@@ -1122,11 +1104,11 @@ mod tests {
 
     #[test]
     fn retain_and_reuse_full_prefix() {
-        let mut p = pool(true);
+        let mut p = pool();
         let h = hashes(1, 100);
         p.on_complete(1, 0, &h, 100, BPT, t(0));
         assert_eq!(p.resident_bytes(), 100 * BPT);
-        let reuse = p.reuse_plan(1, 0, &h, BPT, 100, 139, t(1));
+        let reuse = p.reuse_plan(&q(1, 0, &h, 100, 139), t(1));
         assert_eq!(reuse.reused_tokens, 100);
         assert_eq!(reuse.unseal_bytes, 0);
         assert_eq!(reuse.shared_tokens, 0, "own state is not a shared hit");
@@ -1134,104 +1116,95 @@ mod tests {
 
     #[test]
     fn reuse_is_capped_and_model_checked() {
-        let mut p = pool(true);
+        let mut p = pool();
         let h = hashes(1, 100);
         p.on_complete(1, 0, &h, 100, BPT, t(0));
         // max_reuse caps (at least one token must prefill): 6 whole pages
         // (96 tokens) plus 3 of the 4 tail tokens.
-        let reuse = p.reuse_plan(1, 0, &h, BPT, 100, 99, t(1));
+        let reuse = p.reuse_plan(&q(1, 0, &h, 100, 99), t(1));
         assert_eq!(reuse.reused_tokens, 99);
 
         let h2 = hashes(2, 50);
         p.on_complete(2, 0, &h2, 50, BPT, t(0));
         // Different model: state dropped, nothing reused.
-        let reuse = p.reuse_plan(2, 1, &h2, BPT, 50, 49, t(1));
+        let reuse = p.reuse_plan(&q(2, 1, &h2, 50, 49), t(1));
         assert_eq!(reuse.reused_tokens, 0);
         assert!(!p.has_session(2));
     }
 
     #[test]
     fn conversation_reset_drops_state() {
-        let mut p = pool(true);
+        let mut p = pool();
         p.on_complete(1, 0, &hashes(7, 80), 80, BPT, t(0));
         // A reset conversation has entirely new content: the chain diverges
         // at page zero, nothing is reused, and the session's references are
         // released.  The now-unreferenced shared pages linger as reusable
         // cache until budget pressure removes them.
         let fresh = hashes(8, 80);
-        let reuse = p.reuse_plan(1, 0, &fresh, BPT, 0, 200, t(1));
+        let reuse = p.reuse_plan(&q(1, 0, &fresh, 0, 200), t(1));
         assert_eq!(reuse, KvReuse::default());
         assert!(!p.has_session(1));
         assert_eq!(p.resident_bytes(), 80 * BPT, "pages linger as cache");
-        // Pressure with spill off removes the unreferenced cache outright.
-        let mut np = KvPool::new(&config(false, true));
+        // Pressure with no spill room removes the unreferenced cache
+        // outright.
+        let mut np = KvPool::new(&KvConfig {
+            spill_budget: 0,
+            ..config(true)
+        });
         np.on_complete(1, 0, &hashes(7, 80), 80, BPT, t(0));
-        np.reuse_plan(1, 0, &fresh, BPT, 0, 200, t(1));
-        np.enforce(0, &BTreeSet::new(), t(2));
+        np.reuse_plan(&q(1, 0, &fresh, 0, 200), t(1));
+        np.enforce(0, &BTreeSet::new());
         assert_eq!(np.resident_bytes(), 0);
+        assert_eq!(np.sealed_bytes(), 0);
         assert_eq!(np.stats().dropped_bytes, 80 * BPT);
     }
 
     #[test]
     fn budget_pressure_spills_coldest_tail_pages() {
-        let mut p = pool(true);
+        let mut p = pool();
         let h1 = hashes(1, 64);
         let h2 = hashes(2, 64);
         p.on_complete(1, 0, &h1, 64, BPT, t(0)); // cold
         p.on_complete(2, 0, &h2, 64, BPT, t(10)); // warm
         let active = BTreeSet::new();
-        p.enforce(96 * BPT, &active, t(11));
+        p.enforce(96 * BPT, &active);
         assert_eq!(p.resident_bytes(), 96 * BPT);
         assert_eq!(p.sealed_bytes(), 32 * BPT);
         // Session 1 (colder) lost its two deepest 16-token pages.
-        assert_eq!(p.sealed_bytes_for(1, 0, &h1, BPT), 32 * BPT);
-        assert_eq!(p.sealed_bytes_for(2, 0, &h2, BPT), 0);
+        assert_eq!(p.sealed_bytes_for(&q(1, 0, &h1, ANY, ANY)), 32 * BPT);
+        assert_eq!(p.sealed_bytes_for(&q(2, 0, &h2, ANY, ANY)), 0);
         assert_eq!(p.stats().spilled_bytes, 32 * BPT);
 
         // Reusing the full prefix pays unseal only for the sealed part.
-        let reuse = p.reuse_plan(1, 0, &h1, BPT, 64, 1000, t(12));
+        let reuse = p.reuse_plan(&q(1, 0, &h1, 64, 1000), t(12));
         assert_eq!(reuse.reused_tokens, 64);
         assert_eq!(reuse.unseal_bytes, 32 * BPT);
     }
 
     #[test]
-    fn no_spill_mode_drops_instead() {
-        let mut p = pool(false);
-        let h = hashes(3, 64);
-        p.on_complete(1, 0, &h, 64, BPT, t(0));
-        p.enforce(32 * BPT, &BTreeSet::new(), t(1));
-        assert_eq!(p.resident_bytes(), 32 * BPT);
-        assert_eq!(p.sealed_bytes(), 0);
-        assert_eq!(p.stats().dropped_bytes, 32 * BPT);
-        // The surviving resident prefix still reuses.
-        let reuse = p.reuse_plan(1, 0, &h, BPT, 64, 1000, t(2));
-        assert_eq!(reuse.reused_tokens, 32);
-    }
-
-    #[test]
     fn active_sessions_are_never_victims() {
-        let mut p = pool(true);
+        let mut p = pool();
         let h1 = hashes(1, 64);
         let h2 = hashes(2, 64);
         p.on_complete(1, 0, &h1, 64, BPT, t(0));
         p.on_complete(2, 0, &h2, 64, BPT, t(10));
         let active: BTreeSet<u64> = [1u64].into_iter().collect();
-        p.enforce(0, &active, t(11));
+        p.enforce(0, &active);
         // Session 2 spilled fully; session 1 (active) untouched.
         assert_eq!(p.resident_bytes(), 64 * BPT);
-        assert_eq!(p.sealed_bytes_for(2, 0, &h2, BPT), 64 * BPT);
-        assert_eq!(p.sealed_bytes_for(1, 0, &h1, BPT), 0);
+        assert_eq!(p.sealed_bytes_for(&q(2, 0, &h2, ANY, ANY)), 64 * BPT);
+        assert_eq!(p.sealed_bytes_for(&q(1, 0, &h1, ANY, ANY)), 0);
     }
 
     #[test]
     fn spill_budget_drops_sealed_tails() {
         let mut p = KvPool::new(&KvConfig {
             spill_budget: 16 * BPT,
-            ..config(true, true)
+            ..config(true)
         });
         let h = hashes(5, 64);
         p.on_complete(1, 0, &h, 64, BPT, t(0));
-        p.enforce(16 * BPT, &BTreeSet::new(), t(1));
+        p.enforce(16 * BPT, &BTreeSet::new());
         assert_eq!(p.resident_bytes(), 16 * BPT);
         assert_eq!(p.sealed_bytes(), 16 * BPT, "spill area capped");
         assert_eq!(p.stats().dropped_bytes, 32 * BPT);
@@ -1243,10 +1216,10 @@ mod tests {
         // spill budget that holds exactly that much.
         let mut p = KvPool::new(&KvConfig {
             spill_budget: 72 * BPT,
-            ..config(true, true)
+            ..config(true)
         });
         p.on_complete(1, 0, &hashes(9, 72), 72, BPT, t(0));
-        p.enforce(0, &BTreeSet::new(), t(1));
+        p.enforce(0, &BTreeSet::new());
         assert_eq!(p.resident_bytes(), 0);
         assert_eq!(
             p.sealed_bytes(),
@@ -1260,41 +1233,41 @@ mod tests {
 
     #[test]
     fn prewarm_moves_sealed_to_resident() {
-        let mut p = pool(true);
+        let mut p = pool();
         let h = hashes(6, 64);
         p.on_complete(1, 0, &h, 64, BPT, t(0));
-        p.enforce(16 * BPT, &BTreeSet::new(), t(1));
-        assert_eq!(p.sealed_bytes_for(1, 0, &h, BPT), 48 * BPT);
+        p.enforce(16 * BPT, &BTreeSet::new());
+        assert_eq!(p.sealed_bytes_for(&q(1, 0, &h, ANY, ANY)), 48 * BPT);
         // A 20-token budget unseals one whole 16-token page (pages unseal
         // whole or not at all).
-        let credited = p.prewarm(1, 0, &h, BPT, 20 * BPT, t(2));
+        let credited = p.prewarm(&q(1, 0, &h, ANY, ANY), 20 * BPT, t(2));
         assert_eq!(credited, 16 * BPT);
-        assert_eq!(p.sealed_bytes_for(1, 0, &h, BPT), 32 * BPT);
+        assert_eq!(p.sealed_bytes_for(&q(1, 0, &h, ANY, ANY)), 32 * BPT);
         assert_eq!(p.stats().prewarmed_bytes, 16 * BPT);
         // Prewarming more than remains credits only what exists.
-        assert_eq!(p.prewarm(1, 0, &h, BPT, 1 << 40, t(3)), 32 * BPT);
-        assert_eq!(p.sealed_bytes_for(1, 0, &h, BPT), 0);
+        assert_eq!(p.prewarm(&q(1, 0, &h, ANY, ANY), 1 << 40, t(3)), 32 * BPT);
+        assert_eq!(p.sealed_bytes_for(&q(1, 0, &h, ANY, ANY)), 0);
     }
 
     #[test]
     fn session_cap_evicts_coldest() {
         let mut p = KvPool::new(&KvConfig {
             max_sessions: 2,
-            ..config(true, true)
+            ..config(true)
         });
         let streams: Vec<Vec<u64>> = (0..3).map(|s| hashes(100 + s, 10)).collect();
         for (s, h) in streams.iter().enumerate() {
             p.on_complete(s as u64, 0, h, 10, BPT, t(s as u64));
         }
-        p.enforce(1 << 40, &BTreeSet::new(), t(10));
+        p.enforce(1 << 40, &BTreeSet::new());
         assert_eq!(p.sessions(), 2);
         assert_eq!(
-            p.reuse_plan(0, 0, &streams[0], BPT, 10, 9, t(11))
+            p.reuse_plan(&q(0, 0, &streams[0], 10, 9), t(11))
                 .reused_tokens,
             0
         );
         assert_eq!(
-            p.reuse_plan(2, 0, &streams[2], BPT, 10, 9, t(11))
+            p.reuse_plan(&q(2, 0, &streams[2], 10, 9), t(11))
                 .reused_tokens,
             9
         );
@@ -1304,7 +1277,7 @@ mod tests {
 
     #[test]
     fn shared_head_is_stored_once_and_hits_cold_sessions() {
-        let mut p = pool(true);
+        let mut p = pool();
         let head = PromptContent::from_seed(42, 64); // 4 whole pages
         let a = head.extended(1, 40);
         let b = head.extended(2, 40);
@@ -1315,7 +1288,7 @@ mod tests {
 
         // A brand-new session whose prompt opens with the same head reuses
         // it without ever having completed a request — a cold-turn hit.
-        let reuse = p.reuse_plan(2, 0, &b.page_keys(PT), BPT, 0, 103, t(1));
+        let reuse = p.reuse_plan(&q(2, 0, &b.page_keys(PT), 0, 103), t(1));
         assert_eq!(reuse.reused_tokens, 64);
         assert_eq!(reuse.shared_tokens, 64);
         assert_eq!(reuse.unseal_bytes, 0);
@@ -1332,21 +1305,21 @@ mod tests {
 
     #[test]
     fn divergent_suffixes_stay_private() {
-        let mut p = pool(true);
+        let mut p = pool();
         let head = PromptContent::from_seed(9, 32);
         let a = head.extended(1, 64);
         let b = head.extended(2, 16); // diverges after the head
         p.on_complete(1, 0, &a.page_keys(PT), 96, BPT, t(0));
         // B matches only the head — A's private suffix is unreachable even
         // though it is resident, because B's chain cannot name it.
-        let reuse = p.reuse_plan(2, 0, &b.page_keys(PT), BPT, 0, 47, t(1));
+        let reuse = p.reuse_plan(&q(2, 0, &b.page_keys(PT), 0, 47), t(1));
         assert_eq!(reuse.reused_tokens, 32, "only the common head is shared");
         assert_eq!(reuse.shared_tokens, 32);
     }
 
     #[test]
     fn sealing_a_shared_page_seals_one_copy() {
-        let mut p = pool(true);
+        let mut p = pool();
         let head = PromptContent::from_seed(4, 64);
         let a = head.extended(1, 8);
         let b = head.extended(2, 8);
@@ -1355,7 +1328,7 @@ mod tests {
         assert_eq!(p.resident_bytes(), (72 + 8) * BPT);
         // Squeeze everything out: the shared head spills once (64 tokens),
         // the two private tails spill separately.
-        p.enforce(0, &BTreeSet::new(), t(2));
+        p.enforce(0, &BTreeSet::new());
         assert_eq!(p.resident_bytes(), 0);
         assert_eq!(p.sealed_bytes(), 80 * BPT);
         assert_eq!(
@@ -1364,9 +1337,9 @@ mod tests {
             "the shared head sealed one copy, not one per session"
         );
         // One session unseals the head; the other then finds it resident.
-        let ra = p.reuse_plan(1, 0, &a.page_keys(PT), BPT, 72, 71, t(3));
+        let ra = p.reuse_plan(&q(1, 0, &a.page_keys(PT), 72, 71), t(3));
         assert_eq!(ra.unseal_bytes, 72 * BPT);
-        let rb = p.reuse_plan(2, 0, &b.page_keys(PT), BPT, 72, 71, t(4));
+        let rb = p.reuse_plan(&q(2, 0, &b.page_keys(PT), 72, 71), t(4));
         assert_eq!(rb.reused_tokens, 71);
         assert_eq!(rb.unseal_bytes, 8 * BPT, "the shared head is already back");
     }
@@ -1375,42 +1348,42 @@ mod tests {
     fn unreferenced_shared_pages_linger_until_pressure() {
         let mut p = KvPool::new(&KvConfig {
             max_sessions: 1,
-            ..config(true, true)
+            ..config(true)
         });
         let a = PromptContent::from_seed(1, 64);
         p.on_complete(1, 0, &a.page_keys(PT), 64, BPT, t(0));
         let b = hashes(2, 16);
         p.on_complete(2, 0, &b, 16, BPT, t(1));
-        p.enforce(1 << 40, &BTreeSet::new(), t(2));
+        p.enforce(1 << 40, &BTreeSet::new());
         assert_eq!(p.sessions(), 1, "session cap evicted the coldest");
         // Session 1 is gone but its shared pages linger as cache: a new
         // session with the same content still hits them.
-        let reuse = p.reuse_plan(3, 0, &a.page_keys(PT), BPT, 0, 63, t(3));
+        let reuse = p.reuse_plan(&q(3, 0, &a.page_keys(PT), 0, 63), t(3));
         assert_eq!(reuse.reused_tokens, 48);
         assert_eq!(reuse.shared_tokens, 48);
         // Re-referencing a zero-ref cache page (0 -> 1) dedups nothing:
         // only one session references the pages again.
         assert_eq!(p.deduped_bytes(), 0);
         // Pressure removes unreferenced cache before touching live state.
-        p.enforce(0, &BTreeSet::new(), t(4));
+        p.enforce(0, &BTreeSet::new());
         assert!(p.resident_bytes() <= 64 * BPT);
     }
 
     #[test]
     fn sharing_disabled_salts_pages_per_session() {
-        let mut p = KvPool::new(&config(true, false));
+        let mut p = KvPool::new(&config(false));
         let head = PromptContent::from_seed(11, 64);
         let a = head.extended(1, 8);
         let b = head.extended(2, 8);
         p.on_complete(1, 0, &a.page_keys(PT), 72, BPT, t(0));
         // Identical head content, but sharing is off: nothing crosses.
-        let reuse = p.reuse_plan(2, 0, &b.page_keys(PT), BPT, 0, 71, t(1));
+        let reuse = p.reuse_plan(&q(2, 0, &b.page_keys(PT), 0, 71), t(1));
         assert_eq!(reuse, KvReuse::default());
         p.on_complete(2, 0, &b.page_keys(PT), 72, BPT, t(2));
         assert_eq!(p.resident_bytes(), 144 * BPT, "two full copies");
         assert_eq!(p.deduped_bytes(), 0);
         // The session still reuses its own state as before.
-        let own = p.reuse_plan(1, 0, &a.page_keys(PT), BPT, 72, 71, t(3));
+        let own = p.reuse_plan(&q(1, 0, &a.page_keys(PT), 72, 71), t(3));
         assert_eq!(own.reused_tokens, 71);
         assert_eq!(own.shared_tokens, 0);
     }
@@ -1425,7 +1398,7 @@ mod tests {
     fn quant_config(format: SpillFormat) -> KvConfig {
         KvConfig {
             spill_format: format,
-            ..config(true, true)
+            ..config(true)
         }
     }
 
@@ -1434,7 +1407,7 @@ mod tests {
         let mut p = KvPool::new(&quant_config(SpillFormat::Int8));
         let h = hashes(1, 64); // 4 whole pages, no tail
         p.on_complete(1, 0, &h, 64, BPT, t(0));
-        p.enforce(0, &BTreeSet::new(), t(1));
+        p.enforce(0, &BTreeSet::new());
         assert_eq!(p.resident_bytes(), 0);
         assert_eq!(p.sealed_pages(), 4);
         let comp = comp_page(SpillFormat::Int8);
@@ -1452,7 +1425,7 @@ mod tests {
 
         // Restore pays MAC+decrypt over compressed bytes plus a dequant pass
         // over the full f16 bytes.
-        let reuse = p.reuse_plan(1, 0, &h, BPT, 64, 1000, t(2));
+        let reuse = p.reuse_plan(&q(1, 0, &h, 64, 1000), t(2));
         assert_eq!(reuse.reused_tokens, 64);
         assert_eq!(reuse.unseal_bytes, 4 * comp);
         assert_eq!(reuse.dequant_bytes, 64 * BPT);
@@ -1464,14 +1437,14 @@ mod tests {
 
     #[test]
     fn f16_format_never_reports_compression_or_dequant() {
-        let mut p = pool(true);
+        let mut p = pool();
         let h = hashes(2, 64);
         p.on_complete(1, 0, &h, 64, BPT, t(0));
-        p.enforce(0, &BTreeSet::new(), t(1));
+        p.enforce(0, &BTreeSet::new());
         let s = p.stats();
         assert_eq!(s.spilled_compressed_bytes, s.spilled_bytes);
         assert_eq!(p.sealed_bytes(), 64 * BPT);
-        let reuse = p.reuse_plan(1, 0, &h, BPT, 64, 63, t(2));
+        let reuse = p.reuse_plan(&q(1, 0, &h, 64, 63), t(2));
         assert_eq!(reuse.dequant_bytes, 0);
         assert_eq!(p.stats().dequant_bytes, 0);
     }
@@ -1488,7 +1461,7 @@ mod tests {
             });
             let h = hashes(9, 64 * PT);
             p.on_complete(1, 0, &h, 64 * PT, BPT, t(0));
-            p.enforce(0, &BTreeSet::new(), t(1));
+            p.enforce(0, &BTreeSet::new());
             assert!(p.sealed_bytes() <= budget);
             p.sealed_pages()
         };
@@ -1519,16 +1492,16 @@ mod tests {
         let run = |popularity: bool| {
             let mut p = KvPool::new(&KvConfig {
                 popularity_retention: popularity,
-                ..config(true, true)
+                ..config(true)
             });
             p.on_complete(1, 0, &head.page_keys(PT), 32, BPT, t(0));
             p.on_complete(2, 0, &head.page_keys(PT), 32, BPT, t(1));
             p.on_complete(3, 0, &solo, 32, BPT, t(10));
             // 4 resident pages (head deduped); room for only 2.
-            p.enforce(32 * BPT, &BTreeSet::new(), t(11));
+            p.enforce(32 * BPT, &BTreeSet::new());
             (
-                p.sealed_bytes_for(1, 0, &head.page_keys(PT), BPT),
-                p.sealed_bytes_for(3, 0, &solo, BPT),
+                p.sealed_bytes_for(&q(1, 0, &head.page_keys(PT), ANY, ANY)),
+                p.sealed_bytes_for(&q(3, 0, &solo, ANY, ANY)),
             )
         };
         let (head_sealed_lru, solo_sealed_lru) = run(false);
@@ -1541,15 +1514,15 @@ mod tests {
 
     #[test]
     fn chain_stats_and_hit_depth_expose_where_sharing_wins() {
-        let mut p = pool(true);
+        let mut p = pool();
         let head = PromptContent::from_seed(5, 32); // 2 shared pages
         let a = head.extended(1, 32);
         let b = head.extended(2, 32);
         p.on_complete(1, 0, &a.page_keys(PT), 64, BPT, t(0));
         p.on_complete(2, 0, &b.page_keys(PT), 64, BPT, t(1));
-        p.reuse_plan(1, 0, &a.page_keys(PT), BPT, 64, 1000, t(2)); // depth-4 hit
+        p.reuse_plan(&q(1, 0, &a.page_keys(PT), 64, 1000), t(2)); // depth-4 hit
         let fresh = hashes(99, 32);
-        p.reuse_plan(3, 0, &fresh, BPT, 0, 31, t(3)); // miss
+        p.reuse_plan(&q(3, 0, &fresh, 0, 31), t(3)); // miss
 
         let stats = p.chain_stats();
         assert_eq!(stats.len(), 1, "one model in play");
@@ -1571,34 +1544,12 @@ mod tests {
     }
 
     #[test]
-    fn quality_knob_maps_noise_budgets_to_formats() {
-        assert_eq!(
-            KvConfig::chat_default().with_noise_budget(0.0).spill_format,
-            SpillFormat::F16
-        );
-        assert_eq!(
-            KvConfig::chat_default()
-                .with_noise_budget(0.003)
-                .spill_format,
-            SpillFormat::Int8
-        );
-        assert_eq!(
-            KvConfig::chat_default()
-                .with_noise_budget(0.05)
-                .spill_format,
-            SpillFormat::Int4
-        );
-        let q = KvConfig::chat_quantized(SpillFormat::Int8);
-        assert!(q.popularity_retention && q.enabled);
-    }
-
-    #[test]
     fn models_never_share_pages() {
-        let mut p = pool(true);
+        let mut p = pool();
         let c = PromptContent::from_seed(5, 64);
         p.on_complete(1, 0, &c.page_keys(PT), 64, BPT, t(0));
         // Same content, different model: no hit.
-        let reuse = p.reuse_plan(2, 1, &c.page_keys(PT), BPT, 0, 63, t(1));
+        let reuse = p.reuse_plan(&q(2, 1, &c.page_keys(PT), 0, 63), t(1));
         assert_eq!(reuse, KvReuse::default());
         p.on_complete(2, 1, &c.page_keys(PT), 64, BPT, t(2));
         assert_eq!(p.deduped_bytes(), 0, "each model holds its own copy");

@@ -44,7 +44,7 @@ pub mod telemetry;
 pub use baseline::{decode_uses_npu, evaluate, strawman_breakdown, SystemKind};
 pub use cache::{CacheController, CachePolicy};
 pub use codriver::{LlmPhase, LlmPlacement, NpuSharingSim, SharingConfig, SharingResult};
-pub use kv::{ChainStoreStats, KvConfig, KvPool, KvReuse, KvStats};
+pub use kv::{ChainStoreStats, KvBalance, KvConfig, KvPool, KvQuery, KvReuse, KvStats};
 pub use pipeline::{simulate, PipelineConfig, PipelineResult, Policy};
 pub use restore::{CriticalPaths, OpLabel, PipeOp, PipeOpKind, RestorePlan, RestoreRates};
 pub use serving::{

@@ -93,15 +93,17 @@
 //! request completion in a paged [`crate::kv::KvPool`]: a follow-up turn
 //! whose prompt extends the session's previous context prefills only the
 //! new tokens, sealed (spilled) pages pay unseal time on the decrypt lane,
-//! and restore-ahead unseals a queued session's pages on idle lanes
-//! alongside parameter restore.  With [`crate::kv::KvConfig::shared`] the
-//! pool is additionally *content-addressed* across sessions: whole KV pages
-//! are keyed by a hash chain over their token contents
-//! ([`llm::PromptContent`]), so every session of a model whose prompt opens
-//! with the same head (a product-wide system prompt) references one secure
-//! copy — a **cold first turn** of a brand-new session hits KV state other
-//! sessions produced, and [`ServingStats`] reports the shared-hit rate and
-//! the deduped bytes.  With a quantized [`crate::kv::KvConfig::spill_format`]
+//! and restore-ahead unseals, on idle lanes alongside parameter restore,
+//! exactly the sealed state the queued request's dispatch will claim (each
+//! request carries one [`crate::kv::KvQuery`] for both).  With
+//! [`crate::kv::KvConfig::shared`] the pool is additionally
+//! *content-addressed* across sessions: whole KV pages are keyed by a hash
+//! chain over their token contents ([`llm::PromptContent`]), so every
+//! session of a model whose prompt opens with the same head (a
+//! product-wide system prompt) references one secure copy — a **cold first
+//! turn** of a brand-new session hits KV state other sessions produced, and
+//! [`ServingStats`] reports the shared-hit rate and the deduped bytes.
+//! With a quantized [`crate::kv::KvConfig::spill_format`]
 //! sealed pages cross the world boundary as INT8/INT4 blocks — the spill
 //! budget holds 2–4× the pages — and restores pay a dequant pass charged to
 //! the same decrypt lane, where it hides behind the prefill's NPU window
@@ -136,10 +138,10 @@ use sim_core::{
     SimDuration, SimTime, WindowedMetrics,
 };
 use tz_hal::PlatformProfile;
-use workloads::{SessionScript, WorkloadSpec};
+use workloads::{Benchmark, ScriptedRequest, SessionScript, SessionStyle, WorkloadSpec};
 
 use crate::cache::{CacheController, CachePolicy};
-use crate::kv::{ChainStoreStats, KvConfig, KvPool};
+use crate::kv::{ChainStoreStats, KvConfig, KvPool, KvQuery};
 use crate::pipeline::Policy;
 use crate::restore::RestoreRates;
 use crate::step::{self, StepBatch, StepMember, StepModel};
@@ -156,8 +158,6 @@ const RESTORE_AHEAD_QUANTUM: u64 = sim_core::MIB;
 pub enum RetentionPolicy {
     /// Release everything after each request (every request cold-starts).
     ReleaseAll,
-    /// Keep a fixed fraction of the blob resident.
-    Fixed(f64),
     /// Keep everything resident (no REE memory pressure).
     KeepAll,
     /// Start at zero and grow the retained prefix by `step_fraction` of the
@@ -183,10 +183,6 @@ pub enum RetentionPolicy {
 /// the acceptance rate the server has observed so far.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpeculationConfig {
-    /// Master switch.  `false` is the escape hatch: the step loop prices
-    /// and advances exactly like the plain batched dispatcher, bit for bit
-    /// — the acceptance RNG is never drawn and no draft entry is wired.
-    pub enabled: bool,
     /// Draft model name, resolved via [`llm::ModelSpec::by_name`] (which
     /// also knows the non-catalogue draft entries, see
     /// [`llm::ModelSpec::drafts`]).  The draft proposes only for catalogue
@@ -195,7 +191,10 @@ pub struct SpeculationConfig {
     /// and the run is bit for bit the run with speculation off.
     pub draft_model: String,
     /// Maximum draft depth: the most tokens the draft proposes per sequence
-    /// per step.  Each step chooses its depth in `0..=k`.
+    /// per step.  Each step chooses its depth in `0..=k`.  `0` is
+    /// speculation off, the escape hatch: the step loop prices and advances
+    /// exactly like the plain batched dispatcher, bit for bit — the
+    /// acceptance RNG is never drawn and no draft entry is wired.
     pub k: usize,
 }
 
@@ -203,7 +202,6 @@ impl SpeculationConfig {
     /// Speculation off — the default everywhere.
     pub fn off() -> Self {
         SpeculationConfig {
-            enabled: false,
             draft_model: String::new(),
             k: 0,
         }
@@ -213,7 +211,6 @@ impl SpeculationConfig {
     /// proposing up to four tokens per sequence per step.
     pub fn paper_default() -> Self {
         SpeculationConfig {
-            enabled: true,
             draft_model: "qwen2.5-0.5b".into(),
             k: 4,
         }
@@ -376,11 +373,12 @@ struct QueuedRequest {
     content: PromptContent,
     /// Content seed of the response this request will generate.
     output_seed: u64,
-    /// The prompt's page-hash chain at this model's page geometry, computed
-    /// once at submission (empty when the KV manager is off): the
-    /// restore-ahead scan walks the queue on every dispatcher event and
-    /// must not re-hash every queued prompt each time.
-    kv_prompt_hashes: Vec<u64>,
+    /// The request's question to the KV pool — the prompt's page-hash
+    /// chain at this model's page geometry (empty when the KV manager is
+    /// off), its declared overlap and its reuse cap — built once at
+    /// submission: the restore-ahead scan walks the queue on every
+    /// dispatcher event and must not re-hash every queued prompt each time.
+    kv: KvQuery,
     /// Per-mille draft-acceptance rate of this request's response text
     /// (workload-keyed; see `ScriptedRequest::accept_permille`).
     accept_permille: u16,
@@ -723,14 +721,12 @@ struct BatchedDecode {
 }
 
 /// The sealed KV state a background restore is unsealing for one queued
-/// request: the pool is addressed by content, so the prompt's page-hash
-/// chain (not just the session id) names what to prewarm — including shared
-/// head pages a brand-new session never retained itself.
+/// request: the pool is addressed by content, so the request's own KV query
+/// (not just the session id) names what to prewarm — including shared head
+/// pages a brand-new session never retained itself — and it prewarms
+/// exactly what the dispatch will claim.
 struct RestoreKv {
-    session: u64,
-    model: u32,
-    bytes_per_token: u64,
-    page_hashes: Vec<u64>,
+    query: KvQuery,
     bytes: u64,
 }
 
@@ -907,7 +903,7 @@ impl ServerState {
         }
         if let Some(r) = &self.restore {
             if let Some(rkv) = &r.kv {
-                active.insert(rkv.session);
+                active.insert(rkv.query.session);
             }
         }
         active
@@ -919,14 +915,49 @@ impl ServerState {
             .max(1)
     }
 
-    /// The page-hash chain of `content` at `model`'s page geometry (empty
-    /// when the KV manager is off) — computed once per submitted request.
-    fn kv_prompt_hashes(&self, model: ModelId, content: &PromptContent) -> Vec<u64> {
-        if !self.config.kv.enabled {
-            return Vec::new();
-        }
+    /// The queued form of `session`'s scripted request `r`, under the next
+    /// request id — the one place a request's fields are copied in.  The KV
+    /// query hashes the prompt's pages once and caps reuse so at least one
+    /// prompt token always prefills.
+    ///
+    /// # Panics
+    /// Panics if `r` names a model outside the catalogue.
+    fn queue_request(&mut self, session: u64, r: &ScriptedRequest) -> QueuedRequest {
+        let model = *self
+            .model_ids
+            .get(&r.model)
+            .unwrap_or_else(|| panic!("unknown model {:?}", r.model));
         let bytes_per_token = self.models[model.0 as usize].kv_bytes_per_token;
-        content.page_keys(self.kv.page_tokens(bytes_per_token))
+        let page_hashes = if self.config.kv.enabled {
+            r.content.page_keys(self.kv.page_tokens(bytes_per_token))
+        } else {
+            Vec::new()
+        };
+        let max_reuse = r.prompt_len.saturating_sub(1);
+        let id = self.next_id;
+        self.next_id += 1;
+        QueuedRequest {
+            id,
+            session,
+            model,
+            prompt_len: r.prompt_len,
+            shared_prefix_len: r.shared_prefix_len,
+            system_prefix_len: r.system_prefix_len,
+            output_len: r.output_len,
+            content: r.content.clone(),
+            output_seed: r.output_seed,
+            kv: KvQuery {
+                session,
+                model: model.0,
+                page_hashes,
+                bytes_per_token,
+                shared_prefix: r.shared_prefix_len.min(max_reuse),
+                max_reuse,
+            },
+            accept_permille: r.accept_permille,
+            accept_seed: r.accept_seed,
+            style_label: r.style_label,
+        }
     }
 }
 
@@ -973,25 +1004,9 @@ fn schedule_session_continuation(
         return;
     };
     let cursor = state.cursors[script_idx];
-    if let Some(next) = state.scripts[script_idx].requests.get(cursor) {
+    if let Some(next) = state.scripts[script_idx].requests.get(cursor).cloned() {
         state.cursors[script_idx] += 1;
-        let model = state.model_ids[&next.model];
-        let request = QueuedRequest {
-            id: state.next_id,
-            session,
-            model,
-            prompt_len: next.prompt_len,
-            shared_prefix_len: next.shared_prefix_len,
-            system_prefix_len: next.system_prefix_len,
-            output_len: next.output_len,
-            content: next.content.clone(),
-            output_seed: next.output_seed,
-            kv_prompt_hashes: state.kv_prompt_hashes(model, &next.content),
-            accept_permille: next.accept_permille,
-            accept_seed: next.accept_seed,
-            style_label: next.style_label,
-        };
-        state.next_id += 1;
+        let request = state.queue_request(session, &next);
         let at = sched.now() + next.delay;
         sched.schedule_at(at, move |state, sched| on_arrival(state, sched, request));
     }
@@ -1033,7 +1048,10 @@ fn dispatch_next(state: &mut ServerState, sched: &mut EventScheduler<ServerState
     // If the dispatched model (or this request's session KV) is being
     // restored ahead, bank the progress *before* reading the cache state.
     if state.restore.as_ref().is_some_and(|r| {
-        r.model == qreq.model || r.kv.as_ref().is_some_and(|k| k.session == qreq.session)
+        r.model == qreq.model
+            || r.kv
+                .as_ref()
+                .is_some_and(|k| k.query.session == qreq.session)
     }) {
         interrupt_restore_ahead(state, now);
     }
@@ -1053,9 +1071,8 @@ fn dispatch_next(state: &mut ServerState, sched: &mut EventScheduler<ServerState
     let mut kv_full_hashes = Vec::new();
     let mut kv_total_tokens = 0usize;
     let kv_reuse = if state.config.kv.enabled {
-        let bpt = state.models[midx].kv_bytes_per_token;
-        let pt = state.kv.page_tokens(bpt);
-        let max_reuse = qreq.prompt_len.saturating_sub(1);
+        let pt = state.kv.page_tokens(qreq.kv.bytes_per_token);
+        let max_reuse = qreq.kv.max_reuse;
         // The hit-rate denominator: tokens the workload declared reusable,
         // from the session's own context or (on any turn) the shared head.
         let requested = qreq
@@ -1067,15 +1084,7 @@ fn dispatch_next(state: &mut ServerState, sched: &mut EventScheduler<ServerState
         if !had_state {
             state.kv_shared_candidate_tokens += qreq.system_prefix_len.min(max_reuse) as u64;
         }
-        let reuse = state.kv.reuse_plan(
-            qreq.session,
-            qreq.model.0,
-            &qreq.kv_prompt_hashes,
-            bpt,
-            qreq.shared_prefix_len.min(max_reuse),
-            max_reuse,
-            now,
-        );
+        let reuse = state.kv.reuse_plan(&qreq.kv, now);
         if !had_state {
             state.kv_shared_hit_tokens += reuse.shared_tokens as u64;
         }
@@ -1242,9 +1251,6 @@ fn complete_request(
             .saturating_sub(config.memory_pressure);
         let target = match config.retention {
             RetentionPolicy::ReleaseAll => 0,
-            RetentionPolicy::Fixed(fraction) => {
-                ((total as f64 * fraction.clamp(0.0, 1.0)) as u64).min(headroom)
-            }
             RetentionPolicy::KeepAll => total,
             RetentionPolicy::Adaptive { step_fraction } => {
                 let step = (total as f64 * step_fraction.clamp(0.0, 1.0)) as u64;
@@ -1287,7 +1293,7 @@ fn complete_request(
         let secure_budget = (headroom.saturating_sub(params_retained) as f64
             * state.config.kv.budget_fraction.clamp(0.0, 1.0)) as u64;
         let active = state.active_sessions();
-        state.kv.enforce(secure_budget, &active, now);
+        state.kv.enforce(secure_budget, &active);
     }
     let style = state
         .styles
@@ -1749,23 +1755,13 @@ fn maybe_start_restore_ahead(state: &mut ServerState, sched: &mut EventScheduler
             0
         };
         let kv = if state.config.kv.enabled {
-            // Address the sealed state by the prompt's content chain
-            // (precomputed at submission — this scan runs on every
-            // dispatcher event): it covers the session's own sealed pages
-            // *and* a sealed shared head a brand-new session never
-            // retained itself.
-            let bytes_per_token = entry.kv_bytes_per_token;
-            let bytes = state.kv.sealed_bytes_for(
-                q.session,
-                q.model.0,
-                &q.kv_prompt_hashes,
-                bytes_per_token,
-            );
+            // Address the sealed state by the request's KV query (built at
+            // submission — this scan runs on every dispatcher event): it
+            // covers the session's own sealed pages *and* a sealed shared
+            // head a brand-new session never retained itself.
+            let bytes = state.kv.sealed_bytes_for(&q.kv);
             (bytes > 0).then(|| RestoreKv {
-                session: q.session,
-                model: q.model.0,
-                bytes_per_token,
-                page_hashes: q.kv_prompt_hashes.clone(),
+                query: q.kv.clone(),
                 bytes,
             })
         } else {
@@ -1824,14 +1820,7 @@ fn credit_restore_progress(
         let kv_elapsed = (elapsed_secs - param_secs).max(0.0);
         let mut kv_credit = ((kv_elapsed * r.kv_rate) as u64).min(rkv.bytes);
         kv_credit -= kv_credit % RESTORE_AHEAD_QUANTUM;
-        state.kv_restore_ahead_bytes += state.kv.prewarm(
-            rkv.session,
-            rkv.model,
-            &rkv.page_hashes,
-            rkv.bytes_per_token,
-            kv_credit,
-            now,
-        );
+        state.kv_restore_ahead_bytes += state.kv.prewarm(&rkv.query, kv_credit, now);
     }
 }
 
@@ -1899,14 +1888,7 @@ fn on_restore_ahead_done(
     let r = state.restore.take().expect("restore-ahead is active");
     credit_restore(state, r.model, r.param_bytes);
     if let Some(rkv) = &r.kv {
-        state.kv_restore_ahead_bytes += state.kv.prewarm(
-            rkv.session,
-            rkv.model,
-            &rkv.page_hashes,
-            rkv.bytes_per_token,
-            rkv.bytes,
-            now,
-        );
+        state.kv_restore_ahead_bytes += state.kv.prewarm(&rkv.query, rkv.bytes, now);
     }
     record_restore_ahead_span(state, &r, now, false);
     let (lane_flash, lane_cpu) = (state.lane_flash, state.lane_cpu);
@@ -1991,7 +1973,7 @@ impl Server {
         telemetry.name_track(Track::Lane(tl_flash), "flash");
         telemetry.name_track(Track::Lane(tl_cpu), "cpu");
         let cost = llm::CostModel::rk3588();
-        let draft_spec = if config.speculation.enabled {
+        let draft_spec = if config.speculation.k > 0 {
             Some(
                 ModelSpec::by_name(&config.speculation.draft_model).unwrap_or_else(|| {
                     panic!(
@@ -2154,27 +2136,28 @@ impl Server {
         prompt_len: usize,
         output_len: usize,
     ) {
-        let model = self.model_id(model);
         let state = self.engine.state_mut();
         // Mint a unique content identity per direct submission: no two
         // `submit_at` prompts ever share KV content.
-        let content = PromptContent::from_seed(derive_seed(state.next_id, 0x5eed), prompt_len);
-        let request = QueuedRequest {
-            id: state.next_id,
+        let id = state.next_id;
+        let style = SessionStyle::Independent;
+        let request = state.queue_request(
             session,
-            model,
-            prompt_len,
-            shared_prefix_len: 0,
-            system_prefix_len: 0,
-            output_len,
-            kv_prompt_hashes: state.kv_prompt_hashes(model, &content),
-            content,
-            output_seed: derive_seed(state.next_id, 0x07),
-            accept_permille: workloads::SessionStyle::Independent.accept_base_permille(),
-            accept_seed: derive_seed(state.next_id, 0xACC),
-            style_label: workloads::SessionStyle::Independent.label(),
-        };
-        state.next_id += 1;
+            &ScriptedRequest {
+                delay: SimDuration::ZERO,
+                model: model.to_string(),
+                benchmark: Benchmark::UltraChat, // never read by the server
+                prompt_len,
+                shared_prefix_len: 0,
+                system_prefix_len: 0,
+                output_len,
+                content: PromptContent::from_seed(derive_seed(id, 0x5eed), prompt_len),
+                output_seed: derive_seed(id, 0x07),
+                accept_permille: style.accept_base_permille(),
+                accept_seed: derive_seed(id, 0xACC),
+                style_label: style.label(),
+            },
+        );
         self.engine
             .schedule_at(at, move |state, sched| on_arrival(state, sched, request));
     }
@@ -2207,23 +2190,7 @@ impl Server {
             return;
         };
         let session = script.session;
-        let model = state.model_ids[&first.model];
-        let request = QueuedRequest {
-            id: state.next_id,
-            session,
-            model,
-            prompt_len: first.prompt_len,
-            shared_prefix_len: first.shared_prefix_len,
-            system_prefix_len: first.system_prefix_len,
-            output_len: first.output_len,
-            kv_prompt_hashes: state.kv_prompt_hashes(model, &first.content),
-            content: first.content.clone(),
-            output_seed: first.output_seed,
-            accept_permille: first.accept_permille,
-            accept_seed: first.accept_seed,
-            style_label: first.style_label,
-        };
-        state.next_id += 1;
+        let request = state.queue_request(session, &first);
         state.session_index.insert(session, state.scripts.len());
         state.scripts.push(SessionScript {
             session,

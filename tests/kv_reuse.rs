@@ -2,12 +2,16 @@
 //! enabling KV reuse never worsens any single request's service TTFT versus
 //! the paper's release-everything baseline on the same conversation scripts,
 //! follow-up turns improve by the acceptance factor, spilled state still
-//! reuses (via unseal), restore-ahead streams sealed KV on idle lanes, and
-//! the whole thing is deterministic and invisible when disabled.
+//! reuses (via unseal), restore-ahead streams sealed KV on idle lanes and
+//! unseals exactly what the dispatch then claims, and the whole thing is
+//! deterministic and invisible when disabled.
 
-use sim_core::SimDuration;
+use std::collections::BTreeSet;
+
+use llm::PromptContent;
+use sim_core::{SimDuration, SimTime};
 use tz_hal::PlatformProfile;
-use tzllm::kv::KvConfig;
+use tzllm::kv::{KvConfig, KvPool, KvQuery};
 use tzllm::serving::{RetentionPolicy, Server, ServingConfig, ServingReport};
 use workloads::WorkloadSpec;
 
@@ -184,6 +188,74 @@ fn restore_ahead_prewarms_sealed_kv() {
         assert!(lane.peak_in_use <= lane.capacity, "{}", lane.name);
         assert_eq!(lane.in_use, 0, "{}: still held at shutdown", lane.name);
     }
+}
+
+/// A pool of 16-token pages at 1 KiB per token, with room for everything
+/// in the spill region.
+fn small_pool() -> KvPool {
+    KvPool::new(&KvConfig {
+        page_bytes: 16 * 1024,
+        spill_budget: u64::MAX,
+        ..KvConfig::chat_default()
+    })
+}
+
+/// `session`'s dispatch of `prompt`, declaring `overlap` tokens of its own
+/// previous context, capped so one prompt token always prefills.
+fn query(session: u64, prompt: &PromptContent, overlap: usize) -> KvQuery {
+    let max_reuse = prompt.len() - 1;
+    KvQuery {
+        session,
+        model: 0,
+        page_hashes: prompt.page_keys(16),
+        bytes_per_token: 1024,
+        shared_prefix: overlap.min(max_reuse),
+        max_reuse,
+    }
+}
+
+/// A session whose whole retained context is a sealed sub-page tail: the
+/// follow-up's dispatch unseals the tail, so restore-ahead sizes it and an
+/// unlimited prewarm unseals all of it ahead of dispatch.
+#[test]
+fn prewarm_unseals_a_sealed_sub_page_tail() {
+    let mut pool = small_pool();
+    let turn = PromptContent::from_seed(1, 10);
+    pool.on_complete(1, 0, &turn.page_keys(16), 10, 1024, SimTime::ZERO);
+    pool.enforce(0, &BTreeSet::new());
+    // The follow-up's first whole page is not in the store: only the tail
+    // is claimed.
+    let q = query(1, &turn.extended(2, 16), 10);
+    let sealed = pool.sealed_bytes_for(&q);
+    assert_eq!(sealed, 10 * 1024, "the sealed 10-token tail");
+    let t1 = SimTime::from_secs(1);
+    assert_eq!(pool.clone().reuse_plan(&q, t1).unseal_bytes, sealed);
+    assert_eq!(pool.prewarm(&q, u64::MAX, t1), sealed);
+    assert_eq!(pool.sealed_bytes_for(&q), 0, "nothing sealed remains");
+    let reuse = pool.reuse_plan(&q, SimTime::from_secs(2));
+    assert_eq!((reuse.reused_tokens, reuse.unseal_bytes), (10, 0));
+}
+
+/// A sealed tail that another session's deeper pages subsume: the dispatch
+/// claims those pages and drops the tail unread, so restore-ahead must
+/// neither size nor unseal it.
+#[test]
+fn a_subsumed_sealed_tail_is_neither_sized_nor_prewarmed() {
+    let mut pool = small_pool();
+    let stream = |tokens| PromptContent::from_seed(3, tokens);
+    // Session 1 retains one page and an 8-token tail; the tail seals.
+    pool.on_complete(1, 0, &stream(24).page_keys(16), 24, 1024, SimTime::ZERO);
+    pool.enforce(16 * 1024, &BTreeSet::new());
+    assert_eq!(pool.sealed_bytes(), 8 * 1024);
+    // Session 2 retains the same stream two whole pages deep.
+    let t1 = SimTime::from_secs(1);
+    pool.on_complete(2, 0, &stream(40).page_keys(16), 40, 1024, t1);
+    let q = query(1, &stream(48), 24);
+    let reuse = pool.clone().reuse_plan(&q, t1);
+    assert_eq!((reuse.reused_tokens, reuse.unseal_bytes), (32, 0));
+    assert_eq!(pool.sealed_bytes_for(&q), reuse.unseal_bytes);
+    assert_eq!(pool.prewarm(&q, u64::MAX, t1), 0);
+    assert_eq!(pool.sealed_bytes(), 8 * 1024, "the tail stays sealed");
 }
 
 /// KV serving is deterministic: same seed, same records, byte for byte.

@@ -1,18 +1,22 @@
 //! Property-based tests over the core data structures and invariants: the
 //! pipeline scheduler, CTR random-access decryption, the TZASC contiguity
-//! rules and the cache controller.
+//! rules, the cache controller, and the KV pool's claim rule and byte
+//! ledger.
 //!
 //! The properties are exercised over many randomly drawn cases, but the
 //! randomness comes from [`sim_core::DetRng`] with fixed seeds, so every run
 //! checks exactly the same cases (no external proptest dependency, no
 //! shrinking — a failing case prints its inputs instead).
 
-use llm::{ComputationGraph, CostModel, ModelSpec};
-use sim_core::{DetRng, SimDuration};
+use std::collections::BTreeSet;
+
+use llm::{ComputationGraph, CostModel, ModelSpec, PromptContent};
+use sim_core::{shard_seed, DetRng, SimDuration, SimTime};
 use tz_crypto::AesCtr;
 use tz_hal::{PhysAddr, PhysRange, PlatformProfile, Tzasc, World, PAGE_SIZE};
 use tzllm::{
-    simulate, CacheController, CachePolicy, PipelineConfig, Policy, RestorePlan, RestoreRates,
+    simulate, CacheController, CachePolicy, KvConfig, KvPool, KvQuery, PipelineConfig, Policy,
+    RestorePlan, RestoreRates, SpillFormat,
 };
 
 const CASES: usize = 48;
@@ -322,6 +326,126 @@ fn cache_controller_accounting() {
             let released = cache.revoke(r);
             assert!(released <= before, "case {case}");
             assert_eq!(cache.cached_bytes(), before - released, "case {case}");
+        }
+    }
+}
+
+/// Tokens per KV page and KV bytes per token of the random KV histories.
+const KV_PT: usize = 16;
+const KV_BPT: u64 = 1024;
+
+/// A random next prompt of `session`: its retained context continued (a
+/// follow-up turn), a new conversation on the shared `head`, or unrelated
+/// content — with the overlap declared honestly or at random, and now and
+/// then on another model.
+fn next_kv_query(
+    rng: &mut DetRng,
+    session: u64,
+    context: &PromptContent,
+    head: &PromptContent,
+) -> (KvQuery, PromptContent) {
+    let base = match rng.gen_range(0, 4) {
+        0 => head.clone(),
+        1 => PromptContent::empty(),
+        _ => context.clone(),
+    };
+    let prompt = base.extended(rng.next_u64(), rng.gen_range(1, 40) as usize);
+    let max_reuse = prompt.len() - 1;
+    let declared = if rng.gen_bool(0.7) {
+        base.len()
+    } else {
+        rng.gen_range(0, prompt.len() as u64 + 1) as usize
+    };
+    let query = KvQuery {
+        session,
+        model: u32::from(rng.gen_bool(0.1)),
+        page_hashes: prompt.page_keys(KV_PT),
+        bytes_per_token: KV_BPT,
+        shared_prefix: declared.min(max_reuse),
+        max_reuse,
+    };
+    (query, prompt)
+}
+
+/// Random KV histories over a few sessions that open with a shared head:
+/// completions, budget enforcement, dispatch claims and restore-ahead
+/// prewarms, with shared and salted page keys, F16 and INT8 spill.  After
+/// every step, for a random next prompt, restore-ahead sizes exactly what
+/// the dispatch would unseal, an unlimited prewarm unseals exactly that, and
+/// the pool's residency counters equal their recount from its pages and
+/// tails.  Case `c` draws only from `DetRng::new(shard_seed(SEED, c))`, so
+/// a failure's one-line repro (seed, case, step) replays on its own.
+#[test]
+fn kv_claims_and_byte_ledger_hold_on_random_histories() {
+    const SEED: u64 = 0x6b765f6c6564; // "kv_led"
+    const SESSIONS: u64 = 4;
+    let page = KV_PT as u64 * KV_BPT;
+    for case in 0..CASES as u64 {
+        let mut rng = DetRng::new(shard_seed(SEED, case));
+        let mut pool = KvPool::new(&KvConfig {
+            shared: rng.gen_bool(0.5),
+            page_bytes: page,
+            spill_budget: rng.gen_range(0, 24) * page,
+            max_sessions: rng.gen_range(1, SESSIONS + 1) as usize,
+            spill_format: if rng.gen_bool(0.5) {
+                SpillFormat::F16
+            } else {
+                SpillFormat::Int8
+            },
+            popularity_retention: rng.gen_bool(0.5),
+            ..KvConfig::chat_default()
+        });
+        let head = PromptContent::from_seed(rng.next_u64(), rng.gen_range(0, 48) as usize);
+        // Each session's retained context, and its dispatched prompt.
+        let mut contexts = vec![head.clone(); SESSIONS as usize];
+        let mut in_flight: Vec<Option<PromptContent>> = vec![None; SESSIONS as usize];
+        for step in 0..40 {
+            let repro = format!("repro: seed {SEED:#x} case {case} step {step}");
+            let now = SimTime::from_secs(step);
+            let s = rng.gen_range(0, SESSIONS);
+            let i = s as usize;
+            match rng.gen_range(0, 4) {
+                0 => {
+                    let (query, prompt) = next_kv_query(&mut rng, s, &contexts[i], &head);
+                    pool.reuse_plan(&query, now);
+                    in_flight[i] = Some(prompt);
+                }
+                1 => {
+                    let prompt = in_flight[i].take().unwrap_or_else(|| contexts[i].clone());
+                    let context = prompt.extended(rng.next_u64(), rng.gen_range(1, 32) as usize);
+                    let hashes = context.page_keys(KV_PT);
+                    pool.on_complete(s, 0, &hashes, context.len(), KV_BPT, now);
+                    contexts[i] = context;
+                }
+                2 => {
+                    let active: BTreeSet<u64> = (0..SESSIONS)
+                        .filter(|&s| in_flight[s as usize].is_some())
+                        .collect();
+                    pool.enforce(rng.gen_range(0, 8 * page), &active);
+                }
+                _ => {
+                    let (query, _) = next_kv_query(&mut rng, s, &contexts[i], &head);
+                    pool.prewarm(&query, rng.gen_range(0, 4 * page), now);
+                }
+            }
+            let s = rng.gen_range(0, SESSIONS);
+            let (query, _) = next_kv_query(&mut rng, s, &contexts[s as usize], &head);
+            let sealed = pool.sealed_bytes_for(&query);
+            assert_eq!(
+                pool.clone().reuse_plan(&query, now).unseal_bytes,
+                sealed,
+                "{repro}: the dispatch unseals what sealed_bytes_for sized"
+            );
+            assert_eq!(
+                pool.clone().prewarm(&query, u64::MAX, now),
+                sealed,
+                "{repro}: an unlimited prewarm unseals what sealed_bytes_for sized"
+            );
+            assert_eq!(
+                pool.balance(),
+                pool.recount(),
+                "{repro}: residency counters against their recount"
+            );
         }
     }
 }

@@ -45,7 +45,7 @@ fn fleet_run(config: ServingConfig, seed: u64) -> ServingReport {
 }
 
 /// The escape hatch: a config with the speculation knobs populated but the
-/// master switch off is bit-for-bit the plain batched step loop — the
+/// depth cap `k` at zero is bit-for-bit the plain batched step loop — the
 /// acceptance RNG is never drawn, no draft entry is wired, and every record
 /// and counter is identical.
 #[test]
@@ -56,7 +56,7 @@ fn speculation_off_is_bit_for_bit_the_batched_step_loop() {
     );
     let mut disabled_cfg = ServingConfig::paper_default(PlatformProfile::rk3588());
     disabled_cfg.speculation = SpeculationConfig {
-        enabled: false,
+        k: 0,
         ..SpeculationConfig::paper_default()
     };
     let disabled = fleet_run(disabled_cfg, 0xA6E7);
