@@ -7,11 +7,14 @@
 //! unique key, and restoring it on every subsequent inference request (§3.2).
 //!
 //! The checkpoint blob is stored in the untrusted REE file system, so it is
-//! encrypted (AES-CTR) and authenticated (HMAC-SHA256); a forged or corrupted
-//! checkpoint is rejected and the TA falls back to a full cold initialisation.
+//! [sealed](tz_crypto::seal()) under a per-path key, bound to its path and
+//! to a save generation the store keeps in trusted storage.  A forged,
+//! corrupted, superseded or relocated checkpoint is rejected and the TA
+//! falls back to a full cold initialisation.
 
 use sim_core::SimDuration;
-use tz_crypto::{hmac_sha256, hmac_verify, AesCtr, HardwareUniqueKey};
+use tz_crypto::seal::{open, seal, SealAad, SealKey, SealedBlob, SEAL_NONCE_LEN};
+use tz_crypto::HardwareUniqueKey;
 
 use ree_kernel::{FileContent, FileSystem, FsError};
 
@@ -61,15 +64,16 @@ pub struct RestoredCheckpoint {
     pub duration: SimDuration,
 }
 
-const MAGIC: &[u8; 8] = b"TZLLMCP1";
-const NONCE: [u8; 16] = [0x5a; 16];
-
 /// Save / restore of the initialised framework state.
 #[derive(Debug)]
 pub struct CheckpointStore {
     path: String,
     deserialise_cost: SimDuration,
     decrypt_bytes_per_sec: f64,
+    /// Saves so far: a trusted monotonic counter.  The latest save is sealed
+    /// under this generation (its nonce and its AAD), so it is the only
+    /// checkpoint a restore accepts.
+    generation: u64,
 }
 
 impl CheckpointStore {
@@ -86,47 +90,49 @@ impl CheckpointStore {
             path: path.into(),
             deserialise_cost,
             decrypt_bytes_per_sec,
+            generation: 0,
         }
     }
 
-    fn cipher(huk: &HardwareUniqueKey) -> AesCtr {
-        let key = huk.checkpoint_key();
-        AesCtr::new(key.expose(), &NONCE).expect("derived key has a valid AES length")
+    fn key(&self, huk: &HardwareUniqueKey) -> SealKey {
+        SealKey::derive(huk.checkpoint_key().expose(), &self.path)
     }
 
-    /// Saves `state` encrypted and authenticated; returns the write latency.
-    pub fn save(&self, huk: &HardwareUniqueKey, fs: &mut FileSystem, state: &[u8]) -> SimDuration {
-        let mut payload = state.to_vec();
-        Self::cipher(huk).apply(&mut payload);
-        let key = huk.checkpoint_key();
-        let tag = hmac_sha256(key.expose(), &payload);
-        let mut blob = MAGIC.to_vec();
-        blob.extend_from_slice(&tag);
-        blob.extend_from_slice(&payload);
+    fn aad(&self) -> Vec<u8> {
+        SealAad::new("framework-checkpoint")
+            .field("path", self.path.as_bytes())
+            .u64("generation", self.generation)
+            .into_bytes()
+    }
+
+    /// Saves `state` sealed under the next generation, superseding every
+    /// earlier save; returns the write latency.
+    pub fn save(
+        &mut self,
+        huk: &HardwareUniqueKey,
+        fs: &mut FileSystem,
+        state: &[u8],
+    ) -> SimDuration {
+        self.generation += 1;
+        let mut nonce = [0u8; SEAL_NONCE_LEN];
+        nonce[..8].copy_from_slice(&self.generation.to_le_bytes());
+        let blob = seal(&self.key(huk), &nonce, &self.aad(), state).to_bytes();
         let write_time = fs.device().read_time(blob.len() as u64); // symmetric write model
         fs.write_file(self.path.clone(), FileContent::Bytes(blob));
         write_time
     }
 
-    /// Restores the framework state, verifying integrity.
+    /// Restores the framework state of the latest save, verifying integrity.
     pub fn restore(
         &self,
         huk: &HardwareUniqueKey,
         fs: &mut FileSystem,
     ) -> Result<RestoredCheckpoint, CheckpointError> {
         let read = fs.read_all(&self.path)?;
-        let blob = read.data.ok_or(CheckpointError::Malformed)?;
-        if blob.len() < MAGIC.len() + 32 || &blob[..MAGIC.len()] != MAGIC {
-            return Err(CheckpointError::Malformed);
-        }
-        let tag = &blob[MAGIC.len()..MAGIC.len() + 32];
-        let payload = &blob[MAGIC.len() + 32..];
-        let key = huk.checkpoint_key();
-        if !hmac_verify(key.expose(), payload, tag) {
-            return Err(CheckpointError::IntegrityFailure);
-        }
-        let mut state = payload.to_vec();
-        Self::cipher(huk).apply(&mut state);
+        let bytes = read.data.ok_or(CheckpointError::Malformed)?;
+        let blob = SealedBlob::from_bytes(&bytes).ok_or(CheckpointError::Malformed)?;
+        let state = open(&self.key(huk), &self.aad(), &blob)
+            .map_err(|_| CheckpointError::IntegrityFailure)?;
         let decrypt = SimDuration::from_secs_f64(state.len() as f64 / self.decrypt_bytes_per_sec);
         Ok(RestoredCheckpoint {
             state,
@@ -153,9 +159,10 @@ mod tests {
     fn save_restore_roundtrip() {
         let huk = HardwareUniqueKey::provision("dev");
         let mut fs = fs();
+        let mut store = store();
         let state = b"tokenizer tables + metadata + graph layout".to_vec();
-        store().save(&huk, &mut fs, &state);
-        let restored = store().restore(&huk, &mut fs).unwrap();
+        store.save(&huk, &mut fs, &state);
+        let restored = store.restore(&huk, &mut fs).unwrap();
         assert_eq!(restored.state, state);
         // Restore must be far cheaper than the 2.3 s cold init it replaces.
         assert!(restored.duration.as_secs_f64() < 0.5);
@@ -176,13 +183,14 @@ mod tests {
     fn tampering_is_detected() {
         let huk = HardwareUniqueKey::provision("dev");
         let mut fs = fs();
-        store().save(&huk, &mut fs, b"state");
+        let mut store = store();
+        store.save(&huk, &mut fs, b"state");
         let mut blob = fs.raw_bytes("llm.ckpt").unwrap().to_vec();
         let last = blob.len() - 1;
         blob[last] ^= 0x80;
         fs.write_file("llm.ckpt", FileContent::Bytes(blob));
         assert_eq!(
-            store().restore(&huk, &mut fs).unwrap_err(),
+            store.restore(&huk, &mut fs).unwrap_err(),
             CheckpointError::IntegrityFailure
         );
     }
@@ -207,9 +215,10 @@ mod tests {
         let huk = HardwareUniqueKey::provision("dev");
         let other = HardwareUniqueKey::provision("other-dev");
         let mut fs = fs();
-        store().save(&huk, &mut fs, b"state");
+        let mut store = store();
+        store.save(&huk, &mut fs, b"state");
         assert_eq!(
-            store().restore(&other, &mut fs).unwrap_err(),
+            store.restore(&other, &mut fs).unwrap_err(),
             CheckpointError::IntegrityFailure
         );
     }

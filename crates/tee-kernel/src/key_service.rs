@@ -153,7 +153,7 @@ mod tests {
         let huk = HardwareUniqueKey::provision("test-device");
         let mk = ModelKey::derive(b"provider", "phi-3");
         let mut wrapped = WrappedModelKey::wrap(&huk, &mk, [1u8; NONCE_LEN]);
-        wrapped.tag[0] ^= 1;
+        wrapped.blob.tag[0] ^= 1;
         svc.register_model_key("phi-3", wrapped);
         assert!(matches!(
             svc.unwrap_for(&tas, llm, "phi-3"),

@@ -1,41 +1,40 @@
-//! Paged secure KV-cache pool with encrypted spill (the functional half of
+//! The secure KV-cache page store with sealed spill (the functional half of
 //! the KV-cache manager).
 //!
 //! TZ-LLM's prototype releases the whole KV cache after every inference
 //! (§4.2), so each follow-up turn of a conversation re-prefills everything it
-//! already computed.  The KV pool instead retains per-session KV state as
+//! already computed.  [`SharedKvStore`] instead retains KV state as
 //! fixed-size pages inside the working [`ScalableRegion`](crate::ScalableRegion):
 //!
 //! * pages are allocated by growing the region through the normal
 //!   `extend_allocated`/`extend_protected` path (page-aligned, contiguous,
-//!   Iago-validated);
+//!   Iago-validated); freed slots are reused first and
+//!   [`SharedKvStore::shrink_to_fit`] hands trailing free slots back;
+//! * a page's identity is `(model, chain hash)`, where the chain hash is a
+//!   SHA-256 chain over its bytes and its whole prefix ([`PageHash::chain`]).
+//!   Installing a page whose identity already exists dedups onto the
+//!   existing secure copy and bumps its reference count, and a page can only
+//!   be evicted once its last reference is released.  Two sessions that
+//!   diverge after a common head get distinct chain hashes from the fork
+//!   on — copy-on-divergence without copying, and no way for one session to
+//!   name another's private suffix.  A session that must not share at all
+//!   roots its head page at a per-session parent hash;
 //! * under secure-memory pressure, cold pages are *spilled*: optionally
 //!   block-quantized to INT8/INT4 ([`tz_quant::SpillFormat`] — the sealed
 //!   payload shrinks 2–4×, so a fixed CMA spill budget holds 2–4× the
-//!   pages), then sealed with AES-256-CTR + HMAC-SHA256
-//!   ([`tz_crypto::seal()`]) and handed to normal-world CMA memory, then the
-//!   plaintext page is scrubbed.  The MAC binds the page identity, the
-//!   quantization format and both the plaintext and sealed lengths, so an
-//!   INT4 blob relabelled INT8 (or any other format confusion) fails
-//!   verification;
-//! * on a follow-up turn the sealed pages are verified, decrypted and
-//!   dequantized back into fresh secure pages — a tampered blob is rejected
-//!   before a single byte is decrypted.  A quantized restore reproduces the
-//!   page within the format's per-block error bound
-//!   ([`tz_quant::SpillFormat::error_bound`]); with
+//!   pages), then [sealed](tz_crypto::seal()) — one blob per page, however
+//!   many sessions reference it — and handed to normal-world CMA memory,
+//!   then the plaintext page is scrubbed.  The MAC binds the model, the
+//!   chain hash, the quantization format and both lengths, so a blob
+//!   relabelled to another model, page or format fails verification before
+//!   a byte is decoded;
+//! * a restore accepts a blob only for a page the index records as sealed,
+//!   so the index is the freshness record: a blob restores at most once (the
+//!   page is resident afterwards), and a rewritten page is a new identity,
+//!   so the old version's blob names no page once that is evicted.  A
+//!   quantized restore reproduces the page within the format's per-block
+//!   error bound ([`tz_quant::SpillFormat::error_bound`]); with
 //!   [`tz_quant::SpillFormat::F16`] the round-trip is exact.
-//!
-//! Cross-session sharing adds [`SharedKvStore`]: a per-model
-//! **content-addressed** page store where a page's identity is a SHA-256
-//! hash chain over its bytes and its whole prefix ([`PageHash::chain`]).
-//! Installing a page whose `(model, chain hash)` already exists dedups onto
-//! the existing secure copy and bumps its reference count; sealing a shared
-//! page seals *one* copy (authenticated against its model and chain
-//! identity, so the REE can neither tamper with it nor replay it across
-//! models), and a page can only be evicted once its last reference is
-//! released.  Two sessions that diverge after a common head automatically
-//! get distinct chain hashes from the fork on — copy-on-divergence without
-//! copying, and no way for one session to name another's private suffix.
 //!
 //! The serving-layer twin of this module ([`tzllm`'s `kv`] in the tzllm
 //! crate) does the byte/time *accounting* of the same lifecycle; this module
@@ -53,7 +52,7 @@ use ree_kernel::TzDriver;
 use crate::secure_memory::{ScalingError, SecureMemoryManager};
 use crate::ta::TaRegistry;
 
-/// Errors from the KV pool.
+/// Errors from the KV page store.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum KvPoolError {
     /// Growing or shrinking the secure region failed.
@@ -67,8 +66,6 @@ pub enum KvPoolError {
         /// What the caller provided.
         got: u64,
     },
-    /// The referenced slot is empty or out of range.
-    NoSuchPage(usize),
     /// The referenced content-addressed page is not in the store.
     UnknownPage,
     /// The page still has live references and cannot be evicted.
@@ -105,7 +102,6 @@ impl std::fmt::Display for KvPoolError {
             KvPoolError::BadPageSize { expected, got } => {
                 write!(f, "page data is {got} bytes, pool pages are {expected}")
             }
-            KvPoolError::NoSuchPage(slot) => write!(f, "no resident page in slot {slot}"),
             KvPoolError::UnknownPage => write!(f, "no such page in the content-addressed store"),
             KvPoolError::StillReferenced(refs) => {
                 write!(f, "page still has {refs} live references")
@@ -116,290 +112,6 @@ impl std::fmt::Display for KvPoolError {
 }
 
 impl std::error::Error for KvPoolError {}
-
-/// A resident (plaintext, secure-memory) KV page.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct KvPageData {
-    /// Session the page belongs to.
-    pub session: u64,
-    /// Position of the page within the session's KV prefix.
-    pub seq: u32,
-    /// The raw K/V bytes.
-    pub data: Vec<u8>,
-}
-
-/// A sealed KV page as it sits in normal-world CMA memory.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SealedKvPage {
-    /// Session the page belongs to (authenticated, not secret).
-    pub session: u64,
-    /// Position of the page within the session's KV prefix (authenticated).
-    pub seq: u32,
-    /// Spill encoding of the payload (authenticated — a blob relabelled to a
-    /// different format fails the MAC before any decoding).
-    pub format: SpillFormat,
-    /// The sealed payload (quantized when `format` is not `F16`).
-    pub blob: SealedBlob,
-}
-
-impl SealedKvPage {
-    fn aad(session: u64, seq: u32, format: SpillFormat, plain_len: u64) -> Vec<u8> {
-        SealAad::new("kv-page")
-            .u64("session", session)
-            .u32("seq", seq)
-            .u8("format", format.id())
-            .u64("plain-len", plain_len)
-            .u64("sealed-len", format.sealed_len(plain_len as usize) as u64)
-            .into_bytes()
-    }
-}
-
-/// Normal-world staging area for spilled KV pages: everything stored here is
-/// readable and writable by a compromised REE, which is exactly what the
-/// security tests exercise.
-#[derive(Debug, Default)]
-pub struct NormalWorldSpill {
-    blobs: Vec<SealedKvPage>,
-}
-
-impl NormalWorldSpill {
-    /// An empty spill area.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of sealed pages currently spilled.
-    pub fn len(&self) -> usize {
-        self.blobs.len()
-    }
-
-    /// Whether nothing is spilled.
-    pub fn is_empty(&self) -> bool {
-        self.blobs.is_empty()
-    }
-
-    /// Stores a sealed page, returning its index.
-    pub fn push(&mut self, page: SealedKvPage) -> usize {
-        self.blobs.push(page);
-        self.blobs.len() - 1
-    }
-
-    /// Borrow a sealed page (REE read access).
-    pub fn get(&self, index: usize) -> &SealedKvPage {
-        &self.blobs[index]
-    }
-
-    /// Mutable access — the REE can tamper with anything it stores.
-    pub fn get_mut(&mut self, index: usize) -> &mut SealedKvPage {
-        &mut self.blobs[index]
-    }
-
-    /// Removes and returns a sealed page (handed back to the TEE on restore).
-    pub fn take(&mut self, index: usize) -> SealedKvPage {
-        self.blobs.remove(index)
-    }
-
-    /// Every byte of normal-world memory the spill occupies, concatenated —
-    /// the attacker's full view.
-    pub fn observable_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        for page in &self.blobs {
-            out.extend_from_slice(&page.session.to_le_bytes());
-            out.extend_from_slice(&page.seq.to_le_bytes());
-            out.push(page.format.id());
-            out.extend_from_slice(&page.blob.observable_bytes());
-        }
-        out
-    }
-}
-
-/// The paged KV allocator over one [`ScalableRegion`](crate::ScalableRegion).
-#[derive(Debug)]
-pub struct KvPagePool {
-    region: usize,
-    page_bytes: u64,
-    format: SpillFormat,
-    slots: Vec<Option<KvPageData>>,
-    key: SealKey,
-    seal_counter: u64,
-}
-
-impl KvPagePool {
-    /// Creates a pool of `page_bytes`-sized pages inside secure-memory region
-    /// `region`, sealing spilled pages under a key derived from `root_key`
-    /// (spilled pages ship verbatim f16 — see [`KvPagePool::with_format`]).
-    ///
-    /// # Panics
-    /// Panics if `page_bytes` is not a positive multiple of the platform page
-    /// size (region scaling is page-granular).
-    pub fn new(region: usize, page_bytes: u64, root_key: &[u8]) -> Self {
-        Self::with_format(region, page_bytes, root_key, SpillFormat::F16)
-    }
-
-    /// Like [`KvPagePool::new`], but spilled pages are block-quantized to
-    /// `format` before sealing, shrinking the normal-world footprint by the
-    /// format's expansion factor at the cost of the format's per-block
-    /// reconstruction error.
-    ///
-    /// # Panics
-    /// Panics if `page_bytes` is not a positive multiple of the platform page
-    /// size (region scaling is page-granular).
-    pub fn with_format(
-        region: usize,
-        page_bytes: u64,
-        root_key: &[u8],
-        format: SpillFormat,
-    ) -> Self {
-        assert!(
-            page_bytes > 0 && page_bytes.is_multiple_of(PAGE_SIZE),
-            "KV pages must be a positive multiple of the {PAGE_SIZE}-byte platform page"
-        );
-        KvPagePool {
-            region,
-            page_bytes,
-            format,
-            slots: Vec::new(),
-            key: SealKey::derive(root_key, "kv-page-seal"),
-            seal_counter: 0,
-        }
-    }
-
-    /// Page size in bytes.
-    pub fn page_bytes(&self) -> u64 {
-        self.page_bytes
-    }
-
-    /// The spill encoding this pool seals evicted pages with.
-    pub fn spill_format(&self) -> SpillFormat {
-        self.format
-    }
-
-    /// Number of pages currently resident in secure memory.
-    pub fn resident_pages(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
-    }
-
-    /// Total secure bytes the pool has claimed from its region (resident and
-    /// free slots alike — freed slots are reused before the region grows).
-    pub fn claimed_bytes(&self) -> u64 {
-        self.slots.len() as u64 * self.page_bytes
-    }
-
-    /// A resident page, if the slot holds one.
-    pub fn page(&self, slot: usize) -> Option<&KvPageData> {
-        self.slots.get(slot).and_then(|s| s.as_ref())
-    }
-
-    /// Installs one page of KV data for `(session, seq)`, growing the secure
-    /// region if no freed slot is available.  Returns the slot index.
-    pub fn install(
-        &mut self,
-        session: u64,
-        seq: u32,
-        data: Vec<u8>,
-        mgr: &mut SecureMemoryManager,
-        tz_driver: &mut TzDriver,
-        tas: &mut TaRegistry,
-    ) -> Result<usize, KvPoolError> {
-        if data.len() as u64 != self.page_bytes {
-            return Err(KvPoolError::BadPageSize {
-                expected: self.page_bytes,
-                got: data.len() as u64,
-            });
-        }
-        let page = KvPageData { session, seq, data };
-        if let Some(slot) = self.slots.iter().position(|s| s.is_none()) {
-            self.slots[slot] = Some(page);
-            return Ok(slot);
-        }
-        mgr.extend_allocated(self.region, self.page_bytes, tz_driver)?;
-        mgr.extend_protected(self.region, self.page_bytes, tas)?;
-        self.slots.push(Some(page));
-        Ok(self.slots.len() - 1)
-    }
-
-    /// Spills the page in `slot` to normal-world memory: seals it, scrubs the
-    /// plaintext, frees the slot, and returns the spill index.
-    pub fn spill(
-        &mut self,
-        slot: usize,
-        spill: &mut NormalWorldSpill,
-    ) -> Result<usize, KvPoolError> {
-        let page = self
-            .slots
-            .get_mut(slot)
-            .and_then(Option::take)
-            .ok_or(KvPoolError::NoSuchPage(slot))?;
-        // A monotonic counter plus the session id keeps nonces unique per key
-        // even when the same (session, seq) page is spilled repeatedly.
-        let mut nonce = [0u8; 16];
-        nonce[..8].copy_from_slice(&self.seal_counter.to_le_bytes());
-        nonce[8..].copy_from_slice(&page.session.to_le_bytes());
-        self.seal_counter += 1;
-        let aad = SealedKvPage::aad(page.session, page.seq, self.format, page.data.len() as u64);
-        let payload = quantize(self.format, &page.data);
-        let blob = seal(&self.key, &nonce, &aad, &payload);
-        // `page.data` is dropped here — the secure copy is scrubbed.
-        Ok(spill.push(SealedKvPage {
-            session: page.session,
-            seq: page.seq,
-            format: self.format,
-            blob,
-        }))
-    }
-
-    /// Restores a sealed page handed back by the normal world: verifies the
-    /// tag over the page identity, the declared spill format, both lengths
-    /// and the ciphertext; then decrypts and (for a quantized format)
-    /// dequantizes into a fresh secure page, returning its slot.  A blob
-    /// whose claimed format disagrees with the one it was sealed under is
-    /// rejected by the MAC before any decoding.
-    pub fn restore(
-        &mut self,
-        sealed: SealedKvPage,
-        mgr: &mut SecureMemoryManager,
-        tz_driver: &mut TzDriver,
-        tas: &mut TaRegistry,
-    ) -> Result<usize, KvPoolError> {
-        let aad = SealedKvPage::aad(sealed.session, sealed.seq, sealed.format, self.page_bytes);
-        let payload = open(&self.key, &aad, &sealed.blob)?;
-        let data = dequantize(sealed.format, &payload, self.page_bytes as usize)?;
-        self.install(sealed.session, sealed.seq, data, mgr, tz_driver, tas)
-    }
-
-    /// Frees every resident page of `session` (conversation reset or session
-    /// eviction), returning how many pages were scrubbed.
-    pub fn release_session(&mut self, session: u64) -> usize {
-        let mut freed = 0;
-        for slot in &mut self.slots {
-            if slot.as_ref().is_some_and(|p| p.session == session) {
-                *slot = None;
-                freed += 1;
-            }
-        }
-        freed
-    }
-
-    /// Returns trailing free slots' memory to the REE by shrinking the
-    /// region; interior free slots stay claimed for reuse (the region must
-    /// stay contiguous).  Returns the bytes released.
-    pub fn shrink_to_fit(
-        &mut self,
-        mgr: &mut SecureMemoryManager,
-        tz_driver: &mut TzDriver,
-        tas: &mut TaRegistry,
-    ) -> Result<u64, KvPoolError> {
-        let mut tail_free = 0u64;
-        while self.slots.last().is_some_and(Option::is_none) {
-            self.slots.pop();
-            tail_free += self.page_bytes;
-        }
-        if tail_free > 0 {
-            mgr.shrink(self.region, tail_free, tas, tz_driver)?;
-        }
-        Ok(tail_free)
-    }
-}
 
 /// The SHA-256 chain identity of one shared KV page: commits to the page's
 /// bytes *and* every byte of the pages before it, so equal hashes mean equal
@@ -448,8 +160,9 @@ impl SealedSharedPage {
     }
 }
 
-/// Normal-world staging area for sealed *shared* pages — like
-/// [`NormalWorldSpill`], everything here is attacker-visible and -mutable.
+/// Normal-world staging area for sealed pages: everything stored here is
+/// readable and writable by a compromised REE, which is exactly what the
+/// security tests exercise.
 #[derive(Debug, Default)]
 pub struct SharedSpill {
     blobs: Vec<SealedSharedPage>,
@@ -500,7 +213,7 @@ impl SharedSpill {
             out.extend_from_slice(&page.model.to_le_bytes());
             out.extend_from_slice(&page.hash.0);
             out.push(page.format.id());
-            out.extend_from_slice(&page.blob.observable_bytes());
+            out.extend_from_slice(&page.blob.to_bytes());
         }
         out
     }
@@ -530,15 +243,15 @@ struct SharedEntry {
     state: SharedState,
 }
 
-/// The per-model content-addressed shared KV page store (byte-exact half of
-/// cross-session prefix sharing).
+/// The secure KV page store: per-model, content-addressed and refcounted,
+/// with sealed spill (see the [module docs](self)).
 #[derive(Debug)]
 pub struct SharedKvStore {
     region: usize,
     page_bytes: u64,
     format: SpillFormat,
-    /// Secure page slots; a slot holds the single copy of one shared page.
-    slots: Vec<Option<(u32, PageHash, Vec<u8>)>>,
+    /// Secure page slots; a slot holds the single copy of one page.
+    slots: Vec<Option<Vec<u8>>>,
     index: BTreeMap<(u32, PageHash), SharedEntry>,
     key: SealKey,
     seal_counter: u64,
@@ -596,6 +309,12 @@ impl SharedKvStore {
         self.slots.iter().filter(|s| s.is_some()).count()
     }
 
+    /// Total secure bytes the store has claimed from its region (resident and
+    /// free slots alike — freed slots are reused before the region grows).
+    pub fn claimed_bytes(&self) -> u64 {
+        self.slots.len() as u64 * self.page_bytes
+    }
+
     /// Live references on a page, if it is in the store.
     pub fn refs(&self, model: u32, hash: &PageHash) -> Option<u32> {
         self.index.get(&(model, *hash)).map(|e| e.refs)
@@ -604,9 +323,7 @@ impl SharedKvStore {
     /// The resident plaintext of a page (`None` if unknown or sealed).
     pub fn page_data(&self, model: u32, hash: &PageHash) -> Option<&[u8]> {
         match self.index.get(&(model, *hash))?.state {
-            SharedState::Resident(slot) => self.slots[slot]
-                .as_ref()
-                .map(|(_, _, data)| data.as_slice()),
+            SharedState::Resident(slot) => self.slots[slot].as_deref(),
             SharedState::Sealed => None,
         }
     }
@@ -631,6 +348,9 @@ impl SharedKvStore {
     /// identical page — same model, same content, same prefix — is already
     /// in the store, the existing copy is referenced instead of allocating a
     /// second one.  Returns the page's chain hash and its reference count.
+    ///
+    /// A session that must not share roots its head page at a per-session
+    /// parent hash, so no other session's chain can name its pages.
     pub fn install(
         &mut self,
         model: u32,
@@ -652,7 +372,7 @@ impl SharedKvStore {
             return Ok((hash, entry.refs));
         }
         let slot = self.free_slot(mgr, tz_driver, tas)?;
-        self.slots[slot] = Some((model, hash, data));
+        self.slots[slot] = Some(data);
         self.index.insert(
             (model, hash),
             SharedEntry {
@@ -701,7 +421,7 @@ impl SharedKvStore {
         let SharedState::Resident(slot) = entry.state else {
             return Err(KvPoolError::UnknownPage);
         };
-        let (_, _, data) = self.slots[slot].take().expect("resident page has a slot");
+        let data = self.slots[slot].take().expect("resident page has a slot");
         entry.state = SharedState::Sealed;
         let mut nonce = [0u8; 16];
         nonce[..8].copy_from_slice(&self.seal_counter.to_le_bytes());
@@ -720,11 +440,13 @@ impl SharedKvStore {
         }))
     }
 
-    /// Restores a sealed shared page handed back by the normal world:
-    /// verifies the MAC over the model, chain identity, spill format, both
-    /// lengths and the ciphertext — a mismatch on any of them rejects the
-    /// blob before a byte is decrypted — then decrypts (and, for a quantized
-    /// format, dequantizes) into a fresh secure slot.  The chain identity is
+    /// Restores a sealed page handed back by the normal world.  Only a page
+    /// the index records as sealed is accepted, so a blob restores at most
+    /// once and a blob of an evicted page is refused.  Then verifies the MAC
+    /// over the model, chain identity, spill format, both lengths and the
+    /// ciphertext — a mismatch on any of them rejects the blob before a byte
+    /// is decrypted — and decrypts (and, for a quantized format,
+    /// dequantizes) into a fresh secure slot.  The chain identity is
     /// *authenticated*, not recomputed: the store sealed the page itself
     /// under that identity, so the MAC is the binding (the parent hash
     /// needed to re-derive a non-head page's chain is not stored, and a
@@ -748,7 +470,7 @@ impl SharedKvStore {
         let payload = open(&self.key, &aad, &sealed.blob)?;
         let data = dequantize(sealed.format, &payload, self.page_bytes as usize)?;
         let slot = self.free_slot(mgr, tz_driver, tas)?;
-        self.slots[slot] = Some((sealed.model, sealed.hash, data));
+        self.slots[slot] = Some(data);
         self.index
             .get_mut(&(sealed.model, sealed.hash))
             .expect("entry checked above")
@@ -773,6 +495,26 @@ impl SharedKvStore {
         }
         Ok(())
     }
+
+    /// Returns trailing free slots' memory to the REE by shrinking the
+    /// region; interior free slots stay claimed for reuse (the region must
+    /// stay contiguous).  Returns the bytes released.
+    pub fn shrink_to_fit(
+        &mut self,
+        mgr: &mut SecureMemoryManager,
+        tz_driver: &mut TzDriver,
+        tas: &mut TaRegistry,
+    ) -> Result<u64, KvPoolError> {
+        let mut tail_free = 0u64;
+        while self.slots.last().is_some_and(Option::is_none) {
+            self.slots.pop();
+            tail_free += self.page_bytes;
+        }
+        if tail_free > 0 {
+            mgr.shrink(self.region, tail_free, tas, tz_driver)?;
+        }
+        Ok(tail_free)
+    }
 }
 
 #[cfg(test)]
@@ -784,12 +526,14 @@ mod tests {
 
     const PAGE: u64 = 4 * PAGE_SIZE;
 
-    fn setup() -> (
+    fn setup(
+        format: SpillFormat,
+    ) -> (
         SecureMemoryManager,
         TzDriver,
         TaRegistry,
-        KvPagePool,
-        NormalWorldSpill,
+        SharedKvStore,
+        SharedSpill,
     ) {
         let platform = Platform::rk3588();
         let params = CmaRegion::new(
@@ -807,84 +551,59 @@ mod tests {
         let llm = tas.register("llm-ta", true);
         let mut mgr = SecureMemoryManager::new(platform);
         let region = mgr.create_region(CmaPool::Working, llm, vec![DeviceId::Npu]);
-        let pool = KvPagePool::new(region, PAGE, &[0x33u8; 32]);
-        (mgr, tz, tas, pool, NormalWorldSpill::new())
+        let store = SharedKvStore::with_format(region, PAGE, &[0x44u8; 32], format);
+        (mgr, tz, tas, store, SharedSpill::new())
     }
 
     fn page_data(tag: u8) -> Vec<u8> {
         (0..PAGE).map(|i| tag ^ (i % 256) as u8).collect()
     }
 
+    /// The parent hash a private session roots its head page at.
+    fn session_root(session: u64) -> PageHash {
+        PageHash::chain(None, &session.to_le_bytes())
+    }
+
     #[test]
     fn install_grows_region_and_reuses_freed_slots() {
-        let (mut mgr, mut tz, mut tas, mut pool, mut spill) = setup();
-        let a = pool
-            .install(1, 0, page_data(1), &mut mgr, &mut tz, &mut tas)
+        let (mut mgr, mut tz, mut tas, mut store, mut spill) = setup(SpillFormat::F16);
+        let (a, _) = store
+            .install(
+                0,
+                Some(&session_root(1)),
+                page_data(1),
+                &mut mgr,
+                &mut tz,
+                &mut tas,
+            )
             .unwrap();
-        let b = pool
-            .install(1, 1, page_data(2), &mut mgr, &mut tz, &mut tas)
+        let (b, _) = store
+            .install(0, Some(&a), page_data(2), &mut mgr, &mut tz, &mut tas)
             .unwrap();
         assert_eq!(mgr.region(0).protected_bytes(), 2 * PAGE);
-        assert_eq!(pool.resident_pages(), 2);
+        assert_eq!(store.resident_pages(), 2);
 
         // Spill page `a`; the next install reuses its slot without growing.
-        pool.spill(a, &mut spill).unwrap();
-        assert_eq!(pool.resident_pages(), 1);
-        let c = pool
-            .install(2, 0, page_data(3), &mut mgr, &mut tz, &mut tas)
+        store.spill(0, &a, &mut spill).unwrap();
+        assert_eq!(store.resident_pages(), 1);
+        store
+            .install(
+                0,
+                Some(&session_root(2)),
+                page_data(3),
+                &mut mgr,
+                &mut tz,
+                &mut tas,
+            )
             .unwrap();
-        assert_eq!(c, a);
         assert_eq!(mgr.region(0).protected_bytes(), 2 * PAGE);
-        assert_eq!(pool.page(b).unwrap().seq, 1);
-    }
-
-    #[test]
-    fn spill_and_restore_roundtrip() {
-        let (mut mgr, mut tz, mut tas, mut pool, mut spill) = setup();
-        let original = page_data(7);
-        let slot = pool
-            .install(9, 4, original.clone(), &mut mgr, &mut tz, &mut tas)
-            .unwrap();
-        let idx = pool.spill(slot, &mut spill).unwrap();
-        assert!(pool.page(slot).is_none(), "spilled plaintext must be gone");
-
-        let sealed = spill.take(idx);
-        let restored = pool.restore(sealed, &mut mgr, &mut tz, &mut tas).unwrap();
-        let page = pool.page(restored).unwrap();
-        assert_eq!(page.session, 9);
-        assert_eq!(page.seq, 4);
-        assert_eq!(page.data, original);
-    }
-
-    #[test]
-    fn release_and_shrink_return_memory() {
-        let (mut mgr, mut tz, mut tas, mut pool, _spill) = setup();
-        for seq in 0..3 {
-            pool.install(5, seq, page_data(seq as u8), &mut mgr, &mut tz, &mut tas)
-                .unwrap();
-        }
-        assert_eq!(pool.release_session(5), 3);
-        let released = pool.shrink_to_fit(&mut mgr, &mut tz, &mut tas).unwrap();
-        assert_eq!(released, 3 * PAGE);
-        assert_eq!(mgr.region(0).protected_bytes(), 0);
-        assert_eq!(pool.claimed_bytes(), 0);
-    }
-
-    fn shared_setup() -> (
-        SecureMemoryManager,
-        TzDriver,
-        TaRegistry,
-        SharedKvStore,
-        SharedSpill,
-    ) {
-        let (mgr, tz, tas, _, _) = setup();
-        let store = SharedKvStore::new(0, PAGE, &[0x44u8; 32]);
-        (mgr, tz, tas, store, SharedSpill::new())
+        assert_eq!(store.claimed_bytes(), 2 * PAGE);
+        assert_eq!(store.page_data(0, &b).unwrap(), &page_data(2)[..]);
     }
 
     #[test]
     fn identical_content_dedups_onto_one_secure_copy() {
-        let (mut mgr, mut tz, mut tas, mut store, _spill) = shared_setup();
+        let (mut mgr, mut tz, mut tas, mut store, _spill) = setup(SpillFormat::F16);
         let (h1, refs1) = store
             .install(0, None, page_data(9), &mut mgr, &mut tz, &mut tas)
             .unwrap();
@@ -909,7 +628,7 @@ mod tests {
 
     #[test]
     fn eviction_waits_for_the_last_reference() {
-        let (mut mgr, mut tz, mut tas, mut store, _spill) = shared_setup();
+        let (mut mgr, mut tz, mut tas, mut store, _spill) = setup(SpillFormat::F16);
         let (h, _) = store
             .install(0, None, page_data(5), &mut mgr, &mut tz, &mut tas)
             .unwrap();
@@ -927,21 +646,69 @@ mod tests {
     }
 
     #[test]
+    fn release_evict_and_shrink_return_memory() {
+        let (mut mgr, mut tz, mut tas, mut store, _spill) = setup(SpillFormat::F16);
+        let mut chain = vec![session_root(5)];
+        for tag in 0..3 {
+            let parent = *chain.last().unwrap();
+            let (h, _) = store
+                .install(
+                    0,
+                    Some(&parent),
+                    page_data(tag),
+                    &mut mgr,
+                    &mut tz,
+                    &mut tas,
+                )
+                .unwrap();
+            chain.push(h);
+        }
+        for h in &chain[1..] {
+            store.release(0, h).unwrap();
+            store.evict(0, h).unwrap();
+        }
+        let released = store.shrink_to_fit(&mut mgr, &mut tz, &mut tas).unwrap();
+        assert_eq!(released, 3 * PAGE);
+        assert_eq!(mgr.region(0).protected_bytes(), 0);
+        assert_eq!(store.claimed_bytes(), 0);
+    }
+
+    #[test]
     fn shared_spill_seals_one_copy_and_roundtrips() {
-        let (mut mgr, mut tz, mut tas, mut store, mut spill) = shared_setup();
+        let (mut mgr, mut tz, mut tas, mut store, mut spill) = setup(SpillFormat::F16);
         let original = page_data(3);
         let (h, _) = store
             .install(0, None, original.clone(), &mut mgr, &mut tz, &mut tas)
             .unwrap();
         store.acquire(0, &h).unwrap(); // two sessions reference it
-        let idx = store.spill(0, &h, &mut spill).unwrap();
-        assert_eq!(spill.len(), 1, "two references, one sealed copy");
+        let private = page_data(4);
+        let (p, _) = store
+            .install(
+                0,
+                Some(&session_root(9)),
+                private.clone(),
+                &mut mgr,
+                &mut tz,
+                &mut tas,
+            )
+            .unwrap();
+        store.spill(0, &h, &mut spill).unwrap();
+        store.spill(0, &p, &mut spill).unwrap();
+        assert_eq!(
+            spill.len(),
+            2,
+            "one sealed copy per page, not per reference"
+        );
         assert_eq!(store.resident_pages(), 0, "plaintext scrubbed");
         assert!(store.page_data(0, &h).is_none());
 
-        let sealed = spill.take(idx);
-        store.restore(sealed, &mut mgr, &mut tz, &mut tas).unwrap();
+        while !spill.is_empty() {
+            store
+                .restore(spill.take(0), &mut mgr, &mut tz, &mut tas)
+                .unwrap();
+        }
         assert_eq!(store.page_data(0, &h).unwrap(), &original[..]);
+        assert_eq!(store.page_data(0, &p).unwrap(), &private[..]);
         assert_eq!(store.refs(0, &h), Some(2), "references survive the trip");
     }
 
@@ -963,14 +730,12 @@ mod tests {
     #[test]
     fn quantized_spill_shrinks_the_payload_and_roundtrips_within_bound() {
         for format in [SpillFormat::Int8, SpillFormat::Int4] {
-            let (mut mgr, mut tz, mut tas, _, _) = setup();
-            let mut pool = KvPagePool::with_format(0, PAGE, &[0x33u8; 32], format);
-            let mut spill = NormalWorldSpill::new();
+            let (mut mgr, mut tz, mut tas, mut store, mut spill) = setup(format);
             let original = f16_page(11);
-            let slot = pool
-                .install(3, 0, original.clone(), &mut mgr, &mut tz, &mut tas)
+            let (h, _) = store
+                .install(0, None, original.clone(), &mut mgr, &mut tz, &mut tas)
                 .unwrap();
-            let idx = pool.spill(slot, &mut spill).unwrap();
+            let idx = store.spill(0, &h, &mut spill).unwrap();
             // The sealed payload is the quantized size, not the f16 size.
             assert_eq!(
                 spill.get(idx).blob.ciphertext.len(),
@@ -978,16 +743,16 @@ mod tests {
             );
             assert!(format.expansion(PAGE as usize) > 1.9);
 
-            let restored = pool
+            store
                 .restore(spill.take(idx), &mut mgr, &mut tz, &mut tas)
                 .unwrap();
-            let page = pool.page(restored).unwrap();
-            assert_eq!(page.data.len(), PAGE as usize, "full-size page comes back");
+            let page = store.page_data(0, &h).unwrap();
+            assert_eq!(page.len(), PAGE as usize, "full-size page comes back");
             // Every element is within the format's per-block error bound.
             for i in 0..PAGE as usize / 2 {
                 let (a, b) = (
                     tz_quant::read_f16(&original, i),
-                    tz_quant::read_f16(&page.data, i),
+                    tz_quant::read_f16(page, i),
                 );
                 assert!(
                     (a - b).abs() <= format.error_bound(4.0),
@@ -999,26 +764,24 @@ mod tests {
 
     #[test]
     fn relabelling_the_spill_format_fails_the_mac() {
-        let (mut mgr, mut tz, mut tas, _, _) = setup();
-        let mut pool = KvPagePool::with_format(0, PAGE, &[0x33u8; 32], SpillFormat::Int4);
-        let mut spill = NormalWorldSpill::new();
-        let slot = pool
-            .install(3, 0, f16_page(5), &mut mgr, &mut tz, &mut tas)
+        let (mut mgr, mut tz, mut tas, mut store, mut spill) = setup(SpillFormat::Int4);
+        let (h, _) = store
+            .install(0, None, f16_page(5), &mut mgr, &mut tz, &mut tas)
             .unwrap();
-        let idx = pool.spill(slot, &mut spill).unwrap();
+        let idx = store.spill(0, &h, &mut spill).unwrap();
         let mut forged = spill.take(idx);
         forged.format = SpillFormat::Int8; // INT4 blob relabelled INT8
         assert_eq!(
-            pool.restore(forged, &mut mgr, &mut tz, &mut tas),
+            store.restore(forged, &mut mgr, &mut tz, &mut tas),
             Err(KvPoolError::Integrity)
         );
     }
 
     #[test]
     fn wrong_sized_data_is_rejected() {
-        let (mut mgr, mut tz, mut tas, mut pool, _spill) = setup();
-        let err = pool
-            .install(1, 0, vec![0u8; 17], &mut mgr, &mut tz, &mut tas)
+        let (mut mgr, mut tz, mut tas, mut store, _spill) = setup(SpillFormat::F16);
+        let err = store
+            .install(0, None, vec![0u8; 17], &mut mgr, &mut tz, &mut tas)
             .unwrap_err();
         assert!(matches!(err, KvPoolError::BadPageSize { .. }));
     }

@@ -9,16 +9,17 @@
 //! * [`key_service`] — the model-key service (hardware-wrapped keys, §6).
 //! * [`npu_data_plane`] — the user-mode TEE NPU data-plane driver and the
 //!   world-switch protocol (§4.3).
-//! * [`checkpoint`] — encrypted framework-state checkpoint/restore (§3.2).
-//! * [`kv_pool`] — the paged secure KV-cache pool with sealed spill to
-//!   normal-world memory, plus the content-addressed refcounted shared-page
-//!   store for cross-session prefix dedup (the functional half of the
-//!   KV-cache manager).
+//! * [`checkpoint`] — sealed framework-state checkpoint/restore (§3.2).
+//! * [`kv_pool`] — the secure KV page store: content-addressed, refcounted
+//!   pages with sealed spill to normal-world memory (the functional half of
+//!   the KV-cache manager).
 //! * [`thread`] — shadow-thread scheduling with TEE-managed synchronisation.
 //!
 //! Everything in this crate is inside the TCB, and the paper's goal of
 //! keeping TEE OS modifications tiny is mirrored here: the policy lives in
-//! small, self-contained modules.
+//! small, self-contained modules, and all state handed to the normal world
+//! (KV pages, checkpoints, wrapped model keys) is sealed by the one
+//! primitive, [`tz_crypto::seal()`].
 
 pub mod checkpoint;
 pub mod key_service;
@@ -30,10 +31,7 @@ pub mod thread;
 
 pub use checkpoint::{CheckpointError, CheckpointStore, RestoredCheckpoint};
 pub use key_service::{KeyService, KeyServiceError};
-pub use kv_pool::{
-    KvPageData, KvPagePool, KvPoolError, NormalWorldSpill, PageHash, SealedKvPage,
-    SealedSharedPage, SharedKvStore, SharedSpill,
-};
+pub use kv_pool::{KvPoolError, PageHash, SealedSharedPage, SharedKvStore, SharedSpill};
 pub use npu_data_plane::{HandoffResult, SecurityViolation, SwitchCost, TeeNpuDriver};
 pub use secure_memory::{ScalableRegion, ScalingCost, ScalingError, SecureMemoryManager};
 pub use ta::{TaError, TaId, TaRegistry, TrustedApp};

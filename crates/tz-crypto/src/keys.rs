@@ -10,11 +10,12 @@
 //!   secure boot and never leaving the TEE.
 //! * [`ModelKey`] — a per-model AES-256 key used to encrypt the parameter blob
 //!   (CTR mode) and authenticate it (HMAC).
-//! * [`WrappedModelKey`] — the encrypted+authenticated form of a model key
-//!   that may safely live in the REE file system.
+//! * [`WrappedModelKey`] — the sealed form of a model key that may safely
+//!   live in the REE file system.
 
 use crate::ctr::AesCtr;
 use crate::hmac::{derive_key, hmac_sha256, hmac_verify};
+use crate::seal::{open, seal, SealKey, SealedBlob};
 use crate::sha256::DIGEST_SIZE;
 
 /// Length of all symmetric keys in the hierarchy (AES-256 / HMAC-SHA256).
@@ -173,33 +174,25 @@ impl ModelKey {
     }
 }
 
-/// The wrapped (encrypted + authenticated) form of a [`ModelKey`], safe to
-/// store in the untrusted REE file system next to the model file.
+/// The wrapped form of a [`ModelKey`], safe to store in the untrusted REE
+/// file system next to the model file: the key bytes [sealed](crate::seal())
+/// under independent encryption and MAC sub-keys derived from the device's
+/// key-wrapping key.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WrappedModelKey {
-    /// CTR nonce used for the wrap.
-    pub nonce: [u8; NONCE_LEN],
-    /// Encrypted key bytes.
-    pub ciphertext: Vec<u8>,
-    /// HMAC-SHA256 over `nonce || ciphertext` under the wrapping key.
-    pub tag: [u8; DIGEST_SIZE],
+    /// The sealed key bytes.
+    pub blob: SealedBlob,
 }
 
 impl WrappedModelKey {
+    fn seal_key(huk: &HardwareUniqueKey) -> SealKey {
+        SealKey::derive(huk.key_wrapping_key().expose(), "model-key-wrap")
+    }
+
     /// Wraps `model_key` under the device's hardware-derived wrapping key.
     pub fn wrap(huk: &HardwareUniqueKey, model_key: &ModelKey, nonce: [u8; NONCE_LEN]) -> Self {
-        let kwk = huk.key_wrapping_key();
-        let mut ciphertext = model_key.expose().to_vec();
-        AesCtr::new(kwk.expose(), &nonce)
-            .expect("wrapping key has a valid AES length")
-            .apply(&mut ciphertext);
-        let mut mac_input = nonce.to_vec();
-        mac_input.extend_from_slice(&ciphertext);
-        let tag = hmac_sha256(kwk.expose(), &mac_input);
         WrappedModelKey {
-            nonce,
-            ciphertext,
-            tag,
+            blob: seal(&Self::seal_key(huk), &nonce, &[], model_key.expose()),
         }
     }
 
@@ -213,21 +206,12 @@ impl WrappedModelKey {
         if !caller_is_llm_ta {
             return Err(KeyError::NotAuthorised);
         }
-        if self.ciphertext.len() != KEY_LEN {
+        if self.blob.ciphertext.len() != KEY_LEN {
             return Err(KeyError::Malformed);
         }
-        let kwk = huk.key_wrapping_key();
-        let mut mac_input = self.nonce.to_vec();
-        mac_input.extend_from_slice(&self.ciphertext);
-        if !hmac_verify(kwk.expose(), &mac_input, &self.tag) {
-            return Err(KeyError::IntegrityFailure);
-        }
-        let mut plaintext = self.ciphertext.clone();
-        AesCtr::new(kwk.expose(), &self.nonce)
-            .expect("wrapping key has a valid AES length")
-            .apply(&mut plaintext);
-        let mut key = [0u8; KEY_LEN];
-        key.copy_from_slice(&plaintext);
+        let plaintext =
+            open(&Self::seal_key(huk), &[], &self.blob).map_err(|_| KeyError::IntegrityFailure)?;
+        let key: [u8; KEY_LEN] = plaintext.as_slice().try_into().expect("length checked");
         Ok(ModelKey::from_bytes(key))
     }
 }
@@ -262,7 +246,7 @@ mod tests {
     fn tampered_wrap_is_rejected() {
         let mk = ModelKey::derive(b"provider-secret", "phi-3-3.8b");
         let mut wrapped = WrappedModelKey::wrap(&huk(), &mk, [2u8; NONCE_LEN]);
-        wrapped.ciphertext[0] ^= 0xff;
+        wrapped.blob.ciphertext[0] ^= 0xff;
         assert_eq!(
             wrapped.unwrap(&huk(), true).unwrap_err(),
             KeyError::IntegrityFailure
@@ -284,7 +268,7 @@ mod tests {
     fn malformed_length_rejected() {
         let mk = ModelKey::derive(b"s", "m");
         let mut wrapped = WrappedModelKey::wrap(&huk(), &mk, [4u8; NONCE_LEN]);
-        wrapped.ciphertext.pop();
+        wrapped.blob.ciphertext.pop();
         assert_eq!(
             wrapped.unwrap(&huk(), true).unwrap_err(),
             KeyError::Malformed

@@ -13,9 +13,12 @@
 //! * [`hmac`] — HMAC-SHA256 and HKDF-style key derivation.
 //! * [`keys`] — the model-key hierarchy (hardware unique key → key-wrapping
 //!   key → per-model key) described in §6 of the paper.
-//! * [`seal`](mod@seal) — authenticated sealing (AES-CTR + HMAC, encrypt-then-MAC) for
-//!   secure state spilled into normal-world memory, used by the KV-cache
-//!   page spill path.
+//! * [`seal`](mod@seal) — authenticated sealing (AES-CTR + HMAC,
+//!   encrypt-then-MAC) and its byte layout, the one primitive for secure
+//!   state the normal world holds: sealed KV pages, the framework
+//!   checkpoint, and wrapped model keys.  (The packed model format keeps its
+//!   own per-tensor CTR so tensors decrypt independently during pipelined
+//!   restoration.)
 
 pub mod aes;
 pub mod ctr;
@@ -26,7 +29,7 @@ pub mod sha256;
 
 pub use aes::{Aes, AesError};
 pub use ctr::AesCtr;
-pub use hmac::{derive_key, hmac_sha256, hmac_verify};
+pub use hmac::derive_key;
 pub use keys::{
     HardwareUniqueKey, KeyError, ModelKey, SecretBytes, WrappedModelKey, KEY_LEN, NONCE_LEN,
 };

@@ -1,11 +1,12 @@
-//! Authenticated sealing of secure data spilled to the normal world.
+//! Authenticated sealing of secure data handed to the normal world.
 //!
-//! When the TEE evicts state (e.g. cold KV-cache pages) into REE-visible
-//! memory, confidentiality and integrity must survive a fully compromised
-//! normal world.  This module provides the encrypt-then-MAC construction the
-//! KV spill path uses: AES-256-CTR under a derived encryption key, then
-//! HMAC-SHA256 over the nonce, the caller's associated data (the page's
-//! identity header) and the ciphertext under an *independent* derived MAC
+//! When the TEE puts state in REE-visible memory or storage,
+//! confidentiality and integrity must survive a fully compromised normal
+//! world.  This module is the one encrypt-then-MAC construction the TEE
+//! uses for that — sealed KV pages, the framework checkpoint and wrapped
+//! model keys alike: AES-256-CTR under a derived encryption key, then
+//! HMAC-SHA256 over the nonce, the caller's associated data (the sealed
+//! object's identity) and the ciphertext under an *independent* derived MAC
 //! key.  Opening verifies the tag in constant time before any decryption.
 
 use crate::ctr::AesCtr;
@@ -49,15 +50,29 @@ pub struct SealedBlob {
 }
 
 impl SealedBlob {
-    /// The blob exactly as the normal world sees it, serialised to bytes
-    /// (nonce ‖ ciphertext ‖ tag) — what an attacker scanning CMA memory
-    /// observes.
-    pub fn observable_bytes(&self) -> Vec<u8> {
+    /// The blob exactly as the normal world stores it (nonce ‖ ciphertext ‖
+    /// tag): the on-flash layout of a sealed file, and what an attacker
+    /// scanning CMA memory observes.
+    pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(SEAL_NONCE_LEN + self.ciphertext.len() + SEAL_TAG_LEN);
         out.extend_from_slice(&self.nonce);
         out.extend_from_slice(&self.ciphertext);
         out.extend_from_slice(&self.tag);
         out
+    }
+
+    /// Parses the [`SealedBlob::to_bytes`] layout; `None` when `bytes` is too
+    /// short to hold a nonce and a tag.  Parsing authenticates nothing —
+    /// [`open`] does.
+    pub fn from_bytes(bytes: &[u8]) -> Option<SealedBlob> {
+        let ciphertext_len = bytes.len().checked_sub(SEAL_NONCE_LEN + SEAL_TAG_LEN)?;
+        let (nonce, rest) = bytes.split_at(SEAL_NONCE_LEN);
+        let (ciphertext, tag) = rest.split_at(ciphertext_len);
+        Some(SealedBlob {
+            nonce: nonce.try_into().expect("split at the nonce length"),
+            ciphertext: ciphertext.to_vec(),
+            tag: tag.try_into().expect("the rest is the tag"),
+        })
     }
 }
 
@@ -164,9 +179,10 @@ fn tag_for(
 
 /// Seals `plaintext` with associated data `aad` under `key` and `nonce`.
 ///
-/// The nonce must be unique per seal under one key (the KV pool uses a
-/// monotonic counter); `aad` is authenticated but not encrypted — the page
-/// identity header lives there so a swapped blob fails verification.
+/// The nonce must be unique per seal under one key (the KV store and the
+/// checkpoint both use a monotonic counter); `aad` is authenticated but not
+/// encrypted — the sealed object's identity lives there so a swapped blob
+/// fails verification.
 pub fn seal(
     key: &SealKey,
     nonce: &[u8; SEAL_NONCE_LEN],
@@ -278,6 +294,25 @@ mod tests {
             .u8("format", 2)
             .into_bytes();
         assert_eq!(open(&k, &other, &blob), Err(SealError::IntegrityFailure));
+    }
+
+    #[test]
+    fn byte_layout_roundtrips_and_rejects_short_inputs() {
+        let k = key();
+        for len in [0usize, 1, 33] {
+            let blob = seal(&k, &[len as u8; 16], b"", &vec![0xa5; len]);
+            let bytes = blob.to_bytes();
+            assert_eq!(bytes.len(), SEAL_NONCE_LEN + len + SEAL_TAG_LEN);
+            assert_eq!(SealedBlob::from_bytes(&bytes), Some(blob));
+        }
+        let bytes = [0u8; SEAL_NONCE_LEN + SEAL_TAG_LEN];
+        for short in 0..bytes.len() {
+            assert_eq!(
+                SealedBlob::from_bytes(&bytes[..short]),
+                None,
+                "{short} bytes"
+            );
+        }
     }
 
     #[test]

@@ -32,11 +32,11 @@
 //!   content.
 //! * Under secure-memory pressure cold pages are always *spilled*:
 //!   optionally block-quantized to INT8/INT4 ([`KvConfig::spill_format`]),
-//!   then sealed with AES-CTR and HMAC (see [`tee_kernel::kv_pool`] for the
-//!   byte-exact path) and moved to normal-world CMA memory.  The pool
-//!   accounts **resident f16 bytes** and **spilled compressed bytes**
-//!   separately: a fixed [`KvConfig::spill_budget`] holds ~1.94× the pages
-//!   at INT8 and ~3.77× at INT4, and restoring a quantized page pays a
+//!   then sealed (see [`tee_kernel::SharedKvStore`] for the byte-exact
+//!   path over [`tz_crypto::seal()`]) and moved to normal-world CMA memory.
+//!   The pool accounts **resident f16 bytes** and **spilled compressed
+//!   bytes** separately: a fixed [`KvConfig::spill_budget`] holds ~1.94× the
+//!   pages at INT8 and ~3.77× at INT4, and restoring a quantized page pays a
 //!   dequantization pass ([`KvReuse::dequant_bytes`]) on top of the MAC +
 //!   decrypt — the serving layer charges both to the decrypt lane, where
 //!   they hide behind the prefill's NPU window.  Sealing a shared page seals

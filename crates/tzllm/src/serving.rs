@@ -69,12 +69,10 @@
 //!
 //! A dispatch is priced by the state of its model's TA context:
 //!
-//! * **Idle** (no request of the model in flight): the TA is suspended.
-//!   The first dispatch of a model pays the configured framework
-//!   initialisation (the checkpoint restore when
-//!   [`ServingConfig::use_checkpoint`] is set), later ones the checkpoint
-//!   restore; every idle dispatch maps a fresh KV cache plus activation
-//!   arena and restores whatever parameter bytes retention did not keep.
+//! * **Idle** (no request of the model in flight): the TA is suspended, and
+//!   every idle dispatch restores the framework-state checkpoint, maps a
+//!   fresh KV cache plus activation arena, and restores whatever parameter
+//!   bytes retention did not keep.
 //! * **Live** (requests of the model in flight): the request *joins* the
 //!   running context.  The first dispatch of a context pins the whole blob
 //!   resident, and retention applies only when the context's last in-flight
@@ -232,11 +230,6 @@ pub struct ServingConfig {
     pub profile: PlatformProfile,
     /// Pipeline scheduling policy used for every dispatched request.
     pub policy: Policy,
-    /// Whether the framework-state checkpoint exists for the *first* dispatch
-    /// of each model.  Later dispatches into an idle context restore the
-    /// suspended TA's checkpoint either way, and a dispatch into a live
-    /// context (its model has requests in flight) pays no init at all.
-    pub use_checkpoint: bool,
     /// REE memory pressure in bytes (drives CMA migration cost and bounds
     /// adaptive retention).
     pub memory_pressure: u64,
@@ -286,15 +279,14 @@ pub struct ServingConfig {
 
 impl ServingConfig {
     /// The default serving setup on the paper's testbed: preemptive
-    /// pipelining, checkpoints on, 8 GiB of REE pressure, a 64-deep queue,
-    /// adaptive retention in 25 % steps, the batched step loop over up to
-    /// twelve in-flight requests with 128-token prefill chunks and
-    /// restore-ahead, and a 4096-entry plan cache.
+    /// pipelining, 8 GiB of REE pressure, a 64-deep queue, adaptive
+    /// retention in 25 % steps, the batched step loop over up to twelve
+    /// in-flight requests with 128-token prefill chunks and restore-ahead,
+    /// and a 4096-entry plan cache.
     pub fn paper_default(profile: PlatformProfile) -> Self {
         ServingConfig {
             profile,
             policy: Policy::PriorityPreemptive,
-            use_checkpoint: true,
             memory_pressure: 8 * sim_core::GIB,
             max_queue_depth: 64,
             retention: RetentionPolicy::Adaptive {
@@ -630,8 +622,6 @@ struct ModelEntry {
     cache: CacheController,
     /// Current adaptive retention target in bytes.
     retained_target: u64,
-    /// Whether the TA for this model has dispatched at least once (warm).
-    warm: bool,
     /// Requests of this model currently in flight (service or decode).
     /// Non-zero means the TA context is live and the whole blob is pinned.
     active: usize,
@@ -1110,18 +1100,15 @@ fn dispatch_next(state: &mut ServerState, sched: &mut EventScheduler<ServerState
     );
     // A running TA needs no framework state and already has its activation
     // arena, so a joiner allocates only its own KV cache.  An idle TA
-    // restores its suspended framework state when warm, and otherwise needs
-    // the checkpoint (if it exists) or a full framework initialisation.
+    // restores its framework state from the checkpoint.
     let profile = &state.config.profile;
     let (framework_init, working_alloc) = if live_context {
         (SimDuration::ZERO, profile.kv_cache_alloc)
     } else {
-        let init = if state.models[midx].warm || state.config.use_checkpoint {
-            profile.checkpoint_restore
-        } else {
-            profile.framework_init_total()
-        };
-        (init, profile.kv_cache_alloc + profile.activation_alloc)
+        (
+            profile.checkpoint_restore,
+            profile.kv_cache_alloc + profile.activation_alloc,
+        )
     };
     let report = {
         let params = ServiceParams {
@@ -1152,7 +1139,6 @@ fn dispatch_next(state: &mut ServerState, sched: &mut EventScheduler<ServerState
     // FIFO order — so they may read the blob as fully cached.
     let entry = &mut state.models[midx];
     entry.cache.seed(entry.cache.total_bytes());
-    entry.warm = true;
     entry.active += 1;
 
     let restoring = report.restored_bytes > 0;
@@ -1937,7 +1923,6 @@ fn model_entry(
         spec,
         cache: CacheController::new(total),
         retained_target: 0,
-        warm: false,
         active: 0,
         restore_rate,
         graph_param_bytes,

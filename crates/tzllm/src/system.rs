@@ -483,19 +483,16 @@ mod tests {
     }
 
     /// `evaluate_tzllm` prices exactly what a lone request's dispatch on an
-    /// idle serial device reports, at any cached fraction, with or without
-    /// the checkpoint.
+    /// idle serial device reports, at any cached fraction.
     #[test]
     fn single_evaluation_matches_a_lone_serial_dispatch() {
         use crate::serving::{Server, ServingConfig};
 
-        for (fraction, checkpoint) in [(0.0, true), (0.37, true), (1.0, false)] {
+        for fraction in [0.0, 0.37, 1.0] {
             let mut cfg = InferenceConfig::paper_default(ModelSpec::qwen2_5_3b(), 128);
             cfg.cached_fraction = fraction;
-            cfg.use_checkpoint = checkpoint;
             let mut serving = ServingConfig::serial(profile());
             serving.memory_pressure = cfg.memory_pressure;
-            serving.use_checkpoint = checkpoint;
             let mut server = Server::new(serving, vec![cfg.model.clone()]);
             let seed_bytes = (cfg.model.total_q8_bytes() as f64 * fraction) as u64;
             server.seed_cache("qwen2.5-3b", seed_bytes);

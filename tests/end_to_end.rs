@@ -108,7 +108,7 @@ fn checkpoint_cycle_through_ree_storage() {
     let profile = PlatformProfile::rk3588();
     let huk = HardwareUniqueKey::provision("integration-device");
     let mut fs = device_fs();
-    let store = CheckpointStore::new(
+    let mut store = CheckpointStore::new(
         "llm.ckpt",
         profile.checkpoint_restore,
         profile.decrypt_bytes_per_sec,

@@ -9,9 +9,9 @@ use ree_kernel::{
 };
 use sim_core::{Bandwidth, DetRng, SimDuration, SimTime, GIB};
 use tee_kernel::{
-    CheckpointError, CheckpointStore, KeyService, KeyServiceError, KvPagePool, KvPoolError,
-    NormalWorldSpill, PageHash, ScalingError, SecureMemoryManager, SecurityViolation,
-    ShadowThreadManager, SharedKvStore, SharedSpill, TaRegistry, TeeNpuDriver,
+    CheckpointError, CheckpointStore, KeyService, KeyServiceError, KvPoolError, PageHash,
+    ScalingError, SealedSharedPage, SecureMemoryManager, SecurityViolation, ShadowThreadManager,
+    SharedKvStore, SharedSpill, TaRegistry, TeeNpuDriver,
 };
 use tz_crypto::{HardwareUniqueKey, ModelKey, WrappedModelKey};
 use tz_hal::{DeviceId, PhysAddr, PhysRange, Platform, World, PAGE_SIZE};
@@ -175,9 +175,9 @@ fn key_and_checkpoint_protection() {
     assert!(wrapped.unwrap(&other_device, true).is_err());
 
     // Checkpoint tampering is detected.
-    let mut fs = FileSystem::new(FlashDevice::new(Bandwidth::from_gib_per_sec(2.0), 2.5));
+    let mut fs = flash_fs();
     let huk = HardwareUniqueKey::provision("device-a");
-    let store = CheckpointStore::new("ckpt", SimDuration::from_millis(140), 9.2e9);
+    let mut store = checkpoint_store("ckpt");
     store.save(&huk, &mut fs, b"framework state");
     let mut blob = fs.raw_bytes("ckpt").unwrap().to_vec();
     let last = blob.len() - 1;
@@ -189,90 +189,96 @@ fn key_and_checkpoint_protection() {
     );
 }
 
-/// KV-cache spill confidentiality and integrity: every byte of a spilled KV
-/// page observable in normal-world memory is ciphertext (no 16-byte block of
-/// any plaintext page ever appears), and any tampering with a sealed page —
-/// ciphertext, tag, or identity header — is rejected on restore.
-#[test]
-fn kv_spill_is_sealed_and_tamper_evident() {
-    let platform = Platform::rk3588();
-    let working = CmaRegion::new(
-        PhysRange::new(PhysAddr::new(0x3_8000_0000), GIB),
-        platform.profile.cma_bandwidth(),
-        platform.profile.page_alloc_ns,
-    );
-    let params = CmaRegion::new(
-        PhysRange::new(PhysAddr::new(0x1_0000_0000), GIB),
-        platform.profile.cma_bandwidth(),
-        platform.profile.page_alloc_ns,
-    );
-    let mut tz = TzDriver::new(platform.clone(), params, working);
-    let mut tas = TaRegistry::new();
-    let llm_ta = tas.register("llm-ta", true);
-    let mut mgr = SecureMemoryManager::new(platform);
-    let region = mgr.create_region(CmaPool::Working, llm_ta, vec![DeviceId::Npu]);
-
-    let page_bytes = PAGE_SIZE; // small pages keep software AES fast in tests
-    let mut pool = KvPagePool::new(region, page_bytes, &[0x5au8; 32]);
-    let mut spill = NormalWorldSpill::new();
-
-    // Property: across many random KV pages, spilling leaks nothing.
-    let mut rng = DetRng::new(0x5ea1);
-    let mut plaintexts = Vec::new();
-    for seq in 0..16u32 {
-        let page: Vec<u8> = (0..page_bytes)
-            .map(|_| (rng.gen_range(0, 256)) as u8)
-            .collect();
-        let slot = pool
-            .install(7, seq, page.clone(), &mut mgr, &mut tz, &mut tas)
-            .unwrap();
-        plaintexts.push(page);
-        pool.spill(slot, &mut spill).unwrap();
-    }
-    assert_eq!(pool.resident_pages(), 0, "plaintext copies are scrubbed");
-    let observable = spill.observable_bytes();
-    for (i, page) in plaintexts.iter().enumerate() {
-        for block in page.chunks(16) {
-            assert!(
-                !observable.windows(block.len()).any(|w| w == block),
-                "plaintext block of page {i} visible in normal-world memory"
-            );
-        }
-    }
-
-    // Tampered ciphertext is rejected before decryption.
-    let mut forged = spill.get(0).clone();
-    forged.blob.ciphertext[100] ^= 0x01;
-    assert!(matches!(
-        pool.restore(forged, &mut mgr, &mut tz, &mut tas),
-        Err(KvPoolError::Integrity)
-    ));
-    // Tampered tag is rejected.
-    let mut forged = spill.get(1).clone();
-    forged.blob.tag[0] ^= 0x80;
-    assert!(matches!(
-        pool.restore(forged, &mut mgr, &mut tz, &mut tas),
-        Err(KvPoolError::Integrity)
-    ));
-    // A re-labelled page (REE swaps session/seq identity) is rejected.
-    let mut forged = spill.get(2).clone();
-    forged.session = 8;
-    assert!(matches!(
-        pool.restore(forged, &mut mgr, &mut tz, &mut tas),
-        Err(KvPoolError::Integrity)
-    ));
-
-    // The untampered pages all restore to their exact plaintext.
-    for (i, page) in plaintexts.iter().enumerate().take(4) {
-        let sealed = spill.get(i).clone();
-        let slot = pool.restore(sealed, &mut mgr, &mut tz, &mut tas).unwrap();
-        let restored = pool.page(slot).unwrap();
-        assert_eq!(&restored.data, page);
-        assert_eq!(restored.seq, i as u32);
-    }
+fn flash_fs() -> FileSystem {
+    FileSystem::new(FlashDevice::new(Bandwidth::from_gib_per_sec(2.0), 2.5))
 }
 
-fn shared_store_setup() -> (
+fn checkpoint_store(path: &str) -> CheckpointStore {
+    CheckpointStore::new(path, SimDuration::from_millis(140), 9.2e9)
+}
+
+/// Checkpoint freshness: the store accepts only its latest save, so the REE
+/// cannot roll the framework state back by writing an older, validly sealed
+/// checkpoint over the current one.
+#[test]
+fn checkpoint_rollback_is_rejected() {
+    let huk = HardwareUniqueKey::provision("device-a");
+    let mut fs = flash_fs();
+    let mut store = checkpoint_store("llm.ckpt");
+    store.save(&huk, &mut fs, b"framework state v1");
+    let old = fs.raw_bytes("llm.ckpt").unwrap().to_vec();
+    store.save(&huk, &mut fs, b"framework state v2");
+    assert_eq!(
+        store.restore(&huk, &mut fs).unwrap().state,
+        b"framework state v2"
+    );
+    fs.write_file("llm.ckpt", FileContent::Bytes(old));
+    assert_eq!(
+        store.restore(&huk, &mut fs).unwrap_err(),
+        CheckpointError::IntegrityFailure
+    );
+}
+
+/// A checkpoint is bound to its path: copying one model's checkpoint file
+/// over another's does not hand the first model's framework state to the
+/// second model's TA.
+#[test]
+fn checkpoint_blob_cannot_move_between_paths() {
+    let huk = HardwareUniqueKey::provision("device-a");
+    let mut fs = flash_fs();
+    let mut qwen = checkpoint_store("qwen2.5-3b.ckpt");
+    let mut llama = checkpoint_store("llama-3-8b.ckpt");
+    qwen.save(&huk, &mut fs, b"qwen framework state");
+    llama.save(&huk, &mut fs, b"llama framework state");
+    let moved = fs.raw_bytes("qwen2.5-3b.ckpt").unwrap().to_vec();
+    fs.write_file("llama-3-8b.ckpt", FileContent::Bytes(moved));
+    assert_eq!(
+        llama.restore(&huk, &mut fs).unwrap_err(),
+        CheckpointError::IntegrityFailure
+    );
+    assert_eq!(
+        qwen.restore(&huk, &mut fs).unwrap().state,
+        b"qwen framework state"
+    );
+}
+
+/// Every save encrypts under a fresh keystream: an attacker who keeps two
+/// checkpoint files of equal length finds nowhere in their XOR the XOR of
+/// the two plaintexts, which a reused CTR keystream would expose.
+#[test]
+fn two_checkpoint_saves_use_distinct_keystreams() {
+    let huk = HardwareUniqueKey::provision("device-a");
+    let mut fs = flash_fs();
+    let mut store = checkpoint_store("llm.ckpt");
+    let mut rng = DetRng::new(0xC4EC);
+    let mut state = || {
+        (0..64)
+            .map(|_| rng.gen_range(0, 256) as u8)
+            .collect::<Vec<u8>>()
+    };
+    let (a, b) = (state(), state());
+    let xor = |x: &[u8], y: &[u8]| x.iter().zip(y).map(|(p, q)| p ^ q).collect::<Vec<u8>>();
+
+    store.save(&huk, &mut fs, &a);
+    let first = fs.raw_bytes("llm.ckpt").unwrap().to_vec();
+    store.save(&huk, &mut fs, &b);
+    let second = fs.raw_bytes("llm.ckpt").unwrap().to_vec();
+    assert_eq!(first.len(), second.len());
+    let leak = xor(&a, &b);
+    assert!(
+        !xor(&first, &second)
+            .windows(leak.len())
+            .any(|w| w == leak.as_slice()),
+        "two saves share a keystream"
+    );
+}
+
+/// The secure world every KV-store test attacks: an RK3588 with a working
+/// region owned by the LLM TA, and a store of one-platform-page pages (small
+/// pages keep software AES fast in tests) sealing with `format`.
+fn kv_store(
+    format: SpillFormat,
+) -> (
     SecureMemoryManager,
     TzDriver,
     TaRegistry,
@@ -295,7 +301,7 @@ fn shared_store_setup() -> (
     let llm_ta = tas.register("llm-ta", true);
     let mut mgr = SecureMemoryManager::new(platform);
     let region = mgr.create_region(CmaPool::Working, llm_ta, vec![DeviceId::Npu]);
-    let store = SharedKvStore::new(region, PAGE_SIZE, &[0x5au8; 32]);
+    let store = SharedKvStore::with_format(region, PAGE_SIZE, &[0x5au8; 32], format);
     (mgr, tz, tas, store, SharedSpill::new())
 }
 
@@ -305,12 +311,53 @@ fn random_page(rng: &mut DetRng) -> Vec<u8> {
         .collect()
 }
 
+/// A page of well-formed finite f16 values (quantized round-trips are only
+/// meaningful over valid f16 data, unlike raw random pages).
+fn random_f16_page(rng: &mut DetRng) -> Vec<u8> {
+    let mut out = vec![0u8; PAGE_SIZE as usize];
+    for i in 0..out.len() / 2 {
+        let unit = rng.gen_range(0, 1 << 16) as f32 / (1 << 16) as f32;
+        write_f16(&mut out, i, (unit - 0.5) * 16.0);
+    }
+    out
+}
+
+/// Seals a page out to the spill and returns the blob as the REE holds it.
+fn seal_out(
+    store: &mut SharedKvStore,
+    model: u32,
+    hash: &PageHash,
+    spill: &mut SharedSpill,
+) -> SealedSharedPage {
+    let idx = store.spill(model, hash, spill).unwrap();
+    spill.get(idx).clone()
+}
+
+/// The parent hash a session that must not share roots its head page at.
+fn session_root(session: u64) -> PageHash {
+    PageHash::chain(None, &session.to_le_bytes())
+}
+
+/// No 16-byte block of any plaintext page appears in the attacker's view of
+/// normal-world memory.
+fn assert_nothing_leaks(spill: &SharedSpill, pages: &[&Vec<u8>]) {
+    let observable = spill.observable_bytes();
+    for (i, page) in pages.iter().enumerate() {
+        for block in page.chunks(16) {
+            assert!(
+                !observable.windows(block.len()).any(|w| w == block),
+                "plaintext block of page {i} visible in normal-world memory"
+            );
+        }
+    }
+}
+
 /// Cross-model isolation of the content-addressed store: byte-identical KV
 /// content installed for two different models never aliases onto one secure
 /// copy, and evicting one model's copy leaves the other's untouched.
 #[test]
 fn shared_kv_pages_never_alias_across_models() {
-    let (mut mgr, mut tz, mut tas, mut store, _spill) = shared_store_setup();
+    let (mut mgr, mut tz, mut tas, mut store, _spill) = kv_store(SpillFormat::F16);
     let mut rng = DetRng::new(0xA11A);
     let page = random_page(&mut rng);
     let (h0, _) = store
@@ -335,67 +382,223 @@ fn shared_kv_pages_never_alias_across_models() {
     );
 }
 
-/// A sealed shared page survives tamper attempts: ciphertext, tag, and
-/// cross-model relabelling are all rejected, the spill leaks no plaintext
-/// block, and the honest blob restores for every referencing session at
-/// once.
+/// KV-cache spill confidentiality and integrity, over many random pages of
+/// one private session chain: spilling scrubs every plaintext copy, no
+/// 16-byte block of any page appears in normal-world memory, a forged copy
+/// of each page — a flipped ciphertext or tag bit at a random position, or
+/// the blob relabelled to the next page's chain hash — is rejected before
+/// decryption, and the untampered blobs restore to their exact plaintext.
 #[test]
-fn sealed_shared_pages_are_tamper_evident_and_model_bound() {
-    let (mut mgr, mut tz, mut tas, mut store, mut spill) = shared_store_setup();
-    let mut rng = DetRng::new(0x5EA2);
-    let page = random_page(&mut rng);
-    let (h, _) = store
-        .install(0, None, page.clone(), &mut mgr, &mut tz, &mut tas)
-        .unwrap();
-    // A second session references the page.
-    store.acquire(0, &h).unwrap();
-    // The same content also exists under model 1 and is sealed too — the
-    // attacker will try to feed model 1's blob to model 0.
-    let (h1, _) = store
-        .install(1, None, page.clone(), &mut mgr, &mut tz, &mut tas)
-        .unwrap();
-    let idx0 = store.spill(0, &h, &mut spill).unwrap();
-    let idx1 = store.spill(1, &h1, &mut spill).unwrap();
-    assert_eq!(spill.len(), 2);
+fn kv_spill_is_sealed_and_tamper_evident() {
+    let (mut mgr, mut tz, mut tas, mut store, mut spill) = kv_store(SpillFormat::F16);
+    let mut rng = DetRng::new(0x5ea1);
+    let mut parent = session_root(7);
+    let mut pages = Vec::new();
+    for _ in 0..16 {
+        let page = random_page(&mut rng);
+        let (h, _) = store
+            .install(0, Some(&parent), page.clone(), &mut mgr, &mut tz, &mut tas)
+            .unwrap();
+        store.spill(0, &h, &mut spill).unwrap();
+        pages.push((h, page));
+        parent = h;
+    }
+    assert_eq!(store.resident_pages(), 0, "plaintext copies are scrubbed");
+    assert_nothing_leaks(&spill, &pages.iter().map(|(_, p)| p).collect::<Vec<_>>());
 
-    // Confidentiality: no 16-byte plaintext block appears in the attacker's
-    // view of normal-world memory.
-    let observable = spill.observable_bytes();
-    for block in page.chunks(16) {
-        assert!(
-            !observable.windows(block.len()).any(|w| w == block),
-            "plaintext block visible in normal-world memory"
+    for i in 0..pages.len() {
+        let mut forged = spill.get(i).clone();
+        let what = match i % 3 {
+            0 => {
+                let at = rng.gen_range(0, forged.blob.ciphertext.len() as u64) as usize;
+                forged.blob.ciphertext[at] ^= 0x01;
+                "ciphertext bit"
+            }
+            1 => {
+                let at = rng.gen_range(0, forged.blob.tag.len() as u64) as usize;
+                forged.blob.tag[at] ^= 0x80;
+                "tag bit"
+            }
+            _ => {
+                forged.hash = pages[(i + 1) % pages.len()].0;
+                "chain relabel"
+            }
+        };
+        assert_eq!(
+            store.restore(forged, &mut mgr, &mut tz, &mut tas),
+            Err(KvPoolError::Integrity),
+            "page {i}: {what}"
         );
     }
 
-    // Tampered ciphertext is rejected before decryption.
-    let mut forged = spill.get(idx0).clone();
-    forged.blob.ciphertext[7] ^= 0x01;
-    assert!(matches!(
-        store.restore(forged, &mut mgr, &mut tz, &mut tas),
-        Err(KvPoolError::Integrity)
-    ));
-    // Tampered tag is rejected.
-    let mut forged = spill.get(idx0).clone();
-    forged.blob.tag[0] ^= 0x80;
-    assert!(matches!(
-        store.restore(forged, &mut mgr, &mut tz, &mut tas),
-        Err(KvPoolError::Integrity)
-    ));
-    // Model 1's sealed copy relabelled as model 0: same content, same chain
-    // hash, valid seal — but the tag binds the model, so it is rejected.
-    let mut relabelled = spill.get(idx1).clone();
-    relabelled.model = 0;
-    assert!(matches!(
-        store.restore(relabelled, &mut mgr, &mut tz, &mut tas),
-        Err(KvPoolError::Integrity)
-    ));
+    for (i, (h, page)) in pages.iter().enumerate() {
+        store
+            .restore(spill.get(i).clone(), &mut mgr, &mut tz, &mut tas)
+            .unwrap();
+        assert_eq!(store.page_data(0, h).unwrap(), &page[..], "page {i}");
+    }
+}
 
-    // The honest blob restores once and serves both references.
-    let sealed = spill.take(idx0);
-    store.restore(sealed, &mut mgr, &mut tz, &mut tas).unwrap();
-    assert_eq!(store.page_data(0, &h).unwrap(), &page[..]);
+/// Seals, in `format`, a head page referenced by two sessions, its
+/// successor, and the same head under model 1, then checks that a flipped
+/// ciphertext or tag bit, model 1's blob relabelled as model 0's, and a blob
+/// relabelled to another sealed page's chain hash are all rejected before
+/// decryption, that a chain hash naming no page is refused, that the spill
+/// leaks no plaintext block, and that the honest blobs restore — once for
+/// every referencing session.
+fn assert_sealed_pages_are_tamper_evident(format: SpillFormat) {
+    let (mut mgr, mut tz, mut tas, mut store, mut spill) = kv_store(format);
+    let mut rng = DetRng::new(0x5EA2 + format.id() as u64);
+    let head = random_f16_page(&mut rng);
+    let next = random_f16_page(&mut rng);
+    let (h, _) = store
+        .install(0, None, head.clone(), &mut mgr, &mut tz, &mut tas)
+        .unwrap();
+    // A second session references the head.
+    store.acquire(0, &h).unwrap();
+    let (h_next, _) = store
+        .install(0, Some(&h), next.clone(), &mut mgr, &mut tz, &mut tas)
+        .unwrap();
+    // The same content also exists under model 1 and is sealed too — the
+    // attacker will try to feed model 1's blob to model 0.
+    let (h1, _) = store
+        .install(1, None, head.clone(), &mut mgr, &mut tz, &mut tas)
+        .unwrap();
+    let blob = seal_out(&mut store, 0, &h, &mut spill);
+    let blob_next = seal_out(&mut store, 0, &h_next, &mut spill);
+    let blob1 = seal_out(&mut store, 1, &h1, &mut spill);
+    assert_nothing_leaks(&spill, &[&head, &next]);
+
+    let mut ciphertext = blob.clone();
+    ciphertext.blob.ciphertext[7] ^= 0x01;
+    let mut tag = blob.clone();
+    tag.blob.tag[0] ^= 0x80;
+    // Same content, same chain hash, valid seal — but the tag binds the
+    // model.
+    let mut model = blob1.clone();
+    model.model = 0;
+    // A valid blob under another sealed page's identity.
+    let mut chain = blob.clone();
+    chain.hash = h_next;
+    for (what, forged) in [
+        ("ciphertext bit", ciphertext),
+        ("tag bit", tag),
+        ("model relabel", model),
+        ("chain relabel", chain),
+    ] {
+        assert_eq!(
+            store.restore(forged, &mut mgr, &mut tz, &mut tas),
+            Err(KvPoolError::Integrity),
+            "{format:?}: {what}"
+        );
+    }
+    let mut unknown = blob.clone();
+    unknown.hash.0[0] ^= 0x01;
+    assert_eq!(
+        store.restore(unknown, &mut mgr, &mut tz, &mut tas),
+        Err(KvPoolError::UnknownPage),
+        "{format:?}: a flipped chain hash names no page"
+    );
+
+    // The honest blobs restore, and the head serves both references.
+    store.restore(blob, &mut mgr, &mut tz, &mut tas).unwrap();
+    store
+        .restore(blob_next, &mut mgr, &mut tz, &mut tas)
+        .unwrap();
     assert_eq!(store.refs(0, &h), Some(2));
+    if format == SpillFormat::F16 {
+        assert_eq!(store.page_data(0, &h).unwrap(), &head[..]);
+        assert_eq!(store.page_data(0, &h_next).unwrap(), &next[..]);
+    }
+}
+
+/// A sealed shared page survives tamper attempts: ciphertext, tag, and
+/// cross-model and cross-chain relabelling are all rejected, the spill leaks
+/// no plaintext block, and the honest blob restores for every referencing
+/// session at once.
+#[test]
+fn sealed_shared_pages_are_tamper_evident_and_model_bound() {
+    assert_sealed_pages_are_tamper_evident(SpillFormat::F16);
+}
+
+/// Tamper rejection of quantized blobs: the same forgeries are rejected
+/// before any decryption or dequantization, exactly as for f16 blobs.
+#[test]
+fn quantized_blob_tampering_is_rejected() {
+    for format in [SpillFormat::Int8, SpillFormat::Int4] {
+        assert_sealed_pages_are_tamper_evident(format);
+    }
+}
+
+/// Freshness without a version counter: a session's tail page is rewritten
+/// as it fills, and the rewrite is a new chain identity.  Once the old
+/// version is released and evicted, its still validly sealed blob names no
+/// page, so handing it back restores nothing.
+#[test]
+fn stale_kv_blob_is_rejected_after_its_page_is_rewritten() {
+    let (mut mgr, mut tz, mut tas, mut store, mut spill) = kv_store(SpillFormat::F16);
+    let mut rng = DetRng::new(0x57A1E);
+    let root = session_root(7);
+    let (v1, _) = store
+        .install(
+            0,
+            Some(&root),
+            random_page(&mut rng),
+            &mut mgr,
+            &mut tz,
+            &mut tas,
+        )
+        .unwrap();
+    let stale = seal_out(&mut store, 0, &v1, &mut spill);
+    store
+        .restore(stale.clone(), &mut mgr, &mut tz, &mut tas)
+        .unwrap();
+
+    // The session rewrites the page: version 1 goes, version 2 is sealed.
+    store.release(0, &v1).unwrap();
+    store.evict(0, &v1).unwrap();
+    let current = random_page(&mut rng);
+    let (v2, _) = store
+        .install(0, Some(&root), current.clone(), &mut mgr, &mut tz, &mut tas)
+        .unwrap();
+    let fresh = seal_out(&mut store, 0, &v2, &mut spill);
+
+    let resident = store.resident_pages();
+    assert!(
+        store.restore(stale, &mut mgr, &mut tz, &mut tas).is_err(),
+        "the version-1 blob restored after the page was rewritten"
+    );
+    assert_eq!(store.resident_pages(), resident);
+    store.restore(fresh, &mut mgr, &mut tz, &mut tas).unwrap();
+    assert_eq!(store.page_data(0, &v2).unwrap(), &current[..]);
+}
+
+/// A sealed blob restores at most once: a second hand-back of the same blob
+/// fails and claims no second secure page.
+#[test]
+fn a_kv_blob_restores_at_most_once() {
+    let (mut mgr, mut tz, mut tas, mut store, mut spill) = kv_store(SpillFormat::F16);
+    let mut rng = DetRng::new(0x0DCE);
+    let (h, _) = store
+        .install(
+            0,
+            Some(&session_root(7)),
+            random_page(&mut rng),
+            &mut mgr,
+            &mut tz,
+            &mut tas,
+        )
+        .unwrap();
+    let blob = seal_out(&mut store, 0, &h, &mut spill);
+    store
+        .restore(blob.clone(), &mut mgr, &mut tz, &mut tas)
+        .unwrap();
+    let resident = store.resident_pages();
+    assert!(
+        store.restore(blob, &mut mgr, &mut tz, &mut tas).is_err(),
+        "the same blob restored twice"
+    );
+    assert_eq!(store.resident_pages(), resident);
 }
 
 /// Copy-on-divergence keeps private suffixes private: two sessions share a
@@ -405,7 +608,7 @@ fn sealed_shared_pages_are_tamper_evident_and_model_bound() {
 /// private page.
 #[test]
 fn copy_on_divergence_keeps_suffixes_private() {
-    let (mut mgr, mut tz, mut tas, mut store, _spill) = shared_store_setup();
+    let (mut mgr, mut tz, mut tas, mut store, _spill) = kv_store(SpillFormat::F16);
     let mut rng = DetRng::new(0xD1FF);
     let head = random_page(&mut rng);
     let suffix_a = random_page(&mut rng);
@@ -464,17 +667,6 @@ fn copy_on_divergence_keeps_suffixes_private() {
     ));
 }
 
-/// A page of well-formed finite f16 values (quantized round-trips are only
-/// meaningful over valid f16 data, unlike the raw random pages above).
-fn random_f16_page(rng: &mut DetRng) -> Vec<u8> {
-    let mut out = vec![0u8; PAGE_SIZE as usize];
-    for i in 0..out.len() / 2 {
-        let unit = rng.gen_range(0, 1 << 16) as f32 / (1 << 16) as f32;
-        write_f16(&mut out, i, (unit - 0.5) * 16.0);
-    }
-    out
-}
-
 /// Quantized sealed spill, the round-trip property: quantize → seal → spill
 /// → restore → dequantize reproduces every element within the format's
 /// per-block error bound, the spill region holds the *compressed* payload
@@ -483,61 +675,42 @@ fn random_f16_page(rng: &mut DetRng) -> Vec<u8> {
 #[test]
 fn quantized_kv_spill_roundtrips_within_error_bound_and_leaks_nothing() {
     for format in [SpillFormat::Int8, SpillFormat::Int4] {
-        let platform = Platform::rk3588();
-        let working = CmaRegion::new(
-            PhysRange::new(PhysAddr::new(0x3_8000_0000), GIB),
-            platform.profile.cma_bandwidth(),
-            platform.profile.page_alloc_ns,
-        );
-        let params = CmaRegion::new(
-            PhysRange::new(PhysAddr::new(0x1_0000_0000), GIB),
-            platform.profile.cma_bandwidth(),
-            platform.profile.page_alloc_ns,
-        );
-        let mut tz = TzDriver::new(platform.clone(), params, working);
-        let mut tas = TaRegistry::new();
-        let llm_ta = tas.register("llm-ta", true);
-        let mut mgr = SecureMemoryManager::new(platform);
-        let region = mgr.create_region(CmaPool::Working, llm_ta, vec![DeviceId::Npu]);
-        let mut pool = KvPagePool::with_format(region, PAGE_SIZE, &[0x6bu8; 32], format);
-        let mut spill = NormalWorldSpill::new();
-
+        let (mut mgr, mut tz, mut tas, mut store, mut spill) = kv_store(format);
         let mut rng = DetRng::new(0x0f16 + format.id() as u64);
-        let mut plaintexts = Vec::new();
-        for seq in 0..4u32 {
+        let mut parent = session_root(2);
+        let mut pages = Vec::new();
+        for _ in 0..4 {
             let page = random_f16_page(&mut rng);
-            let slot = pool
-                .install(2, seq, page.clone(), &mut mgr, &mut tz, &mut tas)
+            let (h, _) = store
+                .install(0, Some(&parent), page.clone(), &mut mgr, &mut tz, &mut tas)
                 .unwrap();
-            plaintexts.push(page);
-            let idx = pool.spill(slot, &mut spill).unwrap();
+            let idx = store.spill(0, &h, &mut spill).unwrap();
             assert_eq!(
                 spill.get(idx).blob.ciphertext.len(),
                 format.sealed_len(PAGE_SIZE as usize),
                 "the spill holds the compressed payload, not f16"
             );
+            pages.push((h, page));
+            parent = h;
         }
         assert!(format.expansion(PAGE_SIZE as usize) > 1.9);
+        assert_eq!(
+            spill.payload_bytes(),
+            4 * format.sealed_len(PAGE_SIZE as usize) as u64,
+            "the CMA pays for the quantized payload, not the f16 pages"
+        );
 
         // Confidentiality: even quantized, nothing recognisable leaks.
-        let observable = spill.observable_bytes();
-        for page in &plaintexts {
-            for block in page.chunks(16) {
-                assert!(
-                    !observable.windows(block.len()).any(|w| w == block),
-                    "plaintext block visible in normal-world memory"
-                );
-            }
-        }
+        assert_nothing_leaks(&spill, &pages.iter().map(|(_, p)| p).collect::<Vec<_>>());
 
         // Round-trip accuracy: within one scale step per element.
-        for (i, page) in plaintexts.iter().enumerate() {
-            let slot = pool
+        let bound = format.error_bound(8.0);
+        for (i, (h, page)) in pages.iter().enumerate() {
+            store
                 .restore(spill.get(i).clone(), &mut mgr, &mut tz, &mut tas)
                 .unwrap();
-            let restored = &pool.page(slot).unwrap().data;
+            let restored = store.page_data(0, h).unwrap();
             assert_eq!(restored.len(), page.len());
-            let bound = format.error_bound(8.0);
             for e in 0..page.len() / 2 {
                 let err = (read_f16(page, e) - read_f16(restored, e)).abs();
                 assert!(err <= bound, "{format:?} page {i} elem {e}: err {err}");
@@ -546,146 +719,31 @@ fn quantized_kv_spill_roundtrips_within_error_bound_and_leaks_nothing() {
     }
 }
 
-/// Tamper rejection of quantized blobs: a flipped ciphertext bit, a flipped
-/// tag bit, and a swapped identity header are all rejected before any
-/// decryption or dequantization, exactly as for f16 blobs.
-#[test]
-fn quantized_blob_tampering_is_rejected() {
-    let platform = Platform::rk3588();
-    let working = CmaRegion::new(
-        PhysRange::new(PhysAddr::new(0x3_8000_0000), GIB),
-        platform.profile.cma_bandwidth(),
-        platform.profile.page_alloc_ns,
-    );
-    let params = CmaRegion::new(
-        PhysRange::new(PhysAddr::new(0x1_0000_0000), GIB),
-        platform.profile.cma_bandwidth(),
-        platform.profile.page_alloc_ns,
-    );
-    let mut tz = TzDriver::new(platform.clone(), params, working);
-    let mut tas = TaRegistry::new();
-    let llm_ta = tas.register("llm-ta", true);
-    let mut mgr = SecureMemoryManager::new(platform);
-    let region = mgr.create_region(CmaPool::Working, llm_ta, vec![DeviceId::Npu]);
-    let mut pool = KvPagePool::with_format(region, PAGE_SIZE, &[0x6cu8; 32], SpillFormat::Int8);
-    let mut spill = NormalWorldSpill::new();
-    let mut rng = DetRng::new(0x7a3f);
-    let slot = pool
-        .install(5, 1, random_f16_page(&mut rng), &mut mgr, &mut tz, &mut tas)
-        .unwrap();
-    let idx = pool.spill(slot, &mut spill).unwrap();
-
-    let mut forged = spill.get(idx).clone();
-    forged.blob.ciphertext[3] ^= 0x01;
-    assert!(matches!(
-        pool.restore(forged, &mut mgr, &mut tz, &mut tas),
-        Err(KvPoolError::Integrity)
-    ));
-    let mut forged = spill.get(idx).clone();
-    forged.blob.tag[8] ^= 0x40;
-    assert!(matches!(
-        pool.restore(forged, &mut mgr, &mut tz, &mut tas),
-        Err(KvPoolError::Integrity)
-    ));
-    let mut forged = spill.get(idx).clone();
-    forged.seq = 2;
-    assert!(matches!(
-        pool.restore(forged, &mut mgr, &mut tz, &mut tas),
-        Err(KvPoolError::Integrity)
-    ));
-    // The honest blob still restores.
-    assert!(pool
-        .restore(spill.take(idx), &mut mgr, &mut tz, &mut tas)
-        .is_ok());
-}
-
 /// Format confusion is rejected by the MAC: an INT4 blob relabelled INT8
-/// (which would make the dequantizer mis-parse scales as codes) fails
-/// verification on both the per-session pool and the shared store — the
-/// seal binds the format id and both lengths, not just the page identity.
+/// (which would make the dequantizer mis-parse scales as codes) or F16
+/// fails verification — the seal binds the format id and both lengths, not
+/// just the page identity — while the honest blob restores to the INT4
+/// approximation of the page.
 #[test]
 fn format_confusion_between_int4_and_int8_is_rejected() {
-    // Per-session pool.
-    let platform = Platform::rk3588();
-    let working = CmaRegion::new(
-        PhysRange::new(PhysAddr::new(0x3_8000_0000), GIB),
-        platform.profile.cma_bandwidth(),
-        platform.profile.page_alloc_ns,
-    );
-    let params = CmaRegion::new(
-        PhysRange::new(PhysAddr::new(0x1_0000_0000), GIB),
-        platform.profile.cma_bandwidth(),
-        platform.profile.page_alloc_ns,
-    );
-    let mut tz = TzDriver::new(platform.clone(), params, working);
-    let mut tas = TaRegistry::new();
-    let llm_ta = tas.register("llm-ta", true);
-    let mut mgr = SecureMemoryManager::new(platform);
-    let region = mgr.create_region(CmaPool::Working, llm_ta, vec![DeviceId::Npu]);
-    let mut pool = KvPagePool::with_format(region, PAGE_SIZE, &[0x6du8; 32], SpillFormat::Int4);
-    let mut spill = NormalWorldSpill::new();
+    let (mut mgr, mut tz, mut tas, mut store, mut spill) = kv_store(SpillFormat::Int4);
     let mut rng = DetRng::new(0x4bad);
-    let slot = pool
-        .install(9, 0, random_f16_page(&mut rng), &mut mgr, &mut tz, &mut tas)
-        .unwrap();
-    let idx = pool.spill(slot, &mut spill).unwrap();
-    for relabel in [SpillFormat::Int8, SpillFormat::F16] {
-        let mut forged = spill.get(idx).clone();
-        forged.format = relabel;
-        assert!(
-            matches!(
-                pool.restore(forged, &mut mgr, &mut tz, &mut tas),
-                Err(KvPoolError::Integrity)
-            ),
-            "INT4 blob relabelled {relabel:?} must fail the MAC"
-        );
-    }
-    assert!(pool
-        .restore(spill.take(idx), &mut mgr, &mut tz, &mut tas)
-        .is_ok());
-
-    // Shared content-addressed store.
-    let (mut mgr, mut tz, mut tas, _, _) = {
-        // Fresh setup (the helper below builds an f16 store; we need INT4).
-        let platform = Platform::rk3588();
-        let working = CmaRegion::new(
-            PhysRange::new(PhysAddr::new(0x3_8000_0000), GIB),
-            platform.profile.cma_bandwidth(),
-            platform.profile.page_alloc_ns,
-        );
-        let params = CmaRegion::new(
-            PhysRange::new(PhysAddr::new(0x1_0000_0000), GIB),
-            platform.profile.cma_bandwidth(),
-            platform.profile.page_alloc_ns,
-        );
-        let tz = TzDriver::new(platform.clone(), params, working);
-        let mut tas = TaRegistry::new();
-        let llm_ta = tas.register("llm-ta", true);
-        let mut mgr = SecureMemoryManager::new(platform);
-        let region = mgr.create_region(CmaPool::Working, llm_ta, vec![DeviceId::Npu]);
-        (mgr, tz, tas, region, ())
-    };
-    let mut store = SharedKvStore::with_format(0, PAGE_SIZE, &[0x6eu8; 32], SpillFormat::Int4);
-    let mut shared_spill = SharedSpill::new();
     let page = random_f16_page(&mut rng);
     let (h, _) = store
         .install(0, None, page.clone(), &mut mgr, &mut tz, &mut tas)
         .unwrap();
-    let idx = store.spill(0, &h, &mut shared_spill).unwrap();
-    assert_eq!(
-        shared_spill.payload_bytes(),
-        SpillFormat::Int4.sealed_len(PAGE_SIZE as usize) as u64,
-        "the CMA pays for the quantized payload, not the f16 page"
-    );
-    let mut forged = shared_spill.get(idx).clone();
-    forged.format = SpillFormat::Int8;
-    assert!(matches!(
-        store.restore(forged, &mut mgr, &mut tz, &mut tas),
-        Err(KvPoolError::Integrity)
-    ));
-    // The honest blob restores to the INT4 approximation of the page.
+    let idx = store.spill(0, &h, &mut spill).unwrap();
+    for relabel in [SpillFormat::Int8, SpillFormat::F16] {
+        let mut forged = spill.get(idx).clone();
+        forged.format = relabel;
+        assert_eq!(
+            store.restore(forged, &mut mgr, &mut tz, &mut tas),
+            Err(KvPoolError::Integrity),
+            "INT4 blob relabelled {relabel:?} must fail the MAC"
+        );
+    }
     store
-        .restore(shared_spill.take(idx), &mut mgr, &mut tz, &mut tas)
+        .restore(spill.take(idx), &mut mgr, &mut tz, &mut tas)
         .unwrap();
     let restored = store.page_data(0, &h).unwrap();
     let bound = SpillFormat::Int4.error_bound(8.0);
