@@ -13,7 +13,7 @@ use std::io::Write as _;
 use std::path::PathBuf;
 
 /// Command-line options shared by all harness binaries.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct HarnessOptions {
     /// Run a reduced parameter sweep (CI smoke test).
     pub quick: bool,
@@ -36,54 +36,47 @@ pub struct HarnessOptions {
 }
 
 impl HarnessOptions {
-    /// Parses `--quick`, `--scenario <name>`, `--list`, `--trace-out <path>`,
-    /// `--threads <n>`, `--digest-out <path>` and `--metrics-out <path>`
-    /// from the process arguments.
-    pub fn from_args() -> Self {
-        let mut opts = HarnessOptions {
-            quick: false,
-            scenario: None,
-            list: false,
-            trace_out: None,
-            threads: None,
-            digest_out: None,
-            metrics_out: None,
-        };
-        let mut args = std::env::args().skip(1);
-        while let Some(arg) = args.next() {
-            match arg.as_str() {
+    /// The flags [`HarnessOptions::parse`] accepts, as one usage line.
+    pub const USAGE: &'static str = "usage: [--quick] [--list] [--scenario <name>] \
+        [--trace-out <path>] [--threads <n>] [--digest-out <path>] [--metrics-out <path>]";
+
+    /// Parses the harness flags from `args` (the arguments after the
+    /// program name).  An unknown flag, a flag missing its value, or a
+    /// `--threads` count that is not a positive integer is an error, so a
+    /// mistyped flag never silently runs the full sweep.
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
+        let mut opts = HarnessOptions::default();
+        let mut args = args.into_iter();
+        while let Some(flag) = args.next() {
+            let mut value = |what: &str| args.next().ok_or_else(|| format!("{flag} takes {what}"));
+            match flag.as_str() {
                 "--quick" => opts.quick = true,
                 "--list" => opts.list = true,
-                "--scenario" => {
-                    opts.scenario = Some(args.next().expect("--scenario takes a name"));
-                }
-                "--trace-out" => {
-                    opts.trace_out = Some(PathBuf::from(
-                        args.next().expect("--trace-out takes a path"),
-                    ));
-                }
+                "--scenario" => opts.scenario = Some(value("a name")?),
+                "--trace-out" => opts.trace_out = Some(value("a path")?.into()),
                 "--threads" => {
-                    opts.threads = Some(
-                        args.next()
-                            .expect("--threads takes a count")
-                            .parse()
-                            .expect("--threads takes a positive integer"),
-                    );
+                    let count = value("a count")?;
+                    let n = count.parse::<usize>().ok().filter(|&n| n > 0);
+                    let n = n.ok_or_else(|| {
+                        format!("--threads takes a positive integer, not {count:?}")
+                    });
+                    opts.threads = Some(n?);
                 }
-                "--digest-out" => {
-                    opts.digest_out = Some(PathBuf::from(
-                        args.next().expect("--digest-out takes a path"),
-                    ));
-                }
-                "--metrics-out" => {
-                    opts.metrics_out = Some(PathBuf::from(
-                        args.next().expect("--metrics-out takes a path"),
-                    ));
-                }
-                _ => {}
+                "--digest-out" => opts.digest_out = Some(value("a path")?.into()),
+                "--metrics-out" => opts.metrics_out = Some(value("a path")?.into()),
+                _ => return Err(format!("unknown argument {flag:?}")),
             }
         }
-        opts
+        Ok(opts)
+    }
+
+    /// Parses the process arguments; on an error prints it and the usage
+    /// line to stderr and exits with status 2.
+    pub fn from_args() -> Self {
+        Self::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("error: {e}\n{}", Self::USAGE);
+            std::process::exit(2)
+        })
     }
 }
 
@@ -198,6 +191,80 @@ mod tests {
     fn row_width_is_checked() {
         let mut t = ResultTable::new("bad", &["a", "b"]);
         t.push_row(vec!["1".into()]);
+    }
+
+    fn parse(args: &str) -> Result<HarnessOptions, String> {
+        HarnessOptions::parse(args.split_whitespace().map(String::from))
+    }
+
+    #[test]
+    fn every_ci_invocation_parses() {
+        // The flag sets .github/workflows/ci.yml passes to the harness bins.
+        assert_eq!(
+            parse("--quick"),
+            Ok(HarnessOptions {
+                quick: true,
+                ..HarnessOptions::default()
+            })
+        );
+        assert_eq!(
+            parse("--trace-out serving_trace.json --metrics-out slo_metrics.om.txt"),
+            Ok(HarnessOptions {
+                trace_out: Some("serving_trace.json".into()),
+                metrics_out: Some("slo_metrics.om.txt".into()),
+                ..HarnessOptions::default()
+            })
+        );
+        for threads in [1, 2, 8] {
+            assert_eq!(
+                parse(&format!(
+                    "--quick --scenario fleet_scale --threads {threads} \
+                     --digest-out fleet_t{threads}.digest"
+                )),
+                Ok(HarnessOptions {
+                    quick: true,
+                    scenario: Some("fleet_scale".into()),
+                    threads: Some(threads),
+                    digest_out: Some(format!("fleet_t{threads}.digest").into()),
+                    ..HarnessOptions::default()
+                })
+            );
+        }
+        assert_eq!(parse(""), Ok(HarnessOptions::default()));
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected() {
+        assert_eq!(
+            parse("--scenaro trace"),
+            Err("unknown argument \"--scenaro\"".into())
+        );
+        assert!(parse("--quick trace").is_err(), "a stray positional");
+    }
+
+    #[test]
+    fn a_flag_missing_its_value_is_rejected() {
+        for flag in [
+            "--scenario",
+            "--trace-out",
+            "--threads",
+            "--digest-out",
+            "--metrics-out",
+        ] {
+            let err = parse(&format!("--quick {flag}")).unwrap_err();
+            assert!(err.starts_with(&format!("{flag} takes ")), "{err}");
+        }
+    }
+
+    #[test]
+    fn non_positive_thread_counts_are_rejected() {
+        for count in ["0", "-1", "two", "1.5"] {
+            let err = parse(&format!("--threads {count}")).unwrap_err();
+            assert!(
+                err.starts_with("--threads takes a positive integer"),
+                "{err}"
+            );
+        }
     }
 
     #[test]

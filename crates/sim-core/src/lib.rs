@@ -9,11 +9,12 @@
 //!
 //! * [`time`] — virtual nanosecond clock ([`SimTime`], [`SimDuration`]).
 //! * [`bandwidth`] — constant-throughput device helpers ([`Bandwidth`]).
-//! * [`resource`] — server pools for CPU cores / NPU / I/O engine.
+//! * [`resource`] — the capacity ledger the serving dispatcher books its
+//!   CPU / NPU / flash lanes on.
 //! * [`engine`] — a generic discrete-event engine for concurrency experiments.
-//! * [`trace`] — span recording for figure generation and ordering assertions.
-//! * [`telemetry`] — zero-cost-when-off serving telemetry: a span store of
-//!   request/lane tracks over interned labels, with Perfetto trace export.
+//! * [`telemetry`] — the one zero-cost-when-off span store: request and
+//!   lane tracks over interned labels, with Perfetto trace export.  The
+//!   serving layer and the §4.1 pipeline simulator both record into it.
 //! * [`metrics`] — windowed metrics, where every reported number lives:
 //!   per-window counters/gauges and mergeable log-bucketed latency
 //!   histograms (≤1% quantile error).
@@ -28,14 +29,12 @@ pub mod rng;
 pub mod stats;
 pub mod telemetry;
 pub mod time;
-pub mod trace;
 
 pub use bandwidth::{Bandwidth, GIB, KIB, MIB};
 pub use engine::{Engine, EventScheduler};
 pub use metrics::{GaugeWindow, LogHistogram, WindowedMetrics};
-pub use resource::{CapacityLedger, LaneEvent, LaneId, LaneUsage, Reservation, ServerPool};
+pub use resource::{CapacityLedger, LaneEvent, LaneId, LaneUsage};
 pub use rng::{shard_seed, DetRng};
 pub use stats::PercentileSummary;
 pub use telemetry::{Interner, LabelId, Phase, Telemetry, TelemetrySpan, Track};
 pub use time::{SimDuration, SimTime};
-pub use trace::{Span, SpanKind, Trace};

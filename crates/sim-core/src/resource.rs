@@ -1,284 +1,12 @@
-//! Hardware resources shared by the pipeline and concurrency simulations.
+//! Lane accounting for the serving layer's dispatcher.
 //!
-//! The TZ-LLM pipeline schedules operators onto three kinds of hardware: a
-//! pool of CPU cores, the NPU, and the flash I/O engine (§4.1 of the paper).
-//! [`ServerPool`] models a pool of identical servers whose availability is
-//! tracked as a "free-at" instant per server; the pipeline simulator asks the
-//! pool when the next server becomes free and reserves busy intervals on it.
-//!
-//! [`CapacityLedger`] is the complementary view used by the serving layer's
-//! dispatcher: instead of per-server free-at instants it tracks,
-//! for a set of named lanes (CPU cores, the NPU, the flash channel), how many
-//! units are in use *right now*, the peak ever in use, and the busy-time
-//! integral — and it refuses over-subscription outright, so any scheduling
-//! bug that would double-book a lane fails loudly instead of silently
-//! overlapping work.
+//! [`CapacityLedger`] tracks, for a set of named lanes (CPU cores, the NPU,
+//! the flash channel), how many units are in use *right now*, the peak ever
+//! in use, and the busy-time integral — and it refuses over-subscription
+//! outright, so any scheduling bug that would double-book a lane fails
+//! loudly instead of silently overlapping work.
 
 use crate::time::{SimDuration, SimTime};
-
-/// A reservation returned by [`ServerPool::acquire`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Reservation {
-    /// Index of the server inside the pool that runs the work.
-    pub server: usize,
-    /// When the work actually starts (>= requested time).
-    pub start: SimTime,
-    /// When the work completes.
-    pub end: SimTime,
-}
-
-/// A pool of `n` identical servers (CPU cores, NPU cores, I/O channels).
-#[derive(Debug, Clone)]
-pub struct ServerPool {
-    name: String,
-    free_at: Vec<SimTime>,
-    busy_time: SimDuration,
-}
-
-impl ServerPool {
-    /// Creates a pool with `servers` servers, all free at time zero.
-    ///
-    /// # Panics
-    /// Panics if `servers` is zero.
-    pub fn new(name: impl Into<String>, servers: usize) -> Self {
-        assert!(servers > 0, "a server pool needs at least one server");
-        ServerPool {
-            name: name.into(),
-            free_at: vec![SimTime::ZERO; servers],
-            busy_time: SimDuration::ZERO,
-        }
-    }
-
-    /// The pool's human-readable name (used in traces).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Number of servers in the pool.
-    pub fn len(&self) -> usize {
-        self.free_at.len()
-    }
-
-    /// Whether the pool has no servers (never true; kept for API symmetry).
-    pub fn is_empty(&self) -> bool {
-        self.free_at.is_empty()
-    }
-
-    /// The earliest instant at which at least one server is free, together
-    /// with that server's index.
-    pub fn earliest_free(&self) -> (usize, SimTime) {
-        let mut best = (0, self.free_at[0]);
-        for (i, &t) in self.free_at.iter().enumerate().skip(1) {
-            if t < best.1 {
-                best = (i, t);
-            }
-        }
-        best
-    }
-
-    /// The instant at which work requested at `at` could start.
-    pub fn next_start(&self, at: SimTime) -> SimTime {
-        let (_, free) = self.earliest_free();
-        free.max(at)
-    }
-
-    /// Whether any server is idle at instant `at`.
-    pub fn has_idle(&self, at: SimTime) -> bool {
-        self.free_at.iter().any(|&t| t <= at)
-    }
-
-    /// Number of servers idle at instant `at`.
-    pub fn idle_count(&self, at: SimTime) -> usize {
-        self.free_at.iter().filter(|&&t| t <= at).count()
-    }
-
-    /// Reserves the earliest-available server for `duration`, starting no
-    /// earlier than `at`, and returns the reservation.
-    pub fn acquire(&mut self, at: SimTime, duration: SimDuration) -> Reservation {
-        let (server, free) = self.earliest_free();
-        let start = free.max(at);
-        let end = start + duration;
-        self.free_at[server] = end;
-        self.busy_time += duration;
-        Reservation { server, start, end }
-    }
-
-    /// Reserves a specific server for `[start, start + duration)`.
-    ///
-    /// The caller is responsible for choosing `start` no earlier than the
-    /// server's current free instant; this is checked and panics otherwise
-    /// because an overlapping reservation indicates a scheduler bug.
-    pub fn acquire_on(
-        &mut self,
-        server: usize,
-        start: SimTime,
-        duration: SimDuration,
-    ) -> Reservation {
-        assert!(
-            self.free_at[server] <= start,
-            "server {server} of pool {} is busy until {} but reservation starts at {}",
-            self.name,
-            self.free_at[server],
-            start
-        );
-        let end = start + duration;
-        self.free_at[server] = end;
-        self.busy_time += duration;
-        Reservation { server, start, end }
-    }
-
-    /// Total busy time accumulated over all servers (for utilisation stats).
-    pub fn busy_time(&self) -> SimDuration {
-        self.busy_time
-    }
-
-    /// Utilisation of the pool over the horizon `[0, until)` in `[0, 1]`.
-    pub fn utilisation(&self, until: SimTime) -> f64 {
-        if until == SimTime::ZERO {
-            return 0.0;
-        }
-        let capacity = until.as_secs_f64() * self.len() as f64;
-        (self.busy_time.as_secs_f64() / capacity).min(1.0)
-    }
-
-    /// The instant at which every server has drained its queued work.
-    pub fn all_free_at(&self) -> SimTime {
-        self.free_at
-            .iter()
-            .copied()
-            .fold(SimTime::ZERO, SimTime::max)
-    }
-
-    /// Resets all servers to free-at-zero, keeping the pool size.
-    pub fn reset(&mut self) {
-        for t in &mut self.free_at {
-            *t = SimTime::ZERO;
-        }
-        self.busy_time = SimDuration::ZERO;
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn acquire_prefers_idle_server() {
-        let mut pool = ServerPool::new("cpu", 2);
-        let a = pool.acquire(SimTime::ZERO, SimDuration::from_millis(10));
-        let b = pool.acquire(SimTime::ZERO, SimDuration::from_millis(4));
-        assert_ne!(a.server, b.server);
-        assert_eq!(a.start, SimTime::ZERO);
-        assert_eq!(b.start, SimTime::ZERO);
-        // Third job starts when the shorter job finishes.
-        let c = pool.acquire(SimTime::ZERO, SimDuration::from_millis(1));
-        assert_eq!(c.start, SimTime::from_millis(4));
-        assert_eq!(c.server, b.server);
-    }
-
-    #[test]
-    fn acquire_respects_request_time() {
-        let mut pool = ServerPool::new("npu", 1);
-        let r = pool.acquire(SimTime::from_millis(7), SimDuration::from_millis(1));
-        assert_eq!(r.start, SimTime::from_millis(7));
-    }
-
-    #[test]
-    fn utilisation_and_busy_time_accumulate() {
-        let mut pool = ServerPool::new("io", 1);
-        pool.acquire(SimTime::ZERO, SimDuration::from_secs(1));
-        pool.acquire(SimTime::ZERO, SimDuration::from_secs(1));
-        assert_eq!(pool.busy_time(), SimDuration::from_secs(2));
-        assert!((pool.utilisation(SimTime::from_secs(4)) - 0.5).abs() < 1e-9);
-        assert_eq!(pool.all_free_at(), SimTime::from_secs(2));
-    }
-
-    #[test]
-    #[should_panic]
-    fn overlapping_explicit_reservation_panics() {
-        let mut pool = ServerPool::new("cpu", 1);
-        pool.acquire_on(0, SimTime::ZERO, SimDuration::from_millis(5));
-        pool.acquire_on(0, SimTime::from_millis(3), SimDuration::from_millis(5));
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut pool = ServerPool::new("cpu", 3);
-        pool.acquire(SimTime::ZERO, SimDuration::from_secs(3));
-        pool.reset();
-        assert_eq!(pool.all_free_at(), SimTime::ZERO);
-        assert_eq!(pool.busy_time(), SimDuration::ZERO);
-        assert_eq!(pool.idle_count(SimTime::ZERO), 3);
-    }
-
-    #[test]
-    fn ledger_tracks_peaks_and_busy_integral() {
-        let mut ledger = CapacityLedger::new();
-        let cpu = ledger.add_lane("cpu", 4);
-        ledger.acquire(cpu, 3, SimTime::ZERO);
-        ledger.release(cpu, 2, SimTime::from_secs(2));
-        ledger.release(cpu, 1, SimTime::from_secs(3));
-        let usage = &ledger.usage(SimTime::from_secs(4))[0];
-        assert_eq!(usage.peak_in_use, 3);
-        assert_eq!(usage.in_use, 0);
-        // 3 units × 2 s + 1 unit × 1 s = 7 unit-seconds.
-        assert_eq!(usage.busy_unit_time, SimDuration::from_secs(7));
-        assert!((usage.utilisation(SimTime::from_secs(4)) - 7.0 / 16.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ledger_journal_records_reservation_changes() {
-        let mut ledger = CapacityLedger::new();
-        let cpu = ledger.add_lane("cpu", 4);
-        ledger.acquire(cpu, 3, SimTime::ZERO);
-        assert!(
-            ledger.journal().is_empty(),
-            "journal is off by default and records nothing"
-        );
-        ledger.enable_journal();
-        ledger.release(cpu, 2, SimTime::from_secs(1));
-        ledger.acquire(cpu, 1, SimTime::from_secs(2));
-        assert_eq!(
-            ledger.journal(),
-            &[
-                LaneEvent {
-                    lane: cpu,
-                    at: SimTime::from_secs(1),
-                    in_use: 1
-                },
-                LaneEvent {
-                    lane: cpu,
-                    at: SimTime::from_secs(2),
-                    in_use: 2
-                },
-            ]
-        );
-        assert_eq!(ledger.lane_name(cpu), "cpu");
-        assert_eq!(ledger.lane_capacity(cpu), 4);
-        assert_eq!(ledger.lane_count(), 1);
-    }
-
-    #[test]
-    #[should_panic]
-    fn ledger_panics_on_over_subscription() {
-        let mut ledger = CapacityLedger::new();
-        let npu = ledger.add_lane("npu", 1);
-        ledger.acquire(npu, 1, SimTime::ZERO);
-        ledger.acquire(npu, 1, SimTime::from_millis(1));
-    }
-
-    #[test]
-    fn ledger_handover_at_one_instant_is_legal() {
-        let mut ledger = CapacityLedger::new();
-        let flash = ledger.add_lane("flash", 1);
-        ledger.acquire(flash, 1, SimTime::ZERO);
-        let t = SimTime::from_millis(5);
-        ledger.release(flash, 1, t);
-        ledger.acquire(flash, 1, t);
-        assert_eq!(ledger.available(flash), 0);
-        assert_eq!(ledger.usage(t)[0].peak_in_use, 1);
-    }
-}
 
 /// Identifier of one lane inside a [`CapacityLedger`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -364,10 +92,10 @@ pub struct LaneEvent {
 #[derive(Debug, Clone, Default)]
 pub struct CapacityLedger {
     lanes: Vec<Lane>,
-    /// Reservation journal (`None` = off): every acquire/release appends a
-    /// [`LaneEvent`], from which the telemetry layer derives per-lane
-    /// occupancy spans.  Off by default — the journal observes, it never
-    /// feeds back into the capacity checks.
+    /// The journal of reservation changes (`None` = off): every
+    /// acquire/release appends a [`LaneEvent`], from which the telemetry
+    /// layer derives per-lane occupancy spans.  Off by default — the
+    /// journal observes, it never feeds back into the capacity checks.
     journal: Option<Vec<LaneEvent>>,
 }
 
@@ -502,5 +230,78 @@ impl CapacityLedger {
                 }
             })
             .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn ledger_tracks_peaks_and_busy_integral() {
+        let mut ledger = CapacityLedger::new();
+        let cpu = ledger.add_lane("cpu", 4);
+        ledger.acquire(cpu, 3, SimTime::ZERO);
+        ledger.release(cpu, 2, SimTime::from_secs(2));
+        ledger.release(cpu, 1, SimTime::from_secs(3));
+        let usage = &ledger.usage(SimTime::from_secs(4))[0];
+        assert_eq!(usage.peak_in_use, 3);
+        assert_eq!(usage.in_use, 0);
+        // 3 units × 2 s + 1 unit × 1 s = 7 unit-seconds.
+        assert_eq!(usage.busy_unit_time, SimDuration::from_secs(7));
+        assert!((usage.utilisation(SimTime::from_secs(4)) - 7.0 / 16.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn ledger_journal_records_reservation_changes() {
+        let mut ledger = CapacityLedger::new();
+        let cpu = ledger.add_lane("cpu", 4);
+        ledger.acquire(cpu, 3, SimTime::ZERO);
+        assert!(
+            ledger.journal().is_empty(),
+            "journal is off by default and records nothing"
+        );
+        ledger.enable_journal();
+        ledger.release(cpu, 2, SimTime::from_secs(1));
+        ledger.acquire(cpu, 1, SimTime::from_secs(2));
+        assert_eq!(
+            ledger.journal(),
+            &[
+                LaneEvent {
+                    lane: cpu,
+                    at: SimTime::from_secs(1),
+                    in_use: 1
+                },
+                LaneEvent {
+                    lane: cpu,
+                    at: SimTime::from_secs(2),
+                    in_use: 2
+                },
+            ]
+        );
+        assert_eq!(ledger.lane_name(cpu), "cpu");
+        assert_eq!(ledger.lane_capacity(cpu), 4);
+        assert_eq!(ledger.lane_count(), 1);
+    }
+
+    #[test]
+    #[should_panic]
+    fn ledger_panics_on_over_subscription() {
+        let mut ledger = CapacityLedger::new();
+        let npu = ledger.add_lane("npu", 1);
+        ledger.acquire(npu, 1, SimTime::ZERO);
+        ledger.acquire(npu, 1, SimTime::from_millis(1));
+    }
+
+    #[test]
+    fn ledger_handover_at_one_instant_is_legal() {
+        let mut ledger = CapacityLedger::new();
+        let flash = ledger.add_lane("flash", 1);
+        ledger.acquire(flash, 1, SimTime::ZERO);
+        let t = SimTime::from_millis(5);
+        ledger.release(flash, 1, t);
+        ledger.acquire(flash, 1, t);
+        assert_eq!(ledger.available(flash), 0);
+        assert_eq!(ledger.usage(t)[0].peak_in_use, 1);
     }
 }

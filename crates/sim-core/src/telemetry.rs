@@ -1,4 +1,4 @@
-//! Zero-cost-when-off serving telemetry: a span store.
+//! Zero-cost-when-off telemetry: the one span store.
 //!
 //! The serving layer's step loop explains *where each request's latency
 //! went* by recording phase spans into a [`Telemetry`] side buffer: one
@@ -7,7 +7,10 @@
 //! device lane (step/chunk/draft/seal spans, occupancy intervals derived
 //! from the [`crate::resource::CapacityLedger`] journal), and
 //! [`Telemetry::chrome_trace_json`] exports them as Chrome trace-event JSON
-//! that Perfetto loads directly.  Numbers — counters, gauges, latency
+//! that Perfetto loads directly.  The §4.1 pipeline simulator records its
+//! per-operator schedule into the same store (`cpu`, `npu` and `io` lane
+//! tracks, one [`Phase`] per operator kind), so a restore schedule exports
+//! through the same path.  Numbers — counters, gauges, latency
 //! distributions — are not kept here: they live once, in
 //! [`crate::metrics::WindowedMetrics`].
 //!
@@ -19,10 +22,9 @@
 //! time or statistic (the serial-reproduction suite proves this bit for
 //! bit against the committed baseline).
 //!
-//! Labels are interned [`Arc<str>`]s handed out by [`Interner`] — the same
-//! sharing scheme [`crate::trace::Trace`] uses for its span names, so a
+//! Labels are interned by [`Interner`] into dense [`LabelId`]s, so a
 //! million spans over a handful of distinct labels cost a million
-//! refcount bumps, not a million `String` allocations.
+//! four-byte ids, not a million `String` allocations.
 
 use std::collections::BTreeMap;
 use std::collections::HashMap;
@@ -42,9 +44,9 @@ impl LabelId {
     }
 }
 
-/// A string interner handing out shared [`Arc<str>`]s and dense
-/// [`LabelId`]s.  Interning the same text twice returns the same id (and
-/// the same allocation).
+/// A string interner handing out dense [`LabelId`]s.  Interning the same
+/// text twice returns the same id; each distinct text is allocated once,
+/// shared by the lookup map and the id table.
 #[derive(Debug, Clone, Default)]
 pub struct Interner {
     ids: HashMap<Arc<str>, u32>,
@@ -68,14 +70,6 @@ impl Interner {
         self.ids.insert(Arc::clone(&shared), id);
         self.names.push(shared);
         LabelId(id)
-    }
-
-    /// The shared allocation behind `name`, interning it first if new —
-    /// what [`crate::trace::Trace`] stores per span instead of an owned
-    /// `String`.
-    pub fn share(&mut self, name: &str) -> Arc<str> {
-        let id = self.intern(name);
-        Arc::clone(&self.names[id.index()])
     }
 
     /// Resolves an id back to its text.
@@ -107,7 +101,7 @@ pub enum Track {
     Lane(LabelId),
 }
 
-/// The serving-layer phase a span records.  The request-lifecycle phases
+/// The phase a span records.  The request-lifecycle phases
 /// ([`Phase::counts_toward_ttft`]) tile `[arrival, first_token]` without
 /// gaps or overlap, so their sum reconciles exactly with the recorded
 /// end-to-end TTFT; lane-track phases annotate device activity and never
@@ -143,6 +137,16 @@ pub enum Phase {
     Seal,
     /// A lane-occupancy interval derived from the capacity-ledger journal.
     Occupancy,
+    /// A §4.1 pipeline allocation (CMA migration) operator (lane track).
+    Allocation,
+    /// A pipeline parameter-loading (flash read) operator (lane track).
+    Loading,
+    /// A pipeline parameter-decryption operator (lane track).
+    Decryption,
+    /// A pipeline computation operator on a CPU core (lane track).
+    CpuCompute,
+    /// A pipeline computation operator on the NPU (lane track).
+    NpuCompute,
 }
 
 impl Phase {
@@ -163,6 +167,11 @@ impl Phase {
             Phase::SpecVerify => "spec-verify",
             Phase::Seal => "seal",
             Phase::Occupancy => "occupancy",
+            Phase::Allocation => "alloc",
+            Phase::Loading => "load",
+            Phase::Decryption => "decrypt",
+            Phase::CpuCompute => "cpu-compute",
+            Phase::NpuCompute => "npu-compute",
         }
     }
 
@@ -383,15 +392,12 @@ mod tests {
     }
 
     #[test]
-    fn interner_dedups_and_shares() {
+    fn interner_dedups() {
         let mut i = Interner::new();
         let a = i.intern("flash");
         let b = i.intern("flash");
         assert_eq!(a, b);
         assert_eq!(i.len(), 1);
-        let s1 = i.share("flash");
-        let s2 = i.share("flash");
-        assert!(Arc::ptr_eq(&s1, &s2), "same text shares one allocation");
         assert_eq!(i.resolve(a), "flash");
     }
 

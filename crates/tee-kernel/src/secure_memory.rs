@@ -18,7 +18,7 @@
 
 use std::sync::Arc;
 
-use sim_core::{SimDuration, SimTime, SpanKind, Trace};
+use sim_core::SimDuration;
 use tz_hal::{DeviceId, PhysRange, Platform, RegionId, World, PAGE_SIZE};
 
 use ree_kernel::{CmaPool, TzDriver};
@@ -333,17 +333,6 @@ impl SecureMemoryManager {
             clearing,
             ..ScalingCost::default()
         })
-    }
-
-    /// Records a scaling cost into a trace (helper for the experiment harness).
-    pub fn record_cost(trace: &mut Trace, name: &str, start: SimTime, cost: &ScalingCost) {
-        trace.record(
-            name,
-            SpanKind::Allocation,
-            "cpu-ree",
-            start,
-            start + cost.total(),
-        );
     }
 }
 

@@ -15,12 +15,13 @@
 //!   operator that becomes ready only waits until the next preemption point.
 //!
 //! The simulator is event-driven and fully deterministic; it produces the
-//! makespan (the prefill-pipeline part of the TTFT), a span trace, and busy
-//! time per operator class.
+//! makespan (the prefill-pipeline part of the TTFT), busy time per operator
+//! class and, on request, the schedule as [`Telemetry`] spans on `cpu`,
+//! `npu` and `io` lane tracks.
 
 use std::collections::BTreeSet;
 
-use sim_core::{SimDuration, SimTime, SpanKind, Trace};
+use sim_core::{Phase, SimDuration, SimTime, Telemetry, Track};
 
 use crate::restore::{PipeOp, PipeOpKind, RestorePlan};
 
@@ -44,24 +45,11 @@ pub struct PipelineConfig {
     pub preempt_quantum: SimDuration,
     /// Scheduling policy.
     pub policy: Policy,
-    /// Whether to record a per-operator span trace.  Figure generation and
-    /// the ordering tests want the trace; the serving layer simulates plans
-    /// on every dispatch and turns it off — span recording (and label
-    /// rendering) is pure overhead on that path.
+    /// Whether to record the schedule into [`PipelineResult::trace`].  The
+    /// ordering tests want it; every evaluation path simulates plans on
+    /// each dispatch and turns it off — span recording (and label
+    /// rendering) is pure overhead there.
     pub record_trace: bool,
-}
-
-impl PipelineConfig {
-    /// The TZ-LLM default on the RK3588 testbed: four big cores, 2 ms
-    /// quantum, trace recording on.
-    pub fn tzllm_default(cpu_cores: usize) -> Self {
-        PipelineConfig {
-            cpu_cores,
-            preempt_quantum: SimDuration::from_millis(2),
-            policy: Policy::PriorityPreemptive,
-            record_trace: true,
-        }
-    }
 }
 
 /// Result of simulating one pipeline execution.
@@ -80,8 +68,10 @@ pub struct PipelineResult {
     pub busy_cpu_compute: SimDuration,
     /// Total NPU computation busy time.
     pub busy_npu_compute: SimDuration,
-    /// Execution trace (one span per operator or micro-operator).
-    pub trace: Trace,
+    /// The schedule: one span per operator or micro-operator on its
+    /// resource's lane track, phased by operator kind.  Disabled (and
+    /// empty) unless [`PipelineConfig::record_trace`] is set.
+    pub trace: Telemetry,
 }
 
 impl PipelineResult {
@@ -104,6 +94,9 @@ enum ResourceClass {
 }
 
 impl ResourceClass {
+    /// Every class, in discriminant order.
+    const ALL: [ResourceClass; 3] = [ResourceClass::Cpu, ResourceClass::Npu, ResourceClass::Io];
+
     fn for_kind(kind: PipeOpKind) -> ResourceClass {
         match kind {
             PipeOpKind::Alloc | PipeOpKind::Decrypt | PipeOpKind::CpuCompute => ResourceClass::Cpu,
@@ -275,7 +268,16 @@ pub fn simulate(plan: &RestorePlan, config: &PipelineConfig) -> PipelineResult {
     let mut events: std::collections::BinaryHeap<std::cmp::Reverse<Completion>> =
         std::collections::BinaryHeap::new();
 
-    let mut trace = Trace::new();
+    // A disabled store interns and allocates nothing: the lane tracks exist
+    // only when the schedule is recorded.
+    let mut trace = Telemetry::new(config.record_trace);
+    let lanes = config.record_trace.then(|| {
+        ResourceClass::ALL.map(|r| {
+            let lane = Track::Lane(trace.intern(r.label()));
+            trace.name_track(lane, r.label());
+            lane
+        })
+    });
     let mut busy = [SimDuration::ZERO; 5];
     let kind_index = |k: PipeOpKind| match k {
         PipeOpKind::Alloc => 0usize,
@@ -284,12 +286,12 @@ pub fn simulate(plan: &RestorePlan, config: &PipelineConfig) -> PipelineResult {
         PipeOpKind::CpuCompute => 3,
         PipeOpKind::NpuCompute => 4,
     };
-    let span_kind = |k: PipeOpKind| match k {
-        PipeOpKind::Alloc => SpanKind::Allocation,
-        PipeOpKind::Load => SpanKind::Loading,
-        PipeOpKind::Decrypt => SpanKind::Decryption,
-        PipeOpKind::CpuCompute => SpanKind::CpuCompute,
-        PipeOpKind::NpuCompute => SpanKind::NpuCompute,
+    let phase = |k: PipeOpKind| match k {
+        PipeOpKind::Alloc => Phase::Allocation,
+        PipeOpKind::Load => Phase::Loading,
+        PipeOpKind::Decrypt => Phase::Decryption,
+        PipeOpKind::CpuCompute => Phase::CpuCompute,
+        PipeOpKind::NpuCompute => Phase::NpuCompute,
     };
 
     let mut now = SimTime::ZERO;
@@ -302,11 +304,11 @@ pub fn simulate(plan: &RestorePlan, config: &PipelineConfig) -> PipelineResult {
             let id = $id;
             let resource = ResourceClass::for_kind(ops[id].kind);
             let end = now + ops[id].duration;
-            if config.record_trace {
-                trace.record(
-                    ops[id].label.to_string(),
-                    span_kind(ops[id].kind),
-                    resource.label(),
+            if let Some(lanes) = &lanes {
+                trace.span(
+                    lanes[resource as usize],
+                    phase(ops[id].kind),
+                    &ops[id].label.to_string(),
                     now,
                     end,
                 );
@@ -537,18 +539,45 @@ mod tests {
     }
 
     #[test]
-    fn trace_has_no_io_or_npu_conflicts() {
+    fn trace_records_each_operator_on_its_lane() {
         let plan = plan(&ModelSpec::nano(), 16, 0.0, 0.5);
-        let result = simulate(&plan, &config(Policy::PriorityPreemptive));
-        // Single-server resources must never run two spans at once.  (CPU
-        // spans share the "cpu" resource label across 4 cores, so only check
-        // io and npu.)
-        let mut io_npu = sim_core::Trace::new();
-        for s in result.trace.spans() {
-            if &*s.resource != "cpu" {
-                io_npu.record(s.name.clone(), s.kind, s.resource.clone(), s.start, s.end);
-            }
+        let cfg = config(Policy::PriorityPreemptive);
+        let result = simulate(&plan, &cfg);
+        let trace = &result.trace;
+        assert_eq!(
+            trace.spans().len(),
+            expand_micro_ops(&plan, cfg.preempt_quantum).len(),
+            "one span per micro-operator"
+        );
+        for s in trace.spans() {
+            let Track::Lane(lane) = s.track else {
+                panic!("pipeline spans live on lane tracks");
+            };
+            let expected = match s.phase {
+                Phase::Loading => "io",
+                Phase::NpuCompute => "npu",
+                _ => "cpu",
+            };
+            assert_eq!(trace.resolve(lane), expected, "{:?}", s.phase);
         }
-        assert!(io_npu.find_resource_conflict().is_none());
+        let json = trace.chrome_trace_json();
+        for lane in ["cpu", "npu", "io"] {
+            assert!(json.contains(&format!("\"args\":{{\"name\":\"{lane}\"}}")));
+        }
+
+        let quiet = simulate(
+            &plan,
+            &PipelineConfig {
+                record_trace: false,
+                ..cfg
+            },
+        );
+        assert_eq!(quiet.makespan, result.makespan);
+        assert!(!quiet.trace.is_enabled());
+        assert_eq!(
+            quiet.trace.chrome_trace_json(),
+            Telemetry::off().chrome_trace_json(),
+            "a disabled store names no lane and records no span"
+        );
     }
 }

@@ -31,15 +31,12 @@ pub struct InferenceConfig {
     pub cached_fraction: f64,
     /// Pipeline scheduling policy (for the Figure 13 ablations).
     pub policy: Policy,
-    /// Whether the framework-state checkpoint exists (TZ-LLM) or a full cold
-    /// initialisation is required.
-    pub use_checkpoint: bool,
 }
 
 impl InferenceConfig {
     /// A default configuration matching the paper's worst-case setup for the
     /// given model: cold cache, per-model memory pressure (13/11/10/6 GB for
-    /// the four catalogue models), preemptive scheduling, checkpoint present.
+    /// the four catalogue models), preemptive scheduling.
     pub fn paper_default(model: ModelSpec, prompt_len: usize) -> Self {
         let pressure_gib: u64 = match model.name.as_str() {
             "tinyllama-1.1b" => 13,
@@ -55,7 +52,6 @@ impl InferenceConfig {
             memory_pressure: pressure_gib * sim_core::GIB,
             cached_fraction: 0.0,
             policy: Policy::PriorityPreemptive,
-            use_checkpoint: true,
         }
     }
 }
@@ -356,8 +352,7 @@ pub(crate) fn evaluate_service(
 /// Evaluates TZ-LLM on one inference request.
 ///
 /// This is the evaluation the serving layer runs at every dispatch, priced
-/// for an idle TA context: the checkpoint restore (or a full framework
-/// initialisation when there is no checkpoint), a fresh KV cache plus
+/// for an idle TA context: the checkpoint restore, a fresh KV cache plus
 /// activation arena, and no sealed KV to unseal.  The cached fraction is
 /// read back through a [`CacheController`] seeded in its own unit (the
 /// model's Q8 blob size), exactly as a dispatch reads the live controller,
@@ -366,11 +361,6 @@ pub fn evaluate_tzllm(profile: &PlatformProfile, config: &InferenceConfig) -> In
     let model = &config.model;
     let mut cache = CacheController::new(model.total_q8_bytes());
     cache.seed((model.total_q8_bytes() as f64 * config.cached_fraction.clamp(0.0, 1.0)) as u64);
-    let framework_init = if config.use_checkpoint {
-        profile.checkpoint_restore
-    } else {
-        profile.framework_init_total()
-    };
     let params = ServiceParams {
         model,
         model_key: 0, // keys the plan cache, which a lone evaluation skips
@@ -385,7 +375,7 @@ pub fn evaluate_tzllm(profile: &PlatformProfile, config: &InferenceConfig) -> In
     evaluate_service(
         profile,
         &params,
-        framework_init,
+        profile.checkpoint_restore,
         profile.kv_cache_alloc + profile.activation_alloc,
         SimDuration::ZERO,
         None,
@@ -511,11 +501,13 @@ mod tests {
 
     #[test]
     fn checkpoint_restore_saves_seconds() {
-        let mut cfg = InferenceConfig::paper_default(ModelSpec::llama3_8b(), 128);
-        let with = evaluate_tzllm(&profile(), &cfg);
-        cfg.use_checkpoint = false;
-        let without = evaluate_tzllm(&profile(), &cfg);
-        let saved = without.ttft.as_secs_f64() - with.ttft.as_secs_f64();
+        let p = profile();
+        let report = evaluate_tzllm(
+            &p,
+            &InferenceConfig::paper_default(ModelSpec::llama3_8b(), 128),
+        );
+        assert_eq!(report.breakdown.framework_init, p.checkpoint_restore);
+        let saved = (p.framework_init_total() - p.checkpoint_restore).as_secs_f64();
         assert!(saved > 1.5 && saved < 3.0, "saved = {saved}");
     }
 

@@ -11,7 +11,7 @@
 use std::collections::BTreeSet;
 
 use llm::{ComputationGraph, CostModel, ModelSpec, PromptContent};
-use sim_core::{shard_seed, DetRng, SimDuration, SimTime};
+use sim_core::{shard_seed, DetRng, Phase, SimDuration, SimTime, TelemetrySpan, Track};
 use tz_crypto::AesCtr;
 use tz_hal::{PhysAddr, PhysRange, PlatformProfile, Tzasc, World, PAGE_SIZE};
 use tzllm::{
@@ -36,7 +36,9 @@ fn small_model(layers: usize, hidden: usize) -> ModelSpec {
 
 /// For any model shape, prompt length, cache fraction, occupancy and policy:
 /// the simulated makespan is bounded below by the critical-path lower bound
-/// and above by the sum of all operator durations.
+/// and above by the sum of all operator durations, and the recorded
+/// schedule never runs two operators at once on the single-server `io` and
+/// `npu` lanes and accounts for every phase's busy time exactly.
 #[test]
 fn pipeline_makespan_is_bounded() {
     let mut rng = DetRng::new(0x70726f70); // "prop"
@@ -72,6 +74,10 @@ fn pipeline_makespan_is_bounded() {
             },
         );
 
+        let repro = format!(
+            "case {case} ({layers}l/{hidden}h/{prompt}p/{cached_frac:.3}c/{occupancy:.3}o/{policy:?})"
+        );
+
         // With four CPU cores the CPU-path total is not by itself a lower
         // bound (allocation, decryption and CPU compute can overlap on
         // different cores), so bound by the I/O path, the computation path and
@@ -81,18 +87,51 @@ fn pipeline_makespan_is_bounded() {
         let upper: SimDuration = plan.ops.iter().map(|o| o.duration).sum();
         assert!(
             result.makespan >= lower,
-            "case {case} ({layers}l/{hidden}h/{prompt}p/{cached_frac:.3}c/{occupancy:.3}o/{policy:?}): \
-             makespan {} < lower bound {}",
+            "{repro}: makespan {} < lower bound {}",
             result.makespan,
             lower
         );
         assert!(
             result.makespan <= upper + SimDuration::from_micros(1),
-            "case {case} ({layers}l/{hidden}h/{prompt}p/{cached_frac:.3}c/{occupancy:.3}o/{policy:?}): \
-             makespan {} > serial upper bound {}",
+            "{repro}: makespan {} > serial upper bound {}",
             result.makespan,
             upper
         );
+
+        let trace = &result.trace;
+        for lane in ["io", "npu"] {
+            let mut spans: Vec<&TelemetrySpan> = trace
+                .spans()
+                .iter()
+                .filter(|s| matches!(s.track, Track::Lane(l) if trace.resolve(l) == lane))
+                .collect();
+            spans.sort_by_key(|s| (s.start, s.end));
+            for w in spans.windows(2) {
+                assert!(
+                    w[0].end <= w[1].start,
+                    "{repro}: {lane} spans [{}, {}) and [{}, {}) overlap",
+                    w[0].start,
+                    w[0].end,
+                    w[1].start,
+                    w[1].end
+                );
+            }
+        }
+        for (phase, busy) in [
+            (Phase::Allocation, result.busy_alloc),
+            (Phase::Loading, result.busy_load),
+            (Phase::Decryption, result.busy_decrypt),
+            (Phase::CpuCompute, result.busy_cpu_compute),
+            (Phase::NpuCompute, result.busy_npu_compute),
+        ] {
+            let spanned: SimDuration = trace
+                .spans()
+                .iter()
+                .filter(|s| s.phase == phase)
+                .map(TelemetrySpan::duration)
+                .sum();
+            assert_eq!(spanned, busy, "{repro}: {phase:?} spans vs busy time");
+        }
     }
 }
 
