@@ -78,39 +78,45 @@ impl CostModel {
 
     /// Execution time of one operator on its assigned device during prefill.
     pub fn op_time(&self, op: &ComputeOp) -> SimDuration {
-        match op.device {
-            Device::Cpu => {
-                self.params.cpu_op_overhead
-                    + SimDuration::from_secs_f64(op.macs as f64 / self.params.cpu_macs_per_sec)
-            }
-            Device::Npu => {
-                self.params.npu_op_overhead
-                    + SimDuration::from_secs_f64(op.macs as f64 / self.params.npu_macs_per_sec)
-            }
+        self.op_time_on(op, true)
+    }
+
+    /// Execution time of one operator on its assigned device when `use_npu`,
+    /// and on the CPU otherwise (a system with no NPU access, such as the
+    /// strawman TEE, runs every operator there).
+    fn op_time_on(&self, op: &ComputeOp, use_npu: bool) -> SimDuration {
+        let (launch, macs_per_sec) = self.device_rates(op, use_npu);
+        launch + SimDuration::from_secs_f64(op.macs as f64 / macs_per_sec)
+    }
+
+    /// The launch overhead and MAC rate of the device `op` runs on.
+    fn device_rates(&self, op: &ComputeOp, use_npu: bool) -> (SimDuration, f64) {
+        if use_npu && op.device == Device::Npu {
+            (self.params.npu_op_overhead, self.params.npu_macs_per_sec)
+        } else {
+            (self.params.cpu_op_overhead, self.params.cpu_macs_per_sec)
         }
     }
 
-    /// Execution time of one operator when forced onto the CPU (the strawman
-    /// baseline has no NPU in the TEE).
-    pub fn op_time_cpu_only(&self, op: &ComputeOp) -> SimDuration {
-        self.params.cpu_op_overhead
-            + SimDuration::from_secs_f64(op.macs as f64 / self.params.cpu_macs_per_sec)
-    }
-
-    /// Pure computation time of a whole prefill graph (no restoration, no
-    /// resource contention — a lower bound used by the critical-path analysis).
+    /// Pure computation time of a whole graph (no restoration, no resource
+    /// contention — a lower bound used by the critical-path analysis).
     pub fn prefill_compute_time(&self, graph: &ComputationGraph, use_npu: bool) -> SimDuration {
         graph
             .ops
             .iter()
-            .map(|op| {
-                if use_npu {
-                    self.op_time(op)
-                } else {
-                    self.op_time_cpu_only(op)
-                }
-            })
+            .map(|op| self.op_time_on(op, use_npu))
             .sum()
+    }
+
+    /// One pass over the model's quantized weights through DRAM, with the
+    /// NPU's decode-side DMA gain applied when `use_npu`.
+    fn weight_pass_secs(&self, model: &ModelSpec, use_npu: bool) -> f64 {
+        let memory_secs = model.total_q8_bytes() as f64 / self.params.dram_bytes_per_sec;
+        if use_npu {
+            memory_secs / self.params.npu_decode_gain
+        } else {
+            memory_secs
+        }
     }
 
     /// Time to generate one token during decoding.
@@ -123,25 +129,10 @@ impl CostModel {
         kv_len: usize,
         use_npu: bool,
     ) -> SimDuration {
-        let graph = ComputationGraph::decode(model, kv_len);
-        let compute: SimDuration = graph
-            .ops
-            .iter()
-            .map(|op| {
-                if use_npu {
-                    self.op_time(op)
-                } else {
-                    self.op_time_cpu_only(op)
-                }
-            })
-            .sum();
-        let memory_secs = model.total_q8_bytes() as f64 / self.params.dram_bytes_per_sec;
-        let memory_secs = if use_npu {
-            memory_secs / self.params.npu_decode_gain
-        } else {
-            memory_secs
-        };
-        compute.max(SimDuration::from_secs_f64(memory_secs))
+        let compute = self.prefill_compute_time(&ComputationGraph::decode(model, kv_len), use_npu);
+        compute.max(SimDuration::from_secs_f64(
+            self.weight_pass_secs(model, use_npu),
+        ))
     }
 
     /// Decoding speed in tokens per second.
@@ -169,20 +160,8 @@ impl CostModel {
     /// decode-graph evaluations far apart in `kv_len` recover the
     /// coefficients exactly and the serving step loop never rebuilds graphs.
     pub fn batched_step_costs(&self, model: &ModelSpec, use_npu: bool) -> BatchedStepCosts {
-        let compute = |graph: &ComputationGraph| -> f64 {
-            graph
-                .ops
-                .iter()
-                .map(|op| {
-                    if use_npu {
-                        self.op_time(op)
-                    } else {
-                        self.op_time_cpu_only(op)
-                    }
-                })
-                .sum::<SimDuration>()
-                .as_secs_f64()
-        };
+        let compute =
+            |graph: &ComputationGraph| self.prefill_compute_time(graph, use_npu).as_secs_f64();
         let (kv_lo, kv_hi) = (1usize, 4097usize);
         let lo = ComputationGraph::decode(model, kv_lo);
         let (c_lo, c_hi) = (
@@ -193,20 +172,11 @@ impl CostModel {
         let launch_secs = lo
             .ops
             .iter()
-            .map(|op| match (use_npu, op.device) {
-                (true, Device::Npu) => self.params.npu_op_overhead,
-                _ => self.params.cpu_op_overhead,
-            })
+            .map(|op| self.device_rates(op, use_npu).0)
             .sum::<SimDuration>()
             .as_secs_f64();
-        let memory_secs = model.total_q8_bytes() as f64 / self.params.dram_bytes_per_sec;
-        let weight_pass_secs = if use_npu {
-            memory_secs / self.params.npu_decode_gain
-        } else {
-            memory_secs
-        };
         BatchedStepCosts {
-            weight_pass_secs,
+            weight_pass_secs: self.weight_pass_secs(model, use_npu),
             launch_secs,
             decode_compute_base_secs: c_lo - per_kv,
             decode_compute_per_kv_secs: per_kv,

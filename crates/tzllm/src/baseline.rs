@@ -1,4 +1,4 @@
-//! The evaluated systems: TZ-LLM and the three baselines of §7.
+//! The evaluated systems of §7 as rows of one pricing function.
 //!
 //! * **REE-LLM-Memory** — unmodified llama.cpp in the REE with all parameters
 //!   preloaded (theoretical best; no protection, memory-inefficient).
@@ -9,18 +9,22 @@
 //!   full cold start (framework init, sequential CMA allocation, load,
 //!   decryption) and CPU-only computation.
 //! * **TZ-LLM** — this paper's system (see [`crate::system`]).
+//!
+//! Each baseline is a row of inputs — operator device, restore rates,
+//! cached bytes, policy and co-driver handoff — that [`evaluate`] prices
+//! with the code a serving dispatch runs on a plan-cache miss, and reports
+//! with the code a dispatch reports with.
 
 use sim_core::SimDuration;
 use tz_hal::PlatformProfile;
 
 #[cfg(test)]
 use llm::ModelSpec;
-use llm::{ComputationGraph, CostModel};
 
-use crate::pipeline::{simulate, PipelineConfig, Policy};
-use crate::restore::{RestorePlan, RestoreRates};
+use crate::pipeline::Policy;
+use crate::restore::{PipeOpKind, RestoreRates};
 use crate::system::{
-    cma_occupancy, evaluate_tzllm, InferenceConfig, InferenceReport, TtftBreakdown,
+    self, cma_occupancy, evaluate_tzllm, InferenceConfig, InferenceReport, SystemRow,
 };
 
 /// The systems compared in the evaluation.
@@ -59,15 +63,36 @@ impl SystemKind {
     }
 }
 
-/// Restoration rates for the REE-LLM-Flash baseline: buddy-system allocation
-/// (no migration), no decryption.
-fn ree_flash_rates(profile: &PlatformProfile) -> RestoreRates {
-    RestoreRates {
-        flash: profile.flash_bandwidth(),
-        alloc_secs_per_byte: profile.page_alloc_ns as f64 * 1e-9 / tz_hal::PAGE_SIZE as f64,
-        alloc_fixed: SimDuration::ZERO,
-        // No decryption: model the step as effectively free.
-        decrypt: sim_core::Bandwidth::from_bytes_per_sec(1e18),
+/// REE-LLM with `cached_fraction` of the parameters preloaded: the NPU with
+/// no world switches, buddy-system allocation (no migration) and no
+/// decryption.
+fn ree_row(profile: &PlatformProfile, config: &InferenceConfig, cached_fraction: f64) -> SystemRow {
+    let total = system::param_bytes(&config.model);
+    SystemRow {
+        use_npu: true,
+        rates: RestoreRates {
+            flash: profile.flash_bandwidth(),
+            alloc_secs_per_byte: profile.page_alloc_ns as f64 * 1e-9 / tz_hal::PAGE_SIZE as f64,
+            alloc_fixed: SimDuration::ZERO,
+            // No decryption: model the step as effectively free.
+            decrypt: sim_core::Bandwidth::from_bytes_per_sec(1e18),
+        },
+        cached_bytes: (total as f64 * cached_fraction.clamp(0.0, 1.0)) as u64,
+        policy: Policy::PriorityPreemptive,
+        handoff: SimDuration::ZERO,
+    }
+}
+
+/// The strawman: a cold TEE with no NPU, CMA allocation on a single
+/// migration thread, nothing cached, and no pipelining.
+fn strawman_row(profile: &PlatformProfile, config: &InferenceConfig) -> SystemRow {
+    let occupancy = cma_occupancy(&config.model, config.memory_pressure);
+    SystemRow {
+        use_npu: false,
+        rates: RestoreRates::from_profile(profile, occupancy, 1),
+        cached_bytes: 0,
+        policy: Policy::Sequential,
+        handoff: SimDuration::ZERO,
     }
 }
 
@@ -77,173 +102,49 @@ pub fn evaluate(
     profile: &PlatformProfile,
     config: &InferenceConfig,
 ) -> InferenceReport {
-    let cost = CostModel::rk3588();
-    match system {
-        SystemKind::TzLlm => evaluate_tzllm(profile, config),
-
-        SystemKind::ReeLlmMemory => {
-            // Warm framework, parameters resident, NPU without world switches.
-            let graph = ComputationGraph::prefill(&config.model, config.prompt_len);
-            let times: Vec<SimDuration> = graph.ops.iter().map(|o| cost.op_time(o)).collect();
-            let rates = ree_flash_rates(profile);
-            let plan = RestorePlan::build(&graph, |i| times[i], &rates, graph.total_param_bytes());
-            let critical_paths = plan.critical_paths();
-            let result = simulate(
-                &plan,
-                &PipelineConfig {
-                    cpu_cores: profile.big_cores,
-                    preempt_quantum: SimDuration::from_millis(2),
-                    policy: Policy::PriorityPreemptive,
-                    record_trace: false,
-                },
-            );
-            let breakdown = TtftBreakdown {
-                framework_init: SimDuration::ZERO,
-                working_alloc: profile.kv_cache_alloc + profile.activation_alloc,
-                pipeline: result.makespan,
-                npu_overhead: SimDuration::ZERO,
-                ..TtftBreakdown::default()
-            };
-            InferenceReport {
-                ttft: breakdown.total(),
-                decode_tokens_per_sec: cost.decode_tokens_per_sec(
-                    &config.model,
-                    config.prompt_len + config.output_len,
-                    true,
-                ),
-                breakdown,
-                restoration_cpu: SimDuration::ZERO,
-                critical_paths,
-                npu_busy: result.busy_npu_compute,
-                restored_bytes: 0,
-            }
-        }
-
-        SystemKind::ReeLlmFlash => {
-            let graph = ComputationGraph::prefill(&config.model, config.prompt_len);
-            let times: Vec<SimDuration> = graph.ops.iter().map(|o| cost.op_time(o)).collect();
-            let rates = ree_flash_rates(profile);
-            let cached =
-                (graph.total_param_bytes() as f64 * config.cached_fraction.clamp(0.0, 1.0)) as u64;
-            let plan = RestorePlan::build(&graph, |i| times[i], &rates, cached);
-            let critical_paths = plan.critical_paths();
-            let result = simulate(
-                &plan,
-                &PipelineConfig {
-                    cpu_cores: profile.big_cores,
-                    preempt_quantum: SimDuration::from_millis(2),
-                    policy: Policy::PriorityPreemptive,
-                    record_trace: false,
-                },
-            );
-            let breakdown = TtftBreakdown {
-                framework_init: SimDuration::ZERO,
-                working_alloc: profile.kv_cache_alloc + profile.activation_alloc,
-                pipeline: result.makespan,
-                npu_overhead: SimDuration::ZERO,
-                ..TtftBreakdown::default()
-            };
-            InferenceReport {
-                ttft: breakdown.total(),
-                decode_tokens_per_sec: cost.decode_tokens_per_sec(
-                    &config.model,
-                    config.prompt_len + config.output_len,
-                    true,
-                ),
-                breakdown,
-                restoration_cpu: result.restoration_cpu_time(),
-                critical_paths,
-                npu_busy: result.busy_npu_compute,
-                restored_bytes: plan.restored_bytes,
-            }
-        }
-
-        SystemKind::Strawman => {
-            // Cold start, sequential restoration, CPU-only computation.
-            let graph = ComputationGraph::prefill(&config.model, config.prompt_len);
-            let times: Vec<SimDuration> =
-                graph.ops.iter().map(|o| cost.op_time_cpu_only(o)).collect();
-            let occupancy = cma_occupancy(&config.model, config.memory_pressure);
-            // The strawman allocates with a single migration thread.
-            let rates = RestoreRates::from_profile(profile, occupancy, 1);
-            let mut plan = RestorePlan::build(&graph, |i| times[i], &rates, 0);
-            // No NPU in the TEE: every computation operator runs on the CPU.
-            for op in &mut plan.ops {
-                if op.kind == crate::restore::PipeOpKind::NpuCompute {
-                    op.kind = crate::restore::PipeOpKind::CpuCompute;
-                }
-            }
-            let critical_paths = plan.critical_paths();
-            let result = simulate(
-                &plan,
-                &PipelineConfig {
-                    cpu_cores: profile.big_cores,
-                    preempt_quantum: SimDuration::from_millis(2),
-                    policy: Policy::Sequential,
-                    record_trace: false,
-                },
-            );
-            let breakdown = TtftBreakdown {
-                framework_init: profile.framework_init_total(),
-                working_alloc: profile.kv_cache_alloc + profile.activation_alloc,
-                pipeline: result.makespan,
-                npu_overhead: SimDuration::ZERO,
-                ..TtftBreakdown::default()
-            };
-            InferenceReport {
-                ttft: breakdown.total(),
-                decode_tokens_per_sec: cost.decode_tokens_per_sec(
-                    &config.model,
-                    config.prompt_len + config.output_len,
-                    false,
-                ),
-                breakdown,
-                restoration_cpu: result.restoration_cpu_time(),
-                critical_paths,
-                npu_busy: result.busy_npu_compute,
-                restored_bytes: plan.restored_bytes,
-            }
-        }
-    }
+    let (row, framework_init) = match system {
+        SystemKind::TzLlm => return evaluate_tzllm(profile, config),
+        // A warm framework with every parameter resident.
+        SystemKind::ReeLlmMemory => (ree_row(profile, config, 1.0), SimDuration::ZERO),
+        SystemKind::ReeLlmFlash => (
+            ree_row(profile, config, config.cached_fraction),
+            SimDuration::ZERO,
+        ),
+        SystemKind::Strawman => (
+            strawman_row(profile, config),
+            profile.framework_init_total(),
+        ),
+    };
+    system::price(profile, &row, &config.request()).report(
+        framework_init,
+        profile.kv_cache_alloc + profile.activation_alloc,
+        SimDuration::ZERO,
+    )
 }
 
 /// The Figure-1 style cold-start breakdown of the strawman workflow.
+///
+/// The strawman's sequential pipeline runs one operator at a time, so its
+/// makespan is its plan's summed operator durations, and the steps sum
+/// exactly to `evaluate(SystemKind::Strawman, ..).ttft`.
 pub fn strawman_breakdown(
     profile: &PlatformProfile,
     config: &InferenceConfig,
 ) -> Vec<(String, SimDuration)> {
-    let cost = CostModel::rk3588();
-    let graph = ComputationGraph::prefill(&config.model, config.prompt_len);
-    let total_bytes = graph.total_param_bytes();
-    let occupancy = cma_occupancy(&config.model, config.memory_pressure);
-    let rates = RestoreRates::from_profile(profile, occupancy, 1);
-
-    let cpu_prefill: SimDuration = graph.ops.iter().map(|o| cost.op_time_cpu_only(o)).sum();
-    vec![
-        ("llama.cpp meta init".into(), profile.framework_meta_init),
-        ("tokenizer init".into(), profile.tokenizer_init),
-        ("kv cache allocation (CMA)".into(), profile.kv_cache_alloc),
-        (
-            "activation allocation (CMA)".into(),
-            profile.activation_alloc,
-        ),
-        (
-            "param allocation (CMA)".into(),
-            rates.alloc_fixed * graph.ops.len() as u64
-                + SimDuration::from_secs_f64(total_bytes as f64 * rates.alloc_secs_per_byte),
-        ),
-        ("param load".into(), rates.flash.time_for_bytes(total_bytes)),
-        (
-            "param decryption".into(),
-            rates.decrypt.time_for_bytes(total_bytes),
-        ),
-        ("CPU prefill".into(), cpu_prefill),
+    let plan = system::plan(&strawman_row(profile, config), &config.request());
+    [
+        ("llama.cpp meta init", profile.framework_meta_init),
+        ("tokenizer init", profile.tokenizer_init),
+        ("kv cache allocation (CMA)", profile.kv_cache_alloc),
+        ("activation allocation (CMA)", profile.activation_alloc),
+        ("param allocation (CMA)", plan.total_of(PipeOpKind::Alloc)),
+        ("param load", plan.total_of(PipeOpKind::Load)),
+        ("param decryption", plan.total_of(PipeOpKind::Decrypt)),
+        ("CPU prefill", plan.total_of(PipeOpKind::CpuCompute)),
     ]
-}
-
-/// Decode-speed label helper for Figure 11: which device the system decodes on.
-pub fn decode_uses_npu(system: SystemKind) -> bool {
-    !matches!(system, SystemKind::Strawman)
+    .into_iter()
+    .map(|(step, time)| (step.to_string(), time))
+    .collect()
 }
 
 #[cfg(test)]
@@ -253,20 +154,6 @@ mod tests {
 
     fn profile() -> PlatformProfile {
         PlatformProfile::rk3588()
-    }
-
-    #[test]
-    fn ttft_ordering_matches_the_paper() {
-        for model in ModelSpec::catalogue() {
-            let cfg = InferenceConfig::paper_default(model.clone(), 128);
-            let memory = evaluate(SystemKind::ReeLlmMemory, &profile(), &cfg);
-            let flash = evaluate(SystemKind::ReeLlmFlash, &profile(), &cfg);
-            let tz = evaluate(SystemKind::TzLlm, &profile(), &cfg);
-            let straw = evaluate(SystemKind::Strawman, &profile(), &cfg);
-            assert!(memory.ttft <= flash.ttft, "{}", model.name);
-            assert!(flash.ttft <= tz.ttft, "{}", model.name);
-            assert!(tz.ttft < straw.ttft, "{}", model.name);
-        }
     }
 
     #[test]
@@ -356,9 +243,17 @@ mod tests {
     }
 
     #[test]
-    fn decode_device_flags() {
-        assert!(decode_uses_npu(SystemKind::TzLlm));
-        assert!(decode_uses_npu(SystemKind::ReeLlmMemory));
-        assert!(!decode_uses_npu(SystemKind::Strawman));
+    fn strawman_breakdown_sums_to_the_strawman_ttft() {
+        for model in ModelSpec::catalogue() {
+            for prompt in [32usize, 128, 512] {
+                let cfg = InferenceConfig::paper_default(model.clone(), prompt);
+                let steps: SimDuration = strawman_breakdown(&profile(), &cfg)
+                    .into_iter()
+                    .map(|(_, time)| time)
+                    .sum();
+                let ttft = evaluate(SystemKind::Strawman, &profile(), &cfg).ttft;
+                assert_eq!(steps, ttft, "{} @{prompt}", model.name);
+            }
+        }
     }
 }

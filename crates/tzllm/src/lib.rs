@@ -13,7 +13,8 @@
 //!   retention, sealed spill under memory pressure, multi-turn reuse.
 //! * [`codriver`] — TEE-REE NPU time-sharing built on the co-driver split,
 //!   driving the real REE control-plane and TEE data-plane drivers.
-//! * [`system`] — end-to-end TZ-LLM evaluation (TTFT, decode speed, breakdown).
+//! * [`system`] — the one pricing function for the four evaluated systems
+//!   (TTFT with its breakdown, decode speed) and the serving plan cache.
 //! * [`serving`] — the multi-session serving layer: request queueing,
 //!   admission, live cache-driven dispatch, fleet statistics.
 //! * [`telemetry`] — TTFT waterfalls and fleet-wide critical-path
@@ -24,7 +25,8 @@
 //! * [`slo`] — SLO attainment / error-budget burn-rate monitoring over the
 //!   windowed metrics, with OpenMetrics + CSV export and overload-episode
 //!   detection.
-//! * [`baseline`] — the REE-LLM-Memory, REE-LLM-Flash and Strawman baselines.
+//! * [`baseline`] — the REE-LLM-Memory, REE-LLM-Flash and Strawman baselines
+//!   as rows of that pricing function.
 //! * [`related`] — the qualitative comparison of Table 1.
 
 pub mod baseline;
@@ -41,7 +43,7 @@ mod step;
 pub mod system;
 pub mod telemetry;
 
-pub use baseline::{decode_uses_npu, evaluate, strawman_breakdown, SystemKind};
+pub use baseline::{evaluate, strawman_breakdown, SystemKind};
 pub use cache::{CacheController, CachePolicy};
 pub use codriver::{LlmPhase, LlmPlacement, NpuSharingSim, SharingConfig, SharingResult};
 pub use kv::{ChainStoreStats, KvBalance, KvConfig, KvPool, KvQuery, KvReuse, KvStats};

@@ -129,7 +129,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use llm::{derive_seed, ComputationGraph, ModelSpec, PromptContent};
+use llm::{derive_seed, ModelSpec, PromptContent};
 use sim_core::telemetry::{LabelId, Phase, Telemetry, Track};
 use sim_core::{
     CapacityLedger, DetRng, Engine, EventScheduler, LaneId, LaneUsage, PercentileSummary,
@@ -143,7 +143,7 @@ use crate::kv::{ChainStoreStats, KvConfig, KvPool, KvQuery};
 use crate::pipeline::Policy;
 use crate::restore::RestoreRates;
 use crate::step::{self, StepBatch, StepMember, StepModel};
-use crate::system::{self, InferenceReport, PlanCache, ServiceParams};
+use crate::system::{self, InferenceReport, PlanCache, PlanRequest, ServiceParams};
 
 /// Restore-ahead progress is credited to the cache in whole multiples of
 /// this quantum, which keeps the plan cache's `cached_bytes` key space small
@@ -630,8 +630,8 @@ struct ModelEntry {
     /// alloc+decrypt lane, from the same calibrated [`RestoreRates`] the
     /// dispatch path uses.
     restore_rate: f64,
-    /// `ComputationGraph::total_param_bytes()` for this model, precomputed
-    /// once (prompt-length independent) for the dispatch hot path.
+    /// `system::param_bytes` of this model, precomputed once for the
+    /// dispatch hot path.
     graph_param_bytes: u64,
     /// KV bytes per token of this model (for the KV pool's accounting).
     kv_bytes_per_token: u64,
@@ -1112,12 +1112,14 @@ fn dispatch_next(state: &mut ServerState, sched: &mut EventScheduler<ServerState
     };
     let report = {
         let params = ServiceParams {
-            model: &state.models[midx].spec,
+            request: PlanRequest {
+                model: &state.models[midx].spec,
+                prompt_len: qreq.prompt_len,
+                reused_prefix: kv_reuse.reused_tokens,
+                output_len: qreq.output_len,
+            },
             model_key: qreq.model.0,
             total_param_bytes: state.models[midx].graph_param_bytes,
-            prompt_len: qreq.prompt_len,
-            reused_prefix: kv_reuse.reused_tokens,
-            output_len: qreq.output_len,
             memory_pressure: state.config.memory_pressure,
             cached_fraction,
             policy: state.config.policy,
@@ -1916,7 +1918,7 @@ fn model_entry(
     let cpu_per_byte = rates.alloc_secs_per_byte + 1.0 / rates.decrypt.bytes_per_sec();
     let restore_rate = 1.0 / flash_per_byte.max(cpu_per_byte);
     let total = spec.total_q8_bytes();
-    let graph_param_bytes = ComputationGraph::prefill(&spec, 1).total_param_bytes();
+    let graph_param_bytes = system::param_bytes(&spec);
     let kv_bytes_per_token = spec.kv_bytes_per_token();
     let coeffs = StepModel::new(cost, &config.profile, &spec, draft);
     let entry = ModelEntry {

@@ -61,8 +61,8 @@ impl StepModel {
     ) -> StepModel {
         StepModel {
             step: cost.batched_step_costs(model, true),
-            // The same per-token switch cost `system::evaluate_service`
-            // folds into `decode_tokens_per_sec`.
+            // The same per-token switch cost `system::price` folds into
+            // the TZ-LLM row's `decode_tokens_per_sec`.
             handoff_secs: (profile.codriver_switch_cost() * 2 * model.layers as u64).as_secs_f64(),
             spec: draft.map(|d| cost.speculative_step_costs(d, model, true)),
         }

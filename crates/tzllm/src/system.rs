@@ -1,19 +1,25 @@
-//! End-to-end TZ-LLM inference evaluation.
+//! End-to-end inference evaluation: one pricing function for the four
+//! evaluated systems, and the plan cache a serving dispatch consults first.
 //!
-//! Assembles the pieces — checkpoint restore, secure-memory scaling costs,
-//! pipelined restoration, NPU co-driver overhead, decoding — into the
-//! per-request metrics the paper reports: time-to-first-token (TTFT) and
-//! decoding speed, with a breakdown of where the time went.
+//! TZ-LLM and the three baselines of §7 differ only in their inputs: which
+//! device runs each operator, the restore rates, the parameter bytes already
+//! cached, the pipeline policy, the co-driver handoff per layer and the
+//! framework initialisation.  All but the last form one crate-internal
+//! `SystemRow`, and `price` turns a row and a request into the pipeline and
+//! decode numbers of a report.  The caller adds the framework
+//! initialisation and working allocation it pays, which gives the TTFT with
+//! a breakdown of where the time went, and the decoding speed.  A serving
+//! dispatch prices the TZ-LLM row through [`PlanCache`].
 
 use std::collections::HashMap;
 
 use sim_core::SimDuration;
 use tz_hal::PlatformProfile;
 
-use llm::{ComputationGraph, CostModel, ModelSpec};
+use llm::{ComputationGraph, CostModel, Device, ModelSpec};
 
 use crate::cache::CacheController;
-use crate::pipeline::{simulate, PipelineConfig, PipelineResult, Policy};
+use crate::pipeline::{simulate, PipelineConfig, Policy};
 use crate::restore::{CriticalPaths, RestorePlan, RestoreRates};
 
 /// Configuration of one evaluated inference request.
@@ -52,6 +58,16 @@ impl InferenceConfig {
             memory_pressure: pressure_gib * sim_core::GIB,
             cached_fraction: 0.0,
             policy: Policy::PriorityPreemptive,
+        }
+    }
+
+    /// The request this configuration prices, with no reused KV prefix.
+    pub(crate) fn request(&self) -> PlanRequest<'_> {
+        PlanRequest {
+            model: &self.model,
+            prompt_len: self.prompt_len,
+            reused_prefix: 0,
+            output_len: self.output_len,
         }
     }
 }
@@ -113,16 +129,45 @@ pub struct InferenceReport {
     pub restored_bytes: u64,
 }
 
-/// Memoises the expensive middle of the crate-internal `evaluate_service`
-/// step: building the
+/// One evaluated system's inputs to `price`.
+#[derive(Debug)]
+pub(crate) struct SystemRow {
+    /// Whether the system computes on the NPU.  Without it every operator,
+    /// in prefill and in decode, runs on the CPU.
+    pub use_npu: bool,
+    /// Allocation, loading and decryption rates of the parameter restore.
+    pub rates: RestoreRates,
+    /// Parameter bytes already resident, as a prefix in blob order.
+    pub cached_bytes: u64,
+    /// Pipeline scheduling policy.
+    pub policy: Policy,
+    /// Co-driver world switches of one layer's NPU job: paid once per layer
+    /// in the prefill and once per layer per decoded token.
+    pub handoff: SimDuration,
+}
+
+/// One request as `price` sees it.
+#[derive(Debug)]
+pub(crate) struct PlanRequest<'a> {
+    pub model: &'a ModelSpec,
+    pub prompt_len: usize,
+    /// Leading prompt tokens whose KV state is reused from the secure KV
+    /// pool (multi-turn prefix reuse): the prefill graph only processes the
+    /// remaining suffix, while decoding still attends over the full context.
+    /// Always `< prompt_len` — at least one token is prefilled.
+    pub reused_prefix: usize,
+    pub output_len: usize,
+}
+
+/// Memoises `price` for the TZ-LLM row at dispatch time: building the
 /// prefill graph, extending it into a [`RestorePlan`] (hundreds of
 /// operators) and simulating the pipeline schedule.
 ///
-/// The result is fully determined by `(model, prompt_len, cached_bytes,
-/// output_len, memory pressure, policy)`, all of which recur heavily in
-/// serving sweeps — prompt lengths are drawn from a few hundred distinct
-/// benchmark values and cache states cluster on the retention policy's
-/// targets — so a dispatch is usually a lookup instead of a fresh
+/// The result is fully determined by `(model, prompt_len, reused_prefix,
+/// cached_bytes, output_len, memory pressure, policy)`, all of which recur
+/// heavily in serving sweeps — prompt lengths are drawn from a few hundred
+/// distinct benchmark values and cache states cluster on the retention
+/// policy's targets — so a dispatch is usually a lookup instead of a fresh
 /// simulation.  Eviction is wholesale (`clear` on overflow) to stay
 /// deterministic: no iteration-order-dependent victim selection.
 #[derive(Debug, Default)]
@@ -138,8 +183,6 @@ struct PlanKey {
     /// Interned model identity (the serving layer's `ModelId`).
     model: u32,
     prompt_len: u32,
-    /// Prompt tokens served from a reused KV prefix (the prefill graph only
-    /// covers the remaining `prompt_len - reused_prefix` tokens).
     reused_prefix: u32,
     output_len: u32,
     cached_bytes: u64,
@@ -147,15 +190,49 @@ struct PlanKey {
     policy: Policy,
 }
 
-/// The memoised products of one graph-build + plan-build + pipeline run.
+/// What `price` derives from a row and a request: everything in a report
+/// but the dispatch-time costs.
 #[derive(Debug, Clone, Copy)]
-struct PlanEntry {
+pub(crate) struct PlanEntry {
     pipeline: SimDuration,
     npu_busy: SimDuration,
+    npu_overhead: SimDuration,
     restoration_cpu: SimDuration,
     critical_paths: CriticalPaths,
     restored_bytes: u64,
     decode_tokens_per_sec: f64,
+}
+
+impl PlanEntry {
+    /// The report of a request that pays `framework_init` and
+    /// `working_alloc` before its pipeline and unseals reused KV pages for
+    /// `kv_unseal` beside it.
+    pub(crate) fn report(
+        &self,
+        framework_init: SimDuration,
+        working_alloc: SimDuration,
+        kv_unseal: SimDuration,
+    ) -> InferenceReport {
+        let breakdown = TtftBreakdown {
+            framework_init,
+            working_alloc,
+            pipeline: self.pipeline,
+            npu_overhead: self.npu_overhead,
+            // Unsealing streams on the CPU decrypt threads while the prefill
+            // computes on the NPU; only the part the NPU window cannot hide
+            // is serial TTFT.
+            kv_restore: kv_unseal.saturating_sub(self.npu_busy),
+        };
+        InferenceReport {
+            ttft: breakdown.total(),
+            decode_tokens_per_sec: self.decode_tokens_per_sec,
+            breakdown,
+            restoration_cpu: self.restoration_cpu,
+            critical_paths: self.critical_paths,
+            npu_busy: self.npu_busy,
+            restored_bytes: self.restored_bytes,
+        }
+    }
 }
 
 impl PlanCache {
@@ -177,51 +254,34 @@ impl PlanCache {
         self.misses
     }
 
-    fn get(&mut self, key: &PlanKey) -> Option<PlanEntry> {
-        if self.capacity == 0 {
-            self.misses += 1;
-            return None;
+    /// The entry under `key`, from `price` on a miss.
+    fn get_or_price(&mut self, key: PlanKey, price: impl FnOnce() -> PlanEntry) -> PlanEntry {
+        if let Some(entry) = self.map.get(&key) {
+            self.hits += 1;
+            return *entry;
         }
-        match self.map.get(key) {
-            Some(entry) => {
-                self.hits += 1;
-                Some(*entry)
+        self.misses += 1;
+        let entry = price();
+        if self.capacity > 0 {
+            if self.map.len() >= self.capacity {
+                self.map.clear();
             }
-            None => {
-                self.misses += 1;
-                None
-            }
+            self.map.insert(key, entry);
         }
-    }
-
-    fn insert(&mut self, key: PlanKey, entry: PlanEntry) {
-        if self.capacity == 0 {
-            return;
-        }
-        if self.map.len() >= self.capacity {
-            self.map.clear();
-        }
-        self.map.insert(key, entry);
+        entry
     }
 }
 
 /// Dispatch-time inputs of one service evaluation, borrowed from the serving
 /// layer's interned model table (no per-dispatch `ModelSpec` clone).
 pub(crate) struct ServiceParams<'a> {
-    pub model: &'a ModelSpec,
+    pub request: PlanRequest<'a>,
     /// Interned model identity for plan-cache keying.
     pub model_key: u32,
-    /// `ComputationGraph::total_param_bytes()` for this model, precomputed
-    /// once per model (prompt-length independent) so cache hits never build
-    /// a graph just to turn the cached fraction into a byte count.
+    /// [`param_bytes`] of the model, precomputed once per model so cache
+    /// hits never build a graph just to turn the cached fraction into a
+    /// byte count.
     pub total_param_bytes: u64,
-    pub prompt_len: usize,
-    /// Leading prompt tokens whose KV state is reused from the secure KV
-    /// pool (multi-turn prefix reuse): the prefill graph only processes the
-    /// remaining suffix, while decoding still attends over the full context.
-    /// Always `< prompt_len` — at least one token is prefilled.
-    pub reused_prefix: usize,
-    pub output_len: usize,
     pub memory_pressure: u64,
     pub cached_fraction: f64,
     pub policy: Policy,
@@ -236,22 +296,82 @@ pub fn cma_occupancy(model: &ModelSpec, memory_pressure: u64) -> f64 {
     (memory_pressure as f64 / model.total_q8_bytes() as f64).clamp(0.0, 1.0)
 }
 
-/// Evaluates the service time of one request with explicit framework
-/// initialisation and working-allocation costs.
+/// The parameter bytes a model's prefill restores when nothing is cached
+/// (the same at every prompt length).
+pub(crate) fn param_bytes(model: &ModelSpec) -> u64 {
+    ComputationGraph::prefill(model, 1).total_param_bytes()
+}
+
+/// Builds the row's restore plan for the request: the prefill graph of the
+/// tokens it does not reuse, every operator on the CPU when the row has no
+/// NPU, and restoration operators for each parameter byte not yet cached.
+pub(crate) fn plan(row: &SystemRow, request: &PlanRequest<'_>) -> RestorePlan {
+    debug_assert!(request.reused_prefix < request.prompt_len.max(1));
+    let new_tokens = request
+        .prompt_len
+        .saturating_sub(request.reused_prefix)
+        .max(1);
+    // Only the suffix's tokens are processed, but their attention still
+    // spans the reused context — the suffix prefill is not priced as if the
+    // retained prefix were free compute.
+    let mut graph = ComputationGraph::prefill_suffix(request.model, new_tokens, request.prompt_len);
+    if !row.use_npu {
+        for op in &mut graph.ops {
+            op.device = Device::Cpu;
+        }
+    }
+    let cost = CostModel::rk3588();
+    let times: Vec<SimDuration> = graph.ops.iter().map(|o| cost.op_time(o)).collect();
+    RestorePlan::build(&graph, |i| times[i], &row.rates, row.cached_bytes)
+}
+
+/// Prices one request on one system: simulates the row's plan under the
+/// row's policy, and prices each decoded token with one handoff per layer.
+pub(crate) fn price(
+    profile: &PlatformProfile,
+    row: &SystemRow,
+    request: &PlanRequest<'_>,
+) -> PlanEntry {
+    let plan = plan(row, request);
+    let result = simulate(
+        &plan,
+        &PipelineConfig {
+            cpu_cores: profile.big_cores,
+            preempt_quantum: SimDuration::from_millis(2),
+            policy: row.policy,
+            record_trace: false,
+        },
+    );
+    let model = request.model;
+    let handoffs = row.handoff * model.layers as u64;
+    let kv_len = request.prompt_len + request.output_len;
+    let decode_token = CostModel::rk3588().decode_token_time(model, kv_len, row.use_npu) + handoffs;
+    PlanEntry {
+        pipeline: result.makespan,
+        npu_busy: result.busy_npu_compute,
+        npu_overhead: handoffs,
+        restoration_cpu: result.restoration_cpu_time(),
+        critical_paths: plan.critical_paths(),
+        restored_bytes: plan.restored_bytes,
+        decode_tokens_per_sec: 1.0 / decode_token.as_secs_f64(),
+    }
+}
+
+/// Evaluates the service time of one TZ-LLM request at dispatch time.
 ///
-/// This is the single evaluation core shared by [`evaluate_tzllm`] and the
-/// serving layer ([`crate::serving`]).  `params.cached_fraction` is the one
-/// source of truth for the cache state — the serving layer sets it from the
-/// live [`CacheController`] at dispatch time.  `framework_init` and
-/// `working_alloc` are dispatch-time state (a suspended TA restores its
-/// checkpoint and maps a fresh activation arena; a running one pays
-/// neither, only the new sequence's KV cache), so the caller decides them,
-/// as it does `kv_unseal` (the time to verify + decrypt the sealed part of a
-/// reused KV prefix; it overlaps the prefill's NPU window and only its
-/// excess surfaces in the TTFT).  `plan_cache` (if any) memoises the
-/// graph/plan/pipeline work, which is deterministic in the remaining inputs;
-/// the three dispatch-time costs are added on top of the cached pipeline
-/// numbers so idle-context and live-context dispatches share entries.
+/// This is the evaluation shared by [`evaluate_tzllm`] and the serving
+/// layer ([`crate::serving`]).  `params.cached_fraction` is the one source
+/// of truth for the cache state — the serving layer sets it from the live
+/// [`CacheController`] at dispatch time.  A `plan_cache` miss prices the
+/// TZ-LLM row; the entry is deterministic in the remaining inputs, so the
+/// three dispatch-time costs are added on top of it and idle-context and
+/// live-context dispatches share entries.  `framework_init` and
+/// `working_alloc` are that dispatch-time state (a suspended TA restores
+/// its checkpoint and maps a fresh activation arena; a running one pays
+/// neither, only the new sequence's KV cache), and so is `kv_unseal`, the
+/// time to verify and decrypt the sealed part of a reused KV prefix, which
+/// overlaps the prefill's NPU window so that only its excess surfaces in
+/// the TTFT.
 pub(crate) fn evaluate_service(
     profile: &PlatformProfile,
     params: &ServiceParams<'_>,
@@ -260,93 +380,37 @@ pub(crate) fn evaluate_service(
     kv_unseal: SimDuration,
     plan_cache: Option<&mut PlanCache>,
 ) -> InferenceReport {
-    let model = params.model;
-    debug_assert!(params.reused_prefix < params.prompt_len.max(1));
-    let new_tokens = params
-        .prompt_len
-        .saturating_sub(params.reused_prefix)
-        .max(1);
-    let cached = (params.total_param_bytes as f64 * params.cached_fraction.clamp(0.0, 1.0)) as u64;
-    let key = PlanKey {
-        model: params.model_key,
-        prompt_len: params.prompt_len as u32,
-        reused_prefix: params.reused_prefix as u32,
-        output_len: params.output_len as u32,
-        cached_bytes: cached,
-        memory_pressure: params.memory_pressure,
-        policy: params.policy,
+    let request = &params.request;
+    let cached_bytes =
+        (params.total_param_bytes as f64 * params.cached_fraction.clamp(0.0, 1.0)) as u64;
+    let price_tzllm = || {
+        let occupancy = cma_occupancy(request.model, params.memory_pressure);
+        let row = SystemRow {
+            use_npu: true,
+            rates: RestoreRates::from_profile(profile, occupancy, profile.cma_migration_threads),
+            cached_bytes,
+            policy: params.policy,
+            // The co-driver's secure NPU job switches worlds both ways.
+            handoff: profile.codriver_switch_cost() * 2,
+        };
+        price(profile, &row, request)
     };
-
-    let mut plan_cache = plan_cache;
-    let entry = match plan_cache.as_mut().and_then(|c| c.get(&key)) {
-        Some(entry) => entry,
-        None => {
-            let cost = CostModel::rk3588();
-            // Only the suffix's tokens are processed, but their attention
-            // still spans the reused context — the suffix prefill is not
-            // priced as if the retained prefix were free compute.
-            let graph = ComputationGraph::prefill_suffix(model, new_tokens, params.prompt_len);
-            let occupancy = cma_occupancy(model, params.memory_pressure);
-            let rates =
-                RestoreRates::from_profile(profile, occupancy, profile.cma_migration_threads);
-            let times: Vec<SimDuration> = graph.ops.iter().map(|o| cost.op_time(o)).collect();
-            let plan = RestorePlan::build(&graph, |i| times[i], &rates, cached);
-            let critical_paths = plan.critical_paths();
-
-            let pipe_cfg = PipelineConfig {
-                cpu_cores: profile.big_cores,
-                preempt_quantum: SimDuration::from_millis(2),
+    let entry = match plan_cache {
+        Some(cache) => cache.get_or_price(
+            PlanKey {
+                model: params.model_key,
+                prompt_len: request.prompt_len as u32,
+                reused_prefix: request.reused_prefix as u32,
+                output_len: request.output_len as u32,
+                cached_bytes,
+                memory_pressure: params.memory_pressure,
                 policy: params.policy,
-                record_trace: false,
-            };
-            let result: PipelineResult = simulate(&plan, &pipe_cfg);
-
-            // Decoding: NPU-accelerated, paying one handoff per layer per
-            // token.
-            let per_handoff = profile.codriver_switch_cost() * 2;
-            let decode_base =
-                cost.decode_token_time(model, params.prompt_len + params.output_len, true);
-            let decode_token = decode_base + per_handoff * model.layers as u64;
-            let entry = PlanEntry {
-                pipeline: result.makespan,
-                npu_busy: result.busy_npu_compute,
-                restoration_cpu: result.restoration_cpu_time(),
-                critical_paths,
-                restored_bytes: plan.restored_bytes,
-                decode_tokens_per_sec: 1.0 / decode_token.as_secs_f64(),
-            };
-            if let Some(c) = plan_cache.as_mut() {
-                c.insert(key, entry);
-            }
-            entry
-        }
+            },
+            price_tzllm,
+        ),
+        None => price_tzllm(),
     };
-
-    // One fused secure NPU job per layer during prefill: each pays the
-    // co-driver switch in both directions plus the completion SMC.
-    let per_handoff = profile.codriver_switch_cost() * 2;
-    let npu_overhead = per_handoff * model.layers as u64;
-
-    let breakdown = TtftBreakdown {
-        framework_init,
-        working_alloc,
-        pipeline: entry.pipeline,
-        npu_overhead,
-        // Unsealing streams on the CPU decrypt threads while the prefill
-        // computes on the NPU; only the part the NPU window cannot hide is
-        // serial TTFT.
-        kv_restore: kv_unseal.saturating_sub(entry.npu_busy),
-    };
-
-    InferenceReport {
-        ttft: breakdown.total(),
-        decode_tokens_per_sec: entry.decode_tokens_per_sec,
-        breakdown,
-        restoration_cpu: entry.restoration_cpu,
-        critical_paths: entry.critical_paths,
-        npu_busy: entry.npu_busy,
-        restored_bytes: entry.restored_bytes,
-    }
+    entry.report(framework_init, working_alloc, kv_unseal)
 }
 
 /// Evaluates TZ-LLM on one inference request.
@@ -362,12 +426,9 @@ pub fn evaluate_tzllm(profile: &PlatformProfile, config: &InferenceConfig) -> In
     let mut cache = CacheController::new(model.total_q8_bytes());
     cache.seed((model.total_q8_bytes() as f64 * config.cached_fraction.clamp(0.0, 1.0)) as u64);
     let params = ServiceParams {
-        model,
+        request: config.request(),
         model_key: 0, // keys the plan cache, which a lone evaluation skips
-        total_param_bytes: ComputationGraph::prefill(model, 1).total_param_bytes(),
-        prompt_len: config.prompt_len,
-        reused_prefix: 0,
-        output_len: config.output_len,
+        total_param_bytes: param_bytes(model),
         memory_pressure: config.memory_pressure,
         cached_fraction: cache.cached_fraction(),
         policy: config.policy,

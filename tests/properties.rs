@@ -1,7 +1,7 @@
 //! Property-based tests over the core data structures and invariants: the
 //! pipeline scheduler, CTR random-access decryption, the TZASC contiguity
-//! rules, the cache controller, and the KV pool's claim rule and byte
-//! ledger.
+//! rules, the cache controller, the KV pool's claim rule and byte ledger,
+//! and the single-request evaluator's laws across the four systems.
 //!
 //! The properties are exercised over many randomly drawn cases, but the
 //! randomness comes from [`sim_core::DetRng`] with fixed seeds, so every run
@@ -11,12 +11,12 @@
 use std::collections::BTreeSet;
 
 use llm::{ComputationGraph, CostModel, ModelSpec, PromptContent};
-use sim_core::{shard_seed, DetRng, Phase, SimDuration, SimTime, TelemetrySpan, Track};
+use sim_core::{shard_seed, DetRng, Phase, SimDuration, SimTime, TelemetrySpan, Track, GIB};
 use tz_crypto::AesCtr;
 use tz_hal::{PhysAddr, PhysRange, PlatformProfile, Tzasc, World, PAGE_SIZE};
 use tzllm::{
-    simulate, CacheController, CachePolicy, KvConfig, KvPool, KvQuery, PipelineConfig, Policy,
-    RestorePlan, RestoreRates, SpillFormat,
+    evaluate, simulate, CacheController, CachePolicy, InferenceConfig, KvConfig, KvPool, KvQuery,
+    PipelineConfig, Policy, RestorePlan, RestoreRates, SpillFormat, SystemKind,
 };
 
 const CASES: usize = 48;
@@ -484,6 +484,132 @@ fn kv_claims_and_byte_ledger_hold_on_random_histories() {
                 pool.balance(),
                 pool.recount(),
                 "{repro}: residency counters against their recount"
+            );
+        }
+    }
+}
+
+/// The single-request evaluator's metamorphic laws over random requests: a
+/// SoC, a catalogue model, a prompt length, a cached fraction, a memory
+/// pressure and a policy.  The first cases are the paper's defaults (each
+/// catalogue model at a 128-token prompt on the RK3588).  Case `c` draws
+/// only from `DetRng::new(shard_seed(SEED, c))`, so a failure's one-line
+/// repro replays on its own.
+#[test]
+fn single_request_evaluator_laws_hold() {
+    const SEED: u64 = 0x6576616c; // "eval"
+    const POLICIES: [Policy; 3] = [
+        Policy::PriorityPreemptive,
+        Policy::Priority,
+        Policy::Sequential,
+    ];
+    let socs = [
+        ("rk3588", PlatformProfile::rk3588()),
+        ("rk3576", PlatformProfile::rk3576()),
+        ("rk3566", PlatformProfile::rk3566()),
+    ];
+    let models = ModelSpec::catalogue();
+    for case in 0..CASES {
+        let mut rng = DetRng::new(shard_seed(SEED, case as u64));
+        let (soc, cfg) = match models.get(case) {
+            Some(model) => (0, InferenceConfig::paper_default(model.clone(), 128)),
+            None => {
+                let model = rng.choose(&models).clone();
+                let mut cfg =
+                    InferenceConfig::paper_default(model, rng.gen_range(1, 1025) as usize);
+                cfg.cached_fraction = match rng.gen_range(0, 4) {
+                    0 => 0.0,
+                    1 => 1.0,
+                    _ => rng.next_f64(),
+                };
+                cfg.memory_pressure = rng.gen_range(0, 16 * GIB);
+                cfg.policy = *rng.choose(&POLICIES);
+                (rng.gen_range(0, 3) as usize, cfg)
+            }
+        };
+        let (soc, profile) = &socs[soc];
+        let repro = format!(
+            "repro: seed {SEED:#x} case {case} ({soc} {} prompt {} cached {} pressure {} {:?})",
+            cfg.model.name, cfg.prompt_len, cfg.cached_fraction, cfg.memory_pressure, cfg.policy
+        );
+        let eval = |system, cfg: &InferenceConfig| evaluate(system, profile, cfg);
+        let [memory, flash, tz, straw] = [
+            SystemKind::ReeLlmMemory,
+            SystemKind::ReeLlmFlash,
+            SystemKind::TzLlm,
+            SystemKind::Strawman,
+        ]
+        .map(|system| eval(system, &cfg));
+
+        assert!(
+            memory.ttft <= flash.ttft && flash.ttft <= tz.ttft && tz.ttft < straw.ttft,
+            "{repro}: TTFT Memory {} <= Flash {} <= TZ-LLM {} < Strawman {}",
+            memory.ttft,
+            flash.ttft,
+            tz.ttft,
+            straw.ttft
+        );
+        assert_eq!(
+            (memory.restored_bytes, memory.restoration_cpu),
+            (0, SimDuration::ZERO),
+            "{repro}: REE-LLM-Memory restores nothing"
+        );
+        let mut full = cfg.clone();
+        full.cached_fraction = 1.0;
+        assert_eq!(
+            format!("{:?}", eval(SystemKind::ReeLlmFlash, &full)),
+            format!("{memory:?}"),
+            "{repro}: a fully cached REE-LLM-Flash is REE-LLM-Memory"
+        );
+        assert_eq!(
+            straw.npu_busy,
+            SimDuration::ZERO,
+            "{repro}: the strawman uses no NPU"
+        );
+        assert!(
+            straw.decode_tokens_per_sec < tz.decode_tokens_per_sec
+                && tz.decode_tokens_per_sec < memory.decode_tokens_per_sec,
+            "{repro}: decode tokens/s Strawman {} < TZ-LLM {} < Memory {}",
+            straw.decode_tokens_per_sec,
+            tz.decode_tokens_per_sec,
+            memory.decode_tokens_per_sec
+        );
+
+        let mut warmer = cfg.clone();
+        warmer.cached_fraction += (1.0 - cfg.cached_fraction) * rng.next_f64();
+        for (system, before) in [(SystemKind::TzLlm, &tz), (SystemKind::ReeLlmFlash, &flash)] {
+            let after = eval(system, &warmer).ttft;
+            assert!(
+                after <= before.ttft,
+                "{repro}: {} TTFT rose from {} to {after} at cached fraction {}",
+                system.label(),
+                before.ttft,
+                warmer.cached_fraction
+            );
+        }
+
+        // Non-strict: without restoration to overlap, priority scheduling
+        // has nothing to gain over the sequential policy.
+        let [preemptive, priority, sequential] = POLICIES.map(|policy| {
+            let mut cfg = cfg.clone();
+            cfg.policy = policy;
+            eval(SystemKind::TzLlm, &cfg).ttft
+        });
+        assert!(
+            preemptive <= priority && priority <= sequential,
+            "{repro}: TZ-LLM TTFT preemptive {preemptive} <= priority {priority} <= sequential {sequential}"
+        );
+
+        let mut pressed = cfg.clone();
+        pressed.memory_pressure += rng.gen_range(0, 8 * GIB);
+        for (system, before) in [(SystemKind::TzLlm, &tz), (SystemKind::Strawman, &straw)] {
+            let after = eval(system, &pressed).ttft;
+            assert!(
+                after >= before.ttft,
+                "{repro}: {} TTFT fell from {} to {after} at memory pressure {}",
+                system.label(),
+                before.ttft,
+                pressed.memory_pressure
             );
         }
     }
