@@ -653,15 +653,15 @@ fn scenario_spill_quant(opts: &HarnessOptions) -> String {
         sq_int8.fleet.kv_peak_sealed_pages as f64 / sq_f16.fleet.kv_peak_sealed_pages.max(1) as f64;
     let sq_compressed_mib = sq_int8.fleet.kv_spilled_compressed_bytes as f64 / sim_core::MIB as f64;
     let sq_dequant_mib = sq_int8.fleet.kv_dequant_bytes as f64 / sim_core::MIB as f64;
-    let sq_dequant_time = CostModel::rk3588().dequant_time(sq_int8.fleet.kv_dequant_bytes);
+    let sq_dequant_secs =
+        sq_int8.fleet.kv_dequant_bytes as f64 / PlatformProfile::rk3588().dequant_bytes_per_sec;
     println!(
         "spill-quant ({sq_sessions} sessions, 32 MiB spill budget): follow-up p95 TTFT \
          f16 {sq_p95_f16:.2} s, int8 {sq_p95_int8:.2} s; sealed pages {} -> {} \
          ({capacity_x:.2}x at equal CMA bytes), compressed spill {sq_compressed_mib:.1} MiB, \
-         dequant {sq_dequant_mib:.1} MiB ({:.2} s of decrypt-lane time over the run)",
+         dequant {sq_dequant_mib:.1} MiB ({sq_dequant_secs:.2} s of decrypt-lane time over the run)",
         sq_f16.fleet.kv_peak_sealed_pages,
         sq_int8.fleet.kv_peak_sealed_pages,
-        sq_dequant_time.as_secs_f64()
     );
 
     assert!(
@@ -695,6 +695,13 @@ fn scenario_spill_quant(opts: &HarnessOptions) -> String {
 fn scenario_speculation(opts: &HarnessOptions) -> String {
     let profile = PlatformProfile::rk3588();
     let spec = SpeculationConfig::paper_default();
+    // The draft the server wires for these qwen2.5-3b fleets: the
+    // draft-catalogue entry that shares the target's tokenizer.
+    let target_vocab = ModelSpec::qwen2_5_3b().vocab;
+    let draft = ModelSpec::drafts()
+        .into_iter()
+        .find(|d| d.vocab == target_vocab)
+        .expect("a draft shares qwen2.5-3b's tokenizer");
     let fleet_requests = if opts.quick { 40 } else { 60 };
     let latency_requests = if opts.quick { 150 } else { 400 };
     let saturated_requests = if opts.quick { 600 } else { 3_000 };
@@ -718,7 +725,7 @@ fn scenario_speculation(opts: &HarnessOptions) -> String {
         "speculation ({} draft, k≤{}): decode-heavy fleet {throughput_off:.4} -> \
          {throughput_spec:.4} rps ({throughput_x:.2}x), accept rate {accept_rate:.3}, \
          draft overhead {draft_overhead:.3}, effective {emitted_per_step:.2} tok/step",
-        spec.draft_model, spec.k
+        draft.name, spec.k
     );
 
     // Saturated agent fleet: the per-step depth chooser must draft shallower
@@ -786,7 +793,7 @@ fn scenario_speculation(opts: &HarnessOptions) -> String {
 
     let mut json = String::new();
     let _ = writeln!(json, "  \"speculation\": {{");
-    let _ = writeln!(json, "    \"draft_model\": \"{}\",", spec.draft_model);
+    let _ = writeln!(json, "    \"draft_model\": \"{}\",", draft.name);
     let _ = writeln!(json, "    \"k\": {},", spec.k);
     let _ = writeln!(json, "    \"agent_sessions\": 3,");
     let _ = writeln!(

@@ -85,13 +85,12 @@ fn speculation_off_reproduces_the_committed_batched_baseline() {
     assert_eq!(batched.fleet.spec_steps, 0);
     assert_eq!(batched.fleet.spec_proposed_tokens, 0);
 
-    // And the escape hatch really is that step loop: the speculation knobs
-    // populated but the depth cap at zero is bit-for-bit the same run.
+    // And the escape hatch really is that step loop: the paper's
+    // speculation setup with its depth cap at zero wires no draft and is
+    // bit-for-bit the same run.
     let mut off = ServingConfig::paper_default(profile);
-    off.speculation = SpeculationConfig {
-        k: 0,
-        ..SpeculationConfig::paper_default()
-    };
+    off.speculation = SpeculationConfig::paper_default();
+    off.speculation.k = 0;
     let off_run = cold_heavy(off, 0.06);
     assert_eq!(
         format!("{:?}", off_run.fleet),

@@ -126,43 +126,6 @@ impl ComputationGraph {
         Self::build(model, 1, kv_len.max(1))
     }
 
-    /// Builds the graph of one *chunk* of a chunked prefill: the
-    /// `chunk_tokens` tokens starting at position `done_tokens` of a
-    /// `context_len`-token prompt whose earlier chunks (and any reused
-    /// prefix) already populated the KV cache.  Every operator processes
-    /// only the chunk's tokens; attention is causal, so it spans the tokens
-    /// processed so far plus the chunk — later chunks pay more attention
-    /// than earlier ones, and the per-chunk NPU matmul cost stays
-    /// proportional to the chunk size.  Summed over a whole prompt the
-    /// chunks' NPU MACs equal the monolithic prefill's exactly (see
-    /// `chunked_prefill_npu_macs_sum_to_the_monolithic_prefill`).
-    pub fn prefill_chunk(
-        model: &ModelSpec,
-        chunk_tokens: usize,
-        done_tokens: usize,
-        context_len: usize,
-    ) -> Self {
-        let chunk = chunk_tokens.max(1);
-        let seen = (done_tokens + chunk).min(context_len).max(chunk);
-        Self::build(model, chunk, seen)
-    }
-
-    /// KV-cache tokens this graph appends when it executes: every processed
-    /// token writes one K/V entry per layer.  For a chunked prefill this is
-    /// the chunk size, so consecutive chunks compose with page-granular KV
-    /// retention — `Σ kv_append_tokens` over a prompt's chunks equals the
-    /// prompt length, and page boundaries fall wherever the pool's page
-    /// geometry puts them, independent of the chunking.
-    pub fn kv_append_tokens(&self) -> usize {
-        self.tokens
-    }
-
-    /// Bytes of KV state this graph appends at the model's own K/V geometry
-    /// (`2 × kv_heads × head_dim × layers` f16 values per token).
-    pub fn kv_append_bytes(&self) -> u64 {
-        self.tokens as u64 * self.model.kv_bytes_per_token()
-    }
-
     fn build(model: &ModelSpec, n: usize, kv_len: usize) -> Self {
         let h = model.hidden as u64;
         let kv_dim = (model.kv_heads * model.head_dim()) as u64;
@@ -443,67 +406,6 @@ mod tests {
             decode.total_param_bytes(),
             ComputationGraph::prefill(&model, 4).total_param_bytes()
         );
-    }
-
-    #[test]
-    fn chunked_prefill_npu_macs_sum_to_the_monolithic_prefill() {
-        // The NPU matmuls are linear in the processed tokens, so chunking a
-        // prompt must conserve them exactly (modulo the per-chunk LmHead,
-        // which is constant per graph — subtract it out).  CPU attention is
-        // causal: early chunks see a shorter context, so the chunked sum is
-        // never more than the monolithic graph's.
-        let model = ModelSpec::qwen2_5_3b();
-        let prompt = 420usize;
-        let whole = ComputationGraph::prefill(&model, prompt);
-        for chunk in [64usize, 128, 512] {
-            let mut npu = 0u64;
-            let mut cpu = 0u64;
-            let mut appended = 0usize;
-            let mut graphs = 0u64;
-            let mut done = 0usize;
-            while done < prompt {
-                let this = chunk.min(prompt - done);
-                let g = ComputationGraph::prefill_chunk(&model, this, done, prompt);
-                g.validate().unwrap();
-                assert_eq!(g.kv_append_tokens(), this);
-                npu += g.total_macs_on(Device::Npu);
-                cpu += g.total_macs_on(Device::Cpu);
-                appended += g.kv_append_tokens();
-                graphs += 1;
-                done += this;
-            }
-            let lm_head = |g: &ComputationGraph| {
-                g.ops
-                    .iter()
-                    .find(|o| o.kind == OpKind::LmHead)
-                    .unwrap()
-                    .macs
-            };
-            let npu_wo_head = npu - graphs * lm_head(&whole);
-            let whole_wo_head = whole.total_macs_on(Device::Npu) - lm_head(&whole);
-            assert_eq!(npu_wo_head, whole_wo_head, "chunk {chunk}");
-            assert!(cpu <= whole.total_macs_on(Device::Cpu), "chunk {chunk}");
-            assert_eq!(appended, prompt, "chunk {chunk}");
-        }
-    }
-
-    #[test]
-    fn later_chunks_pay_more_attention() {
-        let model = ModelSpec::qwen2_5_3b();
-        let first = ComputationGraph::prefill_chunk(&model, 128, 0, 384);
-        let last = ComputationGraph::prefill_chunk(&model, 128, 256, 384);
-        assert!(last.total_macs_on(Device::Cpu) > first.total_macs_on(Device::Cpu));
-        assert_eq!(
-            first.total_macs_on(Device::Npu),
-            last.total_macs_on(Device::Npu)
-        );
-    }
-
-    #[test]
-    fn kv_append_bytes_follow_the_model_geometry() {
-        let model = ModelSpec::qwen2_5_3b();
-        let g = ComputationGraph::prefill_chunk(&model, 64, 0, 64);
-        assert_eq!(g.kv_append_bytes(), 64 * model.kv_bytes_per_token());
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub mod tensor;
 pub mod tokenizer;
 
 pub use content::{derive_seed, PromptContent, Segment};
-pub use cost::{BatchedStepCosts, CostModel, CostParams, SpeculativeStepCosts};
+pub use cost::{BatchedStepCosts, CostModel, CostParams};
 pub use executor::FunctionalModel;
 pub use format::{FormatError, ModelHeader, PackedModel, TensorEntry};
 pub use graph::{ComputationGraph, ComputeOp, Device, OpKind, ParamSlice};

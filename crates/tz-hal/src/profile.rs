@@ -42,8 +42,6 @@ pub struct PlatformProfile {
 
     /// Sequential read bandwidth of the flash device (bytes/s).
     pub flash_read_bytes_per_sec: f64,
-    /// Random-read penalty factor applied to small reads (< 128 KiB).
-    pub flash_small_read_penalty: f64,
 
     /// Single-thread CMA migration throughput (bytes/s).
     pub cma_migration_bytes_per_sec: f64,
@@ -58,7 +56,9 @@ pub struct PlatformProfile {
     pub decrypt_bytes_per_sec: f64,
     /// INT8/INT4 → f16 dequantization throughput on the decrypt threads, in
     /// output (f16) bytes/s — the lane cost of expanding a quantized sealed
-    /// KV page on restore.
+    /// KV page on restore.  A multiply and a pack per element on the big
+    /// cores: cheaper than AES but not free, and it shares the decrypt
+    /// threads, so the serving layer charges it to the same lane.
     pub dequant_bytes_per_sec: f64,
 
     /// CPU int8 matmul throughput for prefill, in multiply-accumulate ops/s
@@ -66,9 +66,6 @@ pub struct PlatformProfile {
     pub cpu_int8_ops_per_sec: f64,
     /// NPU int8 matmul throughput, ops/s across all NPU cores.
     pub npu_int8_ops_per_sec: f64,
-    /// Fraction of per-layer prefill work that stays on the CPU even when the
-    /// NPU is used (layer norm, attention softmax, KV update — §4.1).
-    pub cpu_resident_fraction: f64,
 
     /// Latency of one one-way SMC world switch.
     pub smc_switch: SimDuration,
@@ -80,9 +77,6 @@ pub struct PlatformProfile {
     pub gic_config: SimDuration,
     /// Full REE NPU driver detach-attach (the cost TZ-LLM's co-driver avoids).
     pub npu_driver_reinit: SimDuration,
-    /// Waiting for an in-flight non-secure NPU job to drain before the switch
-    /// (upper bound used when the queue is busy).
-    pub npu_drain_max: SimDuration,
 
     /// llama.cpp metadata-parse + boot time on a cold start.
     pub framework_meta_init: SimDuration,
@@ -109,7 +103,6 @@ impl PlatformProfile {
             dram_bandwidth_bytes_per_sec: 22.0 * 1e9,
 
             flash_read_bytes_per_sec: 2.0e9,
-            flash_small_read_penalty: 2.5,
 
             cma_migration_bytes_per_sec: 1.9e9,
             cma_migration_threads: 4,
@@ -123,14 +116,12 @@ impl PlatformProfile {
             // CPU rate; the NPU is ~12.5x faster end-to-end on prefill.
             cpu_int8_ops_per_sec: 2.5e10,
             npu_int8_ops_per_sec: 4.0e11,
-            cpu_resident_fraction: 0.05,
 
             smc_switch: SimDuration::from_micros(12),
             tzasc_config: SimDuration::from_micros(14),
             tzpc_config: SimDuration::from_micros(10),
             gic_config: SimDuration::from_micros(8),
             npu_driver_reinit: SimDuration::from_millis(32),
-            npu_drain_max: SimDuration::from_millis(2),
 
             framework_meta_init: SimDuration::from_millis(447 + 59),
             tokenizer_init: SimDuration::from_millis(1799),

@@ -31,8 +31,8 @@
 //!   *chunk* of the active prefill ([`ServingConfig::prefill_chunk_tokens`]).
 //!   A step costs the weight read and the operator launches once per
 //!   distinct model — amortised across the whole batch — plus every
-//!   sequence's per-token KV/compute cost, the serving-level realisation of
-//!   [`llm::CostModel::batched_step_time`].  Decode on this hardware is
+//!   sequence's per-token KV/compute cost, priced by the crate's one step
+//!   pricer (`StepBatch::choose` in `step.rs`).  Decode on this hardware is
 //!   memory-bound, so a small prefill chunk rides in the weight-read slack
 //!   nearly for free, and a long prefill interleaves between decode steps
 //!   instead of pausing them.  A service hands its prefill to the loop when
@@ -179,15 +179,15 @@ pub enum RetentionPolicy {
 /// prefill chunk in it) picks its own draft depth between 0 and `k`: the
 /// one with the most expected emitted tokens per second of step time, at
 /// the acceptance rate the server has observed so far.
+///
+/// The draft is derived, not configured: [`Server::new`] wires the
+/// [`llm::ModelSpec::drafts`] entry whose tokenizer (`vocab`) a catalogue
+/// model shares, and the draft proposes only for those models; the others
+/// decode plainly.  When no catalogue model shares a draft's tokenizer, no
+/// draft entry is wired and the run is bit for bit the run with
+/// speculation off.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpeculationConfig {
-    /// Draft model name, resolved via [`llm::ModelSpec::by_name`] (which
-    /// also knows the non-catalogue draft entries, see
-    /// [`llm::ModelSpec::drafts`]).  The draft proposes only for catalogue
-    /// models that share its tokenizer (equal `vocab`); the others decode
-    /// plainly.  When no catalogue model shares it, no draft entry is wired
-    /// and the run is bit for bit the run with speculation off.
-    pub draft_model: String,
     /// Maximum draft depth: the most tokens the draft proposes per sequence
     /// per step.  Each step chooses its depth in `0..=k`.  `0` is
     /// speculation off, the escape hatch: the step loop prices and advances
@@ -199,19 +199,14 @@ pub struct SpeculationConfig {
 impl SpeculationConfig {
     /// Speculation off — the default everywhere.
     pub fn off() -> Self {
-        SpeculationConfig {
-            draft_model: String::new(),
-            k: 0,
-        }
+        SpeculationConfig { k: 0 }
     }
 
-    /// The paper-testbed speculation setup: the Qwen2.5-0.5B draft
-    /// proposing up to four tokens per sequence per step.
+    /// The paper-testbed speculation setup: up to four draft tokens per
+    /// sequence per step (the Qwen2.5-0.5B draft, for the Qwen2.5-3B
+    /// target).
     pub fn paper_default() -> Self {
-        SpeculationConfig {
-            draft_model: "qwen2.5-0.5b".into(),
-            k: 4,
-        }
+        SpeculationConfig { k: 4 }
     }
 }
 
@@ -693,7 +688,7 @@ struct BatchedDecode {
     /// Steps this sequence has been a member of (tracked independently of
     /// `tokens_left` so the starvation guard measures, not assumes).
     steps_seen: u64,
-    /// The solo token time — `max(compute, weight pass) + handoffs` — that
+    /// The solo token time — the plain step of this sequence alone — that
     /// sharing-stall accounting compares each step against.
     intrinsic_secs: f64,
     stall_sharing_ns: f64,
@@ -1425,11 +1420,10 @@ fn on_service_ready_for_batch(state: &mut ServerState, sched: &mut EventSchedule
 /// Prices and schedules the next batched NPU step, if the batch has work and
 /// no step is already in flight.  One step = one decode token for every
 /// member sequence (more under speculation) plus at most one chunk of the
-/// active prefill; it costs the weight read, the operator launches and the
-/// world-switch handoffs once per distinct model (amortised across the
-/// batch) plus every sequence's per-token MACs —
-/// `llm::CostModel::batched_step_time` at serving granularity, priced by
-/// [`StepBatch`].
+/// active prefill, the chunk being its share of the prefill plan's NPU
+/// window; [`StepBatch::choose`] prices it (the weight read, the operator
+/// launches and the world-switch handoffs once per distinct model plus
+/// every sequence's per-token MACs) and picks its draft depth.
 fn maybe_start_batch_step(state: &mut ServerState, sched: &mut EventScheduler<ServerState>) {
     if state.batch_running {
         return;
@@ -1692,17 +1686,24 @@ fn on_batched_first_token(
     // Price every step at the sequence's final KV length (decode compute is
     // affine in the KV length, and the spread over one response is small).
     let kv_len = record.request.prompt_len + record.request.output_len;
-    let compute_secs = coeffs.step.decode_compute_secs(kv_len);
-    let intrinsic_secs = compute_secs.max(coeffs.step.weight_pass_secs) + coeffs.handoff_secs;
+    let member = StepMember {
+        model: prefill.model,
+        kv_len,
+        tokens_left: tokens,
+        compute_secs: coeffs.step.decode_compute_secs(kv_len),
+        drafts: coeffs.drafts,
+    };
+    let intrinsic_secs = StepBatch {
+        members: std::iter::once(&member),
+        models: &state.step_models,
+        draft: None,
+        chunk_secs: 0.0,
+    }
+    .choose(0, 0.0)
+    .step_secs;
     state.batch_decodes.push(BatchedDecode {
         record,
-        member: StepMember {
-            model: prefill.model,
-            kv_len,
-            tokens_left: tokens,
-            compute_secs,
-            drafts: coeffs.spec.is_some(),
-        },
+        member,
         steps_seen: 0,
         intrinsic_secs,
         stall_sharing_ns: 0.0,
@@ -1903,13 +1904,14 @@ pub struct Server {
 }
 
 /// Builds the per-model runtime entry (restore rates, cache) and its
-/// step-pricing coefficients — verify-sweep coefficients against `draft`
-/// when one is given — shared by catalogue models and the speculation draft.
+/// step-pricing coefficients, shared by catalogue models and the
+/// speculation draft; `drafts` says whether the draft proposes for the
+/// model's sequences.
 fn model_entry(
     config: &ServingConfig,
     cost: &llm::CostModel,
     spec: ModelSpec,
-    draft: Option<&ModelSpec>,
+    drafts: bool,
 ) -> (ModelEntry, StepModel) {
     let restore_threads = config.profile.big_cores.saturating_sub(1).max(1);
     let occupancy = system::cma_occupancy(&spec, config.memory_pressure);
@@ -1920,7 +1922,7 @@ fn model_entry(
     let total = spec.total_q8_bytes();
     let graph_param_bytes = system::param_bytes(&spec);
     let kv_bytes_per_token = spec.kv_bytes_per_token();
-    let coeffs = StepModel::new(cost, &config.profile, &spec, draft);
+    let coeffs = StepModel::new(cost, &config.profile, &spec, drafts);
     let entry = ModelEntry {
         spec,
         cache: CacheController::new(total),
@@ -1960,30 +1962,21 @@ impl Server {
         telemetry.name_track(Track::Lane(tl_flash), "flash");
         telemetry.name_track(Track::Lane(tl_cpu), "cpu");
         let cost = llm::CostModel::rk3588();
-        let draft_spec = if config.speculation.k > 0 {
-            Some(
-                ModelSpec::by_name(&config.speculation.draft_model).unwrap_or_else(|| {
-                    panic!(
-                        "unknown speculation draft model {:?}",
-                        config.speculation.draft_model
-                    )
-                }),
-            )
-        } else {
-            None
-        };
         // A target can only verify proposals its own tokenizer reads, so the
-        // draft pairs with the catalogue models of its vocabulary; when none
-        // pairs, no draft is wired and the server runs as with speculation
-        // off.
-        let draft_spec = draft_spec.filter(|d| catalogue.iter().any(|spec| spec.vocab == d.vocab));
+        // draft is the draft-catalogue entry whose vocabulary a catalogue
+        // model shares; when none does, no draft is wired and the server
+        // runs as with speculation off.
+        let draft_spec = ModelSpec::drafts()
+            .into_iter()
+            .find(|d| catalogue.iter().any(|spec| spec.vocab == d.vocab))
+            .filter(|_| config.speculation.k > 0);
         let mut models = Vec::with_capacity(catalogue.len());
         let mut step_models = Vec::with_capacity(catalogue.len());
         let mut model_ids = BTreeMap::new();
         for spec in catalogue {
             model_ids.insert(spec.name.clone(), ModelId(models.len() as u32));
-            let paired = draft_spec.as_ref().filter(|d| d.vocab == spec.vocab);
-            let (entry, coeffs) = model_entry(&config, &cost, spec, paired);
+            let drafts = draft_spec.as_ref().is_some_and(|d| d.vocab == spec.vocab);
+            let (entry, coeffs) = model_entry(&config, &cost, spec, drafts);
             models.push(entry);
             step_models.push(coeffs);
         }
@@ -1992,7 +1985,7 @@ impl Server {
         // `model_ids`: requests can never target it directly.
         let draft = draft_spec.map(|dspec| {
             let id = ModelId(models.len() as u32);
-            let (entry, coeffs) = model_entry(&config, &cost, dspec, None);
+            let (entry, coeffs) = model_entry(&config, &cost, dspec, false);
             models.push(entry);
             step_models.push(coeffs);
             id

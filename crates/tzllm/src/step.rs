@@ -1,5 +1,8 @@
 //! Pricing one batched step of the serving step loop, and choosing how many
 //! tokens its decodes draft when speculative decoding is on.
+//! [`StepBatch::choose`] is the only code that prices a pass over several
+//! sequences; `llm` supplies only the per-model coefficients
+//! ([`llm::BatchedStepCosts`]).
 //!
 //! A step advances every member decode by at least one token and may run one
 //! prefill chunk alongside.  At draft depth `k` each member proposes
@@ -44,27 +47,27 @@ pub(crate) struct StepModel {
     /// Per-token world-switch cost of a decode step of this model (two
     /// co-driver handoffs per layer), seconds.
     pub handoff_secs: f64,
-    /// Speculative step-cost coefficients against the configured draft
-    /// (`None` when speculation is off, on the draft's own entry, and for a
-    /// model whose tokenizer the draft does not share).
-    pub spec: Option<llm::SpeculativeStepCosts>,
+    /// Whether the configured draft proposes tokens for this model's
+    /// sequences (`false` when speculation is off, on the draft's own entry,
+    /// and for a model whose tokenizer the draft does not share).
+    pub drafts: bool,
 }
 
 impl StepModel {
-    /// Derives `model`'s coefficients on `profile`, with verify-sweep
-    /// coefficients against `draft` when one is configured.
+    /// Derives `model`'s coefficients on `profile`; `drafts` says whether
+    /// the draft proposes for its sequences.
     pub fn new(
         cost: &llm::CostModel,
         profile: &PlatformProfile,
         model: &llm::ModelSpec,
-        draft: Option<&llm::ModelSpec>,
+        drafts: bool,
     ) -> StepModel {
         StepModel {
-            step: cost.batched_step_costs(model, true),
+            step: cost.batched_step_costs(model),
             // The same per-token switch cost `system::price` folds into
             // the TZ-LLM row's `decode_tokens_per_sec`.
             handoff_secs: (profile.codriver_switch_cost() * 2 * model.layers as u64).as_secs_f64(),
-            spec: draft.map(|d| cost.speculative_step_costs(d, model, true)),
+            drafts,
         }
     }
 }
@@ -132,7 +135,8 @@ pub(crate) struct StepBatch<'a, M> {
     pub models: &'a [StepModel],
     /// The draft model's coefficients (`None` when speculation is off).
     pub draft: Option<&'a StepModel>,
-    /// Prefill-chunk seconds in the step (0 when none rides along).
+    /// Prefill-chunk seconds in the step: the chunk's share of its prefill
+    /// plan's NPU window (0 when none rides along).
     pub chunk_secs: f64,
 }
 
@@ -206,9 +210,7 @@ where
                     // The verify sweep scores the proposals plus the bonus
                     // token the target emits past the accepted prefix.
                     k => self.models[m.model.0 as usize]
-                        .spec
-                        .as_ref()
-                        .expect("speculating sequence on a model without spec costs")
+                        .step
                         .verify_compute_secs(k as usize + 1, m.kv_len),
                 })
                 .sum();
@@ -252,9 +254,9 @@ mod tests {
         let cost = CostModel::rk3588();
         let profile = PlatformProfile::rk3588();
         let draft = ModelSpec::qwen2_5_0_5b();
-        let qwen = StepModel::new(&cost, &profile, &ModelSpec::qwen2_5_3b(), Some(&draft));
-        let tiny = StepModel::new(&cost, &profile, &ModelSpec::tinyllama_1_1b(), None);
-        ([qwen, tiny], StepModel::new(&cost, &profile, &draft, None))
+        let qwen = StepModel::new(&cost, &profile, &ModelSpec::qwen2_5_3b(), true);
+        let tiny = StepModel::new(&cost, &profile, &ModelSpec::tinyllama_1_1b(), false);
+        ([qwen, tiny], StepModel::new(&cost, &profile, &draft, false))
     }
 
     fn member_of(models: &[StepModel], model: u32, kv_len: usize, tokens_left: u64) -> StepMember {
@@ -264,7 +266,7 @@ mod tests {
             kv_len,
             tokens_left,
             compute_secs: coeffs.step.decode_compute_secs(kv_len),
-            drafts: coeffs.spec.is_some(),
+            drafts: coeffs.drafts,
         }
     }
 
@@ -327,12 +329,64 @@ mod tests {
         assert_eq!(plain.draft_secs, 0.0);
         assert_eq!(plain.step_secs, expected);
         assert_eq!(plain.tokens, 2.0);
+        // The 4 ms chunk hides in the weight-read slack the decodes already
+        // pay for, and a chunk-only step costs exactly its chunk.
+        let without = batch(&models, &draft, &members).choose(0, 0.9);
+        assert_eq!(plain.step_secs, without.step_secs);
+        let alone = StepBatch {
+            chunk_secs: 0.004,
+            ..batch(&models, &draft, &[])
+        }
+        .choose(4, 0.9);
+        assert_eq!(
+            (alone.depth, alone.step_secs, alone.tokens),
+            (0, 0.004, 0.0)
+        );
         // A lone member is priced exactly as its solo decode token.
         let solo = batch(&models, &draft, &members[..1]).choose(0, 0.9);
         assert_eq!(
             solo.step_secs,
             members[0].compute_secs.max(qwen.weight_pass_secs) + models[0].handoff_secs
         );
+    }
+
+    #[test]
+    fn a_lone_member_is_the_evaluators_decode_token_plus_handoffs() {
+        let (models, draft) = rk3588_models();
+        let cost = CostModel::rk3588();
+        for (id, spec) in [
+            (0, ModelSpec::qwen2_5_3b()),
+            (1, ModelSpec::tinyllama_1_1b()),
+        ] {
+            for kv in [64usize, 512, 2048] {
+                let lone = [member_of(&models, id, kv, 50)];
+                let step = batch(&models, &draft, &lone).choose(0, 0.9).step_secs;
+                let reference = cost.decode_token_time(&spec, kv, true).as_secs_f64()
+                    + models[id as usize].handoff_secs;
+                assert!(
+                    (step - reference).abs() < 1e-6,
+                    "{} @ kv {kv}: {step} vs {reference}",
+                    spec.name
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_batch_amortises_the_weight_read() {
+        // Decode is memory-bound: one weight pass serves the whole batch, so
+        // per-sequence step time shrinks until compute catches up.
+        let (models, draft) = rk3588_models();
+        let price = |n: usize| {
+            let members = vec![member(&models, 256, 100); n];
+            batch(&models, &draft, &members).choose(0, 0.9).step_secs
+        };
+        let (solo, batch8) = (price(1), price(8));
+        assert!(
+            batch8 < 8.0 * solo * 0.5,
+            "batch8 {batch8} vs 8x solo {solo}"
+        );
+        assert!(batch8 >= solo, "a bigger batch never makes a step shorter");
     }
 
     #[test]
@@ -366,6 +420,50 @@ mod tests {
         let added = price(&members).step_secs - with_tiny;
         let macs = tiny.step.decode_compute_secs(700) - tiny.step.launch_secs;
         assert!((added - macs).abs() < 1e-12, "{added} vs {macs}");
+
+        // The draft rounds and the verify sweep follow the same rule.  Four
+        // qwen2.5-3b members at KV 3000 beside one tinyllama-1.1b member
+        // (whose weight pass widens the slack a draft round needs to pay)
+        // draft one token each, and both passes are compute-bound; a fifth
+        // qwen member adds exactly its draft MACs to the round and its two
+        // scored positions' MACs to the sweep.
+        let speculating = |n: usize| {
+            let mut members = vec![member(&models, 3000, 100); n];
+            members.push(member_of(&models, 1, 500, 100));
+            batch(&models, &draft, &members).choose(1, 0.95)
+        };
+        let (four, five) = (speculating(4), speculating(5));
+        assert_eq!((four.depth, five.depth), (1, 1));
+        assert!(four.draft_secs > draft.step.weight_pass_secs + draft.handoff_secs);
+        let added = five.draft_secs - four.draft_secs;
+        let macs = draft.step.decode_compute_secs(3000) - draft.step.launch_secs;
+        assert!((added - macs).abs() < 1e-12, "draft: {added} vs {macs}");
+        let sweep =
+            |p: StepPrice| p.step_secs - p.draft_secs - qwen.handoff_secs - tiny.handoff_secs;
+        assert!(sweep(four) > qwen.step.weight_pass_secs + tiny.step.weight_pass_secs);
+        let added = sweep(five) - sweep(four);
+        let macs = qwen.step.verify_compute_secs(2, 3000) - qwen.step.launch_secs;
+        assert!((added - macs).abs() < 1e-12, "verify: {added} vs {macs}");
+    }
+
+    #[test]
+    fn verifying_extra_positions_beats_extra_steps() {
+        // The point of speculation: at low occupancy, four drafted tokens
+        // and five positions in one sweep cost far less than five
+        // weight-bound steps, because the draft's weight pass is several
+        // times shorter than the target's.
+        let (models, draft) = rk3588_models();
+        assert!(draft.step.weight_pass_secs * 3.0 < models[0].step.weight_pass_secs);
+        let lone = [member(&models, 512, 100)];
+        let deep = batch(&models, &draft, &lone).choose(4, 0.99);
+        let plain = batch(&models, &draft, &lone).choose(0, 0.99);
+        assert_eq!(deep.depth, 4);
+        assert!(
+            deep.step_secs < 0.5 * 5.0 * plain.step_secs,
+            "{} vs {}",
+            deep.step_secs,
+            plain.step_secs
+        );
     }
 
     #[test]
@@ -446,10 +544,19 @@ mod tests {
         }
     }
 
+    /// Besides the walk's optimality, each case checks that the price is a
+    /// function of the set of members (permuting them moves neither the
+    /// choice nor the price) and never falls when a member's KV length or
+    /// scored positions grow.
     #[test]
     fn the_chosen_depth_beats_every_other_candidate() {
         let (models, draft) = rk3588_models();
         let mut rng = DetRng::new(0x5DEC);
+        // The perturbations draw from their own stream, so the batches are
+        // the same with or without them.
+        let mut perturb = DetRng::new(0x9E7B);
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-12 * a.max(b);
+        let mut same_depth_growths = 0;
         for case in 0..500 {
             let n = rng.gen_range(1, 17) as usize;
             let members: Vec<StepMember> = (0..n)
@@ -485,6 +592,55 @@ mod tests {
                     other.rate()
                 );
             }
+
+            let choose = |members: &[StepMember], max_depth| {
+                batch(&models, &draft, members).choose(max_depth, accept)
+            };
+            let mut shuffled = members.clone();
+            perturb.shuffle(&mut shuffled);
+            let permuted = choose(&shuffled, max_depth);
+            assert!(
+                permuted.depth == chosen.depth
+                    && close(permuted.step_secs, chosen.step_secs)
+                    && close(permuted.tokens, chosen.tokens),
+                "case {case}: permuted {permuted:?} vs {chosen:?}"
+            );
+
+            // A longer context costs every depth at least as much and emits
+            // no more, so the plain step costs no less and the chosen rate
+            // does not rise.
+            let victim = perturb.gen_range(0, n as u64) as usize;
+            let v = members[victim];
+            let mut longer = members.clone();
+            longer[victim] = member_of(
+                &models,
+                v.model.0,
+                v.kv_len + perturb.gen_range(1, 512) as usize,
+                v.tokens_left,
+            );
+            assert!(
+                choose(&longer, 0).step_secs >= choose(&members, 0).step_secs,
+                "case {case}: a longer context made the plain step cheaper"
+            );
+            assert!(
+                choose(&longer, max_depth).rate() <= chosen.rate(),
+                "case {case}: a longer context raised the chosen rate"
+            );
+            // More tokens left let the member draft, and so score, at least
+            // as many positions at every depth: at the same depth the step
+            // costs no less.
+            let mut more = members.clone();
+            more[victim].tokens_left += perturb.gen_range(1, 4);
+            let grown = choose(&more, max_depth);
+            if grown.depth == chosen.depth {
+                same_depth_growths += 1;
+                assert!(
+                    grown.step_secs >= chosen.step_secs,
+                    "case {case}: more scored positions made depth {} cheaper",
+                    chosen.depth
+                );
+            }
         }
+        assert!(same_depth_growths >= 250, "{same_depth_growths} of 500");
     }
 }

@@ -233,114 +233,6 @@ fn tzasc_extend_shrink_protects_exactly_the_prefix() {
     }
 }
 
-/// The batched step price is a well-behaved function of the batch: it is
-/// monotone in every sequence's KV length (more context can only add
-/// attention work) and invariant under permutations of the batch (a step
-/// prices a *set* of sequences — the summation order is not observable).
-#[test]
-fn batched_step_time_is_monotone_and_permutation_invariant() {
-    let cost = CostModel::rk3588();
-    let mut rng = DetRng::new(0x73746570); // "step"
-    for case in 0..CASES {
-        let model = small_model(
-            rng.gen_range(2, 8) as usize,
-            ((rng.gen_range(32, 128) as usize) / 16) * 16,
-        );
-        let use_npu = rng.gen_bool(0.5);
-        let n = rng.gen_range(1, 9) as usize;
-        let mut kv_lens: Vec<usize> = (0..n).map(|_| rng.gen_range(1, 4096) as usize).collect();
-        let base = cost.batched_step_time(&model, &kv_lens, None, use_npu);
-
-        // Permutation invariance: shuffling the batch never changes the price.
-        let mut shuffled = kv_lens.clone();
-        rng.shuffle(&mut shuffled);
-        assert_eq!(
-            base,
-            cost.batched_step_time(&model, &shuffled, None, use_npu),
-            "case {case}: {kv_lens:?} vs {shuffled:?}"
-        );
-
-        // Monotonicity: growing any single sequence's KV length never makes
-        // the step cheaper.
-        let victim = rng.gen_range(0, n as u64) as usize;
-        let grown_kv = kv_lens[victim] + rng.gen_range(1, 512) as usize;
-        kv_lens[victim] = grown_kv;
-        let grown = cost.batched_step_time(&model, &kv_lens, None, use_npu);
-        assert!(
-            grown >= base,
-            "case {case}: growing sequence {victim} to kv {grown_kv} made the \
-             step cheaper: {grown} < {base}"
-        );
-    }
-}
-
-/// The speculative passes price sets of sequences the same way: the verify
-/// sweep is monotone in every sequence's KV length and scored positions, the
-/// draft pass in every sequence's KV length, and neither depends on the
-/// order of the batch (up to float summation order).
-#[test]
-fn verify_and_draft_passes_are_monotone_and_permutation_invariant() {
-    let cost = CostModel::rk3588();
-    let mut rng = DetRng::new(0x76657269); // "veri"
-    let close = |a: f64, b: f64| (a - b).abs() <= 1e-12 * a.max(b);
-    for case in 0..CASES {
-        let draft = small_model(
-            rng.gen_range(2, 4) as usize,
-            ((rng.gen_range(32, 64) as usize) / 16) * 16,
-        );
-        let target = small_model(
-            rng.gen_range(4, 8) as usize,
-            ((rng.gen_range(64, 128) as usize) / 16) * 16,
-        );
-        let spec = cost.speculative_step_costs(&draft, &target, rng.gen_bool(0.5));
-        let n = rng.gen_range(1, 9) as usize;
-        let mut seqs: Vec<(usize, usize)> = (0..n)
-            .map(|_| {
-                (
-                    rng.gen_range(1, 4096) as usize,
-                    rng.gen_range(1, 6) as usize,
-                )
-            })
-            .collect();
-        let mut kv_lens: Vec<usize> = seqs.iter().map(|&(kv, _)| kv).collect();
-        let verify = spec.verify_pass_secs(&seqs);
-        let draft_pass = spec.draft_pass_secs(&kv_lens);
-
-        let mut shuffled = seqs.clone();
-        rng.shuffle(&mut shuffled);
-        assert!(
-            close(verify, spec.verify_pass_secs(&shuffled)),
-            "case {case}: verify {seqs:?} vs {shuffled:?}"
-        );
-        let mut shuffled = kv_lens.clone();
-        rng.shuffle(&mut shuffled);
-        assert!(
-            close(draft_pass, spec.draft_pass_secs(&shuffled)),
-            "case {case}: draft {kv_lens:?} vs {shuffled:?}"
-        );
-
-        // Growing one sequence's KV length, or its scored positions, never
-        // makes a pass cheaper.
-        let victim = rng.gen_range(0, n as u64) as usize;
-        seqs[victim].0 += rng.gen_range(1, 512) as usize;
-        kv_lens[victim] = seqs[victim].0;
-        let grown_kv = spec.verify_pass_secs(&seqs);
-        assert!(
-            grown_kv >= verify,
-            "case {case}: growing sequence {victim}'s KV made the verify cheaper"
-        );
-        assert!(
-            spec.draft_pass_secs(&kv_lens) >= draft_pass,
-            "case {case}: growing sequence {victim}'s KV made the draft pass cheaper"
-        );
-        seqs[victim].1 += 1;
-        assert!(
-            spec.verify_pass_secs(&seqs) >= grown_kv,
-            "case {case}: scoring one more position made the verify cheaper"
-        );
-    }
-}
-
 /// The cache controller never caches more than the model and never releases
 /// more than it holds.
 #[test]
@@ -491,10 +383,11 @@ fn kv_claims_and_byte_ledger_hold_on_random_histories() {
 
 /// The single-request evaluator's metamorphic laws over random requests: a
 /// SoC, a catalogue model, a prompt length, a cached fraction, a memory
-/// pressure and a policy.  The first cases are the paper's defaults (each
-/// catalogue model at a 128-token prompt on the RK3588).  Case `c` draws
-/// only from `DetRng::new(shard_seed(SEED, c))`, so a failure's one-line
-/// repro replays on its own.
+/// pressure, a policy and a big-core count (more cores never raise TTFT).
+/// The first cases are the paper's defaults (each catalogue model at a
+/// 128-token prompt on the RK3588).  Case `c` draws only from
+/// `DetRng::new(shard_seed(SEED, c))`, so a failure's one-line repro
+/// replays on its own.
 #[test]
 fn single_request_evaluator_laws_hold() {
     const SEED: u64 = 0x6576616c; // "eval"
@@ -610,6 +503,24 @@ fn single_request_evaluator_laws_hold() {
                 system.label(),
                 before.ttft,
                 pressed.memory_pressure
+            );
+        }
+
+        let cores = rng.gen_range(1, 8) as usize;
+        let ttft_at = |system, big_cores| {
+            let profile = PlatformProfile {
+                big_cores,
+                ..profile.clone()
+            };
+            evaluate(system, &profile, &cfg).ttft
+        };
+        for system in [SystemKind::TzLlm, SystemKind::Strawman] {
+            let (fewer, more) = (ttft_at(system, cores), ttft_at(system, cores + 1));
+            assert!(
+                more <= fewer,
+                "{repro}: {} TTFT rose from {fewer} at {cores} big cores to {more} at {}",
+                system.label(),
+                cores + 1
             );
         }
     }

@@ -156,17 +156,6 @@ fn f16_default_is_bit_for_bit_the_unquantized_config() {
 }
 
 #[test]
-fn dequant_calibrations_agree_across_profile_and_cost_model() {
-    // The serving layer charges dequant at the platform profile's rate; the
-    // cost model carries the same calibration for analysis/reporting.  They
-    // must not drift apart.
-    assert_eq!(
-        llm::CostModel::rk3588().params().dequant_bytes_per_sec,
-        PlatformProfile::rk3588().dequant_bytes_per_sec
-    );
-}
-
-#[test]
 fn quantized_runs_are_deterministic() {
     let a = chat_run(squeezed(SpillFormat::Int4));
     let b = chat_run(squeezed(SpillFormat::Int4));

@@ -44,10 +44,10 @@ fn fleet_run(config: ServingConfig, seed: u64) -> ServingReport {
     Server::run_workload(config, one_model(), &decode_heavy_fleet(), seed)
 }
 
-/// The escape hatch: a config with the speculation knobs populated but the
-/// depth cap `k` at zero is bit-for-bit the plain batched step loop — the
-/// acceptance RNG is never drawn, no draft entry is wired, and every record
-/// and counter is identical.
+/// The escape hatch: the paper's speculation setup with its depth cap `k`
+/// at zero is bit-for-bit the plain batched step loop — the acceptance RNG
+/// is never drawn, no draft entry is wired (although the qwen2.5-0.5b draft
+/// pairs with the target), and every record and counter is identical.
 #[test]
 fn speculation_off_is_bit_for_bit_the_batched_step_loop() {
     let baseline = fleet_run(
@@ -55,10 +55,8 @@ fn speculation_off_is_bit_for_bit_the_batched_step_loop() {
         0xA6E7,
     );
     let mut disabled_cfg = ServingConfig::paper_default(PlatformProfile::rk3588());
-    disabled_cfg.speculation = SpeculationConfig {
-        k: 0,
-        ..SpeculationConfig::paper_default()
-    };
+    disabled_cfg.speculation = SpeculationConfig::paper_default();
+    disabled_cfg.speculation.k = 0;
     let disabled = fleet_run(disabled_cfg, 0xA6E7);
     assert_eq!(
         format!("{:?}", baseline.fleet),
@@ -73,11 +71,13 @@ fn speculation_off_is_bit_for_bit_the_batched_step_loop() {
     assert!(baseline.fleet.spec_emitted_per_step.is_empty());
 }
 
-/// A target can verify only proposals its own tokenizer reads.  Neither
-/// tinyllama-1.1b (32,000-token vocabulary) nor phi-3-3.8b (32,064) shares
-/// the qwen2.5-0.5b draft's 151,936, so over that catalogue speculation on
-/// wires no draft entry and is bit-for-bit speculation off: every record,
-/// counter and lane integral is identical, and no step decides a depth.
+/// A target can verify only proposals its own tokenizer reads, and the
+/// server wires the draft-catalogue entry whose tokenizer a served model
+/// shares.  Neither tinyllama-1.1b (32,000-token vocabulary) nor phi-3-3.8b
+/// (32,064) shares any draft's — the qwen2.5-0.5b draft reads 151,936 — so
+/// over that catalogue speculation on wires no draft entry and is
+/// bit-for-bit speculation off: every record, counter and lane integral is
+/// identical, and no step decides a depth.
 #[test]
 fn speculation_without_a_same_tokenizer_target_is_speculation_off() {
     let models = ["tinyllama-1.1b", "phi-3-3.8b"];
@@ -87,9 +87,9 @@ fn speculation_without_a_same_tokenizer_target_is_speculation_off() {
             .map(|m| llm::ModelSpec::by_name(m).expect("catalogue model"))
             .collect()
     };
-    let draft = llm::ModelSpec::by_name(&SpeculationConfig::paper_default().draft_model)
-        .expect("draft model");
-    assert!(catalogue().iter().all(|m| m.vocab != draft.vocab));
+    assert!(llm::ModelSpec::drafts()
+        .iter()
+        .all(|draft| catalogue().iter().all(|m| m.vocab != draft.vocab)));
     let workload =
         WorkloadSpec::standard_multi(ArrivalProcess::Poisson { rate_per_sec: 0.25 }, 80, &models);
     let run = |config| Server::run_workload(config, catalogue(), &workload, 0xC01D);
