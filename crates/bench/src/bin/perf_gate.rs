@@ -101,6 +101,13 @@ const GATES: &[Gate] = &[
         key: "saturation.throughput_rps_batched",
         check: Check::MinRatio(0.9),
     },
+    // The saturation run's decode tail: a change that stretches decode
+    // steps under overload again (a prefill chunk the pass was not already
+    // paying for) shows up here first.
+    Gate {
+        key: "saturation.tbt_p99_ms_batched",
+        check: Check::MaxRatio(1.05),
+    },
     Gate {
         key: "batching.mean_batch_occupancy",
         check: Check::MinRatio(0.85),

@@ -123,6 +123,24 @@ fn cold_heavy(config: ServingConfig, rate: f64, requests: usize) -> ServingRepor
     Server::run_workload(config, catalogue(), &workload, 0xC01D)
 }
 
+/// p99 of the per-request mean token gap, milliseconds: each completed
+/// request's decode time over its token gaps in whole nanoseconds (the
+/// serving `tbt` series' sample), at the nearest-rank rule the sketch
+/// quantiles use (`rank = ceil(q·(n−1))`).
+fn tbt_p99_ms(report: &ServingReport) -> f64 {
+    let mut gaps_ms: Vec<f64> = report
+        .records
+        .iter()
+        .filter(|r| r.request.output_len > 1)
+        .map(|r| {
+            let decode_ns = r.completed.saturating_since(r.first_token).as_nanos();
+            (decode_ns / (r.request.output_len as u64 - 1)) as f64 / 1e6
+        })
+        .collect();
+    gaps_ms.sort_by(|a, b| a.partial_cmp(b).expect("gaps are never NaN"));
+    gaps_ms[(0.99 * (gaps_ms.len() - 1) as f64).ceil() as usize]
+}
+
 /// Runs a config with two requests in flight.  The KV scenarios below use
 /// it so that turns still queue: restore-ahead needs a queued session to
 /// prewarm, and their job is to watch the KV manager, not the scheduler.
@@ -399,13 +417,14 @@ fn scenario_dispatch(opts: &HarnessOptions) -> String {
         latency_requests,
     );
     let throughput_x = sat_batched.fleet.throughput_rps / sat_serial.fleet.throughput_rps;
+    let sat_tbt_p99_ms = tbt_p99_ms(&sat_batched);
     println!(
         "cold-heavy @{fixed_rate} rps: p95 TTFT serial {p95_serial:.2} s, \
          batched {p95_batched:.2} s"
     );
     println!(
         "saturation @{sat_rate} rps: throughput serial {:.4} rps, batched {:.4} rps \
-         ({throughput_x:.2}x vs serial, occupancy {:.2})",
+         ({throughput_x:.2}x vs serial, occupancy {:.2}, p99 TBT {sat_tbt_p99_ms:.1} ms)",
         sat_serial.fleet.throughput_rps,
         sat_batched.fleet.throughput_rps,
         sat_batched.fleet.mean_batch_occupancy
@@ -462,9 +481,10 @@ fn scenario_dispatch(opts: &HarnessOptions) -> String {
     );
     let _ = writeln!(
         json,
-        "    \"throughput_rps_batched\": {:.4}",
+        "    \"throughput_rps_batched\": {:.4},",
         sat_batched.fleet.throughput_rps
     );
+    let _ = writeln!(json, "    \"tbt_p99_ms_batched\": {sat_tbt_p99_ms:.1}");
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"batching\": {{");
     let _ = writeln!(

@@ -50,8 +50,8 @@ pub use kv::{ChainStoreStats, KvBalance, KvConfig, KvPool, KvQuery, KvReuse, KvS
 pub use pipeline::{simulate, PipelineConfig, PipelineResult, Policy};
 pub use restore::{CriticalPaths, OpLabel, PipeOp, PipeOpKind, RestorePlan, RestoreRates};
 pub use serving::{
-    ModelId, Request, RequestRecord, RetentionPolicy, Server, ServingConfig, ServingReport,
-    ServingStats,
+    ConfigError, ModelId, Request, RequestRecord, RetentionPolicy, Server, ServingConfig,
+    ServingReport, ServingStats,
 };
 pub use slo::{
     csv_timeseries, openmetrics, validate_openmetrics, OverloadEpisode, SloConfig, SloReport,

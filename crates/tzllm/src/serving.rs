@@ -28,15 +28,21 @@
 //!   pipelined restoration; a fully cached one needs one core.
 //! * **The step loop**: the NPU runs one *step* at a time, and each step is
 //!   one batched decode pass over every active sequence plus at most one
-//!   *chunk* of the active prefill ([`ServingConfig::prefill_chunk_tokens`]).
-//!   A step costs the weight read and the operator launches once per
-//!   distinct model — amortised across the whole batch — plus every
-//!   sequence's per-token KV/compute cost, priced by the crate's one step
-//!   pricer (`StepBatch::choose` in `step.rs`).  Decode on this hardware is
-//!   memory-bound, so a small prefill chunk rides in the weight-read slack
-//!   nearly for free, and a long prefill interleaves between decode steps
-//!   instead of pausing them.  A service hands its prefill to the loop when
-//!   its pre-NPU phase ends; prefills take the chunk slot in FIFO order.
+//!   *chunk* of the active prefill.  A step costs the weight read and the
+//!   operator launches once per distinct model — amortised across the whole
+//!   batch — plus every sequence's per-token KV/compute cost, priced by the
+//!   crate's one step pricer (`StepBatch::choose` in `step.rs`).  Decode on
+//!   this hardware is memory-bound, so a small prefill chunk rides in the
+//!   weight-read slack nearly for free, and a long prefill interleaves
+//!   between decode steps instead of pausing them.  The chunk is
+//!   [`ServingConfig::prefill_chunk_tokens`] long, except when every
+//!   in-flight slot is taken, a request waits and the step has decodes:
+//!   then no new prefill can start before a decode finishes, and the chunk
+//!   is sized to the step's weight-read slack, so it costs the decodes
+//!   nothing (stall-free batching, as in Sarathi-Serve); a compute-bound
+//!   pass has no slack and carries one prompt token's share, so the prefill
+//!   still advances.  A service hands its prefill to the loop when its
+//!   pre-NPU phase ends; prefills take the chunk slot in FIFO order.
 //! * **Restore-ahead**: whenever the flash/decrypt/alloc lanes are idle
 //!   (typically while the only active requests decode), the dispatcher peeks
 //!   the queue and starts restoring the next request's missing parameters
@@ -142,7 +148,7 @@ use crate::cache::{CacheController, CachePolicy};
 use crate::kv::{ChainStoreStats, KvConfig, KvPool, KvQuery};
 use crate::pipeline::Policy;
 use crate::restore::RestoreRates;
-use crate::step::{self, StepBatch, StepMember, StepModel};
+use crate::step::{self, Chunk, StepBatch, StepMember, StepModel};
 use crate::system::{self, InferenceReport, PlanCache, PlanRequest, ServiceParams};
 
 /// Restore-ahead progress is credited to the cache in whole multiples of
@@ -241,7 +247,9 @@ pub struct ServingConfig {
     /// idle flash/decrypt/alloc lanes.
     pub restore_ahead: bool,
     /// Prefill chunk size in prompt tokens: at most one chunk of the active
-    /// prefill joins each NPU step.
+    /// prefill joins each NPU step, and it is this long below the in-flight
+    /// cap or with nothing queued.  At the cap with a request waiting, a
+    /// step with decodes sizes its chunk to its weight-read slack instead.
     pub prefill_chunk_tokens: usize,
     /// Capacity of the restoration-plan cache (entries); `0` disables it and
     /// every dispatch rebuilds and resimulates its plan.
@@ -319,7 +327,65 @@ impl ServingConfig {
             ..Self::paper_default(profile)
         }
     }
+
+    /// Checks every field the server cannot run outside its range:
+    /// `max_inflight` and `prefill_chunk_tokens` at least 1, and the
+    /// adaptive retention step and the KV budget fraction in `[0, 1]`.
+    /// [`Server::new`] calls this before it schedules anything.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let fraction = |f: f64| (0.0..=1.0).contains(&f);
+        if self.max_inflight == 0 {
+            return Err(ConfigError::ZeroMaxInflight);
+        }
+        if self.prefill_chunk_tokens == 0 {
+            return Err(ConfigError::ZeroPrefillChunkTokens);
+        }
+        if let RetentionPolicy::Adaptive { step_fraction } = self.retention {
+            if !fraction(step_fraction) {
+                return Err(ConfigError::StepFraction(step_fraction));
+            }
+        }
+        if !fraction(self.kv.budget_fraction) {
+            return Err(ConfigError::KvBudgetFraction(self.kv.budget_fraction));
+        }
+        Ok(())
+    }
 }
+
+/// A [`ServingConfig`] field outside the range the server can run; the
+/// `Display` form names the field and its value.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ConfigError {
+    /// `max_inflight` is 0: no admitted request could ever dispatch.
+    ZeroMaxInflight,
+    /// `prefill_chunk_tokens` is 0: no prefill could make progress.
+    ZeroPrefillChunkTokens,
+    /// `RetentionPolicy::Adaptive { step_fraction }` is outside `[0, 1]` or
+    /// NaN.
+    StepFraction(f64),
+    /// `kv.budget_fraction` is outside `[0, 1]` or NaN.
+    KvBudgetFraction(f64),
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ConfigError::ZeroMaxInflight => write!(f, "max_inflight = 0, must be at least 1"),
+            ConfigError::ZeroPrefillChunkTokens => {
+                write!(f, "prefill_chunk_tokens = 0, must be at least 1")
+            }
+            ConfigError::StepFraction(v) => write!(
+                f,
+                "retention Adaptive {{ step_fraction }} = {v}, must be in [0, 1]"
+            ),
+            ConfigError::KvBudgetFraction(v) => {
+                write!(f, "kv.budget_fraction = {v}, must be in [0, 1]")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 /// One serving request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -407,8 +473,10 @@ pub struct RequestRecord {
     /// summed over every step it was a member of.
     pub stall_sharing: SimDuration,
     /// Prefill time beyond the ideal service TTFT: how long the chunked
-    /// prefill waited on the decode steps it interleaved with (zero, up to
-    /// step-time rounding, when no decode shared its steps).
+    /// prefill waited on the decode steps it interleaved with, including
+    /// the time it spent spread thin over slack-sized chunks at the
+    /// in-flight cap (zero, up to step-time rounding, when no decode shared
+    /// its steps).
     pub prefill_stall: SimDuration,
     /// The per-request evaluation (service-time TTFT, decode speed, breakdown).
     pub report: InferenceReport,
@@ -665,10 +733,12 @@ struct BatchedPrefill {
     /// NPU seconds one full chunk costs (the window split proportionally
     /// over the prompt's new tokens).
     chunk_secs: f64,
-    /// Chunks already consumed / total chunks, for telemetry span labels
-    /// (`"chunk 3/9"`); pure bookkeeping, never priced.
+    /// NPU seconds one new prompt token costs: the least a slack-sized
+    /// chunk consumes.
+    token_secs: f64,
+    /// Chunks already consumed, for telemetry span labels (`"chunk 3"`);
+    /// pure bookkeeping, never priced.
     chunks_done: u32,
-    chunks_total: u32,
     kv_full_hashes: Vec<u64>,
     kv_total_tokens: usize,
     /// Acceptance model of the response (carried through to the decode).
@@ -1236,7 +1306,7 @@ fn complete_request(
             RetentionPolicy::ReleaseAll => 0,
             RetentionPolicy::KeepAll => total,
             RetentionPolicy::Adaptive { step_fraction } => {
-                let step = (total as f64 * step_fraction.clamp(0.0, 1.0)) as u64;
+                let step = (total as f64 * step_fraction) as u64;
                 entry
                     .retained_target
                     .saturating_add(step)
@@ -1274,7 +1344,7 @@ fn complete_request(
             .saturating_sub(state.config.memory_pressure);
         let params_retained: u64 = state.models.iter().map(|m| m.retained_target).sum();
         let secure_budget = (headroom.saturating_sub(params_retained) as f64
-            * state.config.kv.budget_fraction.clamp(0.0, 1.0)) as u64;
+            * state.config.kv.budget_fraction) as u64;
         let active = state.active_sessions();
         state.kv.enforce(secure_budget, &active);
     }
@@ -1394,20 +1464,14 @@ fn on_service_ready_for_batch(state: &mut ServerState, sched: &mut EventSchedule
         .prompt_len
         .saturating_sub(svc.record.kv_reused_tokens)
         .max(1);
-    let chunk_tokens = state.config.prefill_chunk_tokens.max(1).min(new_tokens);
-    let chunk_secs = npu_secs * chunk_tokens as f64 / new_tokens as f64;
-    let chunks_total = if chunk_secs > 0.0 {
-        (npu_secs / chunk_secs).ceil().max(1.0) as u32
-    } else {
-        1
-    };
+    let chunk_tokens = state.config.prefill_chunk_tokens.min(new_tokens);
     state.batch_pending.push_back(BatchedPrefill {
         record: svc.record,
         model: svc.model,
         npu_secs_left: npu_secs,
-        chunk_secs,
+        chunk_secs: npu_secs * chunk_tokens as f64 / new_tokens as f64,
+        token_secs: npu_secs / new_tokens as f64,
         chunks_done: 0,
-        chunks_total,
         kv_full_hashes: svc.kv_full_hashes,
         kv_total_tokens: svc.kv_total_tokens,
         accept_permille: svc.accept_permille,
@@ -1420,10 +1484,21 @@ fn on_service_ready_for_batch(state: &mut ServerState, sched: &mut EventSchedule
 /// Prices and schedules the next batched NPU step, if the batch has work and
 /// no step is already in flight.  One step = one decode token for every
 /// member sequence (more under speculation) plus at most one chunk of the
-/// active prefill, the chunk being its share of the prefill plan's NPU
+/// active prefill, the chunk being a slice of the prefill plan's NPU
 /// window; [`StepBatch::choose`] prices it (the weight read, the operator
 /// launches and the world-switch handoffs once per distinct model plus
-/// every sequence's per-token MACs) and picks its draft depth.
+/// every sequence's per-token MACs), sizes a slack chunk and picks its
+/// draft depth.
+///
+/// The chunk is `prefill_chunk_tokens` long unless every in-flight slot is
+/// taken, a request waits in the queue and the step has decodes: then no
+/// new prefill can start before a decode finishes, so a full chunk would
+/// only end this prefill sooner and leave the decode-only steps after it
+/// with idle NPU time under their weight reads.  In that state the chunk
+/// fills the step's weight-read slack instead ([`step::Chunk::Slack`]) and
+/// costs the decodes nothing, or carries one prompt token's share of the
+/// window when a compute-bound pass leaves less.  In any other state a
+/// slack chunk would only delay a first token.
 fn maybe_start_batch_step(state: &mut ServerState, sched: &mut EventScheduler<ServerState>) {
     if state.batch_running {
         return;
@@ -1454,10 +1529,19 @@ fn maybe_start_batch_step(state: &mut ServerState, sched: &mut EventScheduler<Se
     // chunk cadence (and so cold-heavy TTFT) at the plain batched loop's.
     // With speculation off only depth 0 is priced, which is bit-for-bit the
     // plain batched step.
-    let chunk_secs = state
-        .batch_prefill
-        .as_ref()
-        .map_or(0.0, |p| p.chunk_secs.min(p.npu_secs_left));
+    // Every slot taken and a request waiting: no new prefill can start
+    // before a decode finishes, so the chunk fills the decodes' slack.
+    let slack = state.inflight == state.config.max_inflight
+        && !state.queue.is_empty()
+        && !state.batch_decodes.is_empty();
+    let chunk = match &state.batch_prefill {
+        None => Chunk::Fixed(0.0),
+        Some(p) if slack => Chunk::Slack {
+            floor_secs: p.token_secs,
+            left_secs: p.npu_secs_left,
+        },
+        Some(p) => Chunk::Fixed(p.chunk_secs.min(p.npu_secs_left)),
+    };
     let deciding = state.draft.is_some() && state.batch_prefill.is_none();
     let max_depth = if deciding {
         state.config.speculation.k as u64
@@ -1468,13 +1552,13 @@ fn maybe_start_batch_step(state: &mut ServerState, sched: &mut EventScheduler<Se
         members: state.batch_decodes.iter().map(|d| &d.member),
         models: &state.step_models,
         draft: state.draft.map(|id| &state.step_models[id.0 as usize]),
-        chunk_secs,
+        chunk,
     }
     .choose(
         max_depth,
         step::acceptance_estimate(state.spec_accepted_tokens, state.spec_examined_tokens),
     );
-    let depth = price.depth;
+    let (depth, chunk_secs) = (price.depth, price.chunk_secs);
     let (mut draft_secs, mut step_secs) = (price.draft_secs, price.step_secs);
     if deciding {
         state.spec_depth_steps[depth as usize] += 1;
@@ -1542,10 +1626,10 @@ fn maybe_start_batch_step(state: &mut ServerState, sched: &mut EventScheduler<Se
         if chunk_secs > 0.0 {
             if let Some(p) = &state.batch_prefill {
                 let chunk_label = format!(
-                    "req {} chunk {}/{}",
+                    "req {} chunk {}{}",
                     p.record.request.id,
                     p.chunks_done + 1,
-                    p.chunks_total
+                    if slack { " slack" } else { "" }
                 );
                 let chunk_end = (now + SimDuration::from_secs_f64(chunk_secs)).min(end);
                 state
@@ -1697,7 +1781,7 @@ fn on_batched_first_token(
         members: std::iter::once(&member),
         models: &state.step_models,
         draft: None,
-        chunk_secs: 0.0,
+        chunk: Chunk::Fixed(0.0),
     }
     .choose(0, 0.0)
     .step_secs;
@@ -1938,7 +2022,14 @@ fn model_entry(
 impl Server {
     /// Creates a server over a model catalogue. Each model gets its own cold
     /// [`CacheController`].
+    ///
+    /// # Panics
+    /// Panics with the [`ConfigError`] if `config` fails
+    /// [`ServingConfig::validate`].
     pub fn new(config: ServingConfig, catalogue: Vec<ModelSpec>) -> Server {
+        if let Err(e) = config.validate() {
+            panic!("invalid serving config: {e}");
+        }
         let mut ledger = CapacityLedger::new();
         let lane_npu = ledger.add_lane("npu", 1);
         let lane_flash = ledger.add_lane("flash", 1);

@@ -5,8 +5,13 @@
 //! ([`llm::BatchedStepCosts`]).
 //!
 //! A step advances every member decode by at least one token and may run one
-//! prefill chunk alongside.  At draft depth `k` each member proposes
-//! `k_i = min(k, tokens_left − 1)` tokens, and the step costs:
+//! prefill chunk alongside.  The chunk is either a fixed slice of its
+//! prefill's NPU window or, under [`Chunk::Slack`], sized by
+//! [`StepBatch::choose`] to the plain pass's weight-read slack: the distinct
+//! models' weight passes less the members' fused decode compute, so the
+//! chunk costs no NPU time the pass does not already pay.  At draft depth
+//! `k` each member proposes `k_i = min(k, tokens_left − 1)` tokens, and the
+//! step costs:
 //!
 //! * `max(k_i)` serial draft rounds — round `r` batches every member with
 //!   `k_i > r` and costs `max(draft launches + Σ draft MACs, draft weight
@@ -104,6 +109,31 @@ impl StepMember {
     }
 }
 
+/// The prefill chunk riding a step, in seconds of its prefill plan's NPU
+/// window.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Chunk {
+    /// A chunk of fixed length (0 when no prefill rides along).
+    Fixed(f64),
+    /// A chunk as long as the plain pass's weight-read slack, but at least
+    /// `floor_secs` (one prompt token's share of the window) and at most
+    /// `left_secs` (what the prefill has left).
+    Slack { floor_secs: f64, left_secs: f64 },
+}
+
+impl Chunk {
+    /// The chunk's length in a pass with `slack_secs` of weight-read slack.
+    fn secs(self, slack_secs: f64) -> f64 {
+        match self {
+            Chunk::Fixed(secs) => secs,
+            Chunk::Slack {
+                floor_secs,
+                left_secs,
+            } => slack_secs.max(floor_secs).min(left_secs),
+        }
+    }
+}
+
 /// What a batched step costs at one draft depth, and what it is expected to
 /// emit.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -114,6 +144,8 @@ pub(crate) struct StepPrice {
     pub draft_secs: f64,
     /// Seconds of the whole step.
     pub step_secs: f64,
+    /// Seconds of the prefill chunk riding the step (0 when none does).
+    pub chunk_secs: f64,
     /// Expected tokens the members emit.
     pub tokens: f64,
 }
@@ -135,9 +167,8 @@ pub(crate) struct StepBatch<'a, M> {
     pub models: &'a [StepModel],
     /// The draft model's coefficients (`None` when speculation is off).
     pub draft: Option<&'a StepModel>,
-    /// Prefill-chunk seconds in the step: the chunk's share of its prefill
-    /// plan's NPU window (0 when none rides along).
-    pub chunk_secs: f64,
+    /// The prefill chunk riding along.
+    pub chunk: Chunk,
 }
 
 impl<'a, M> StepBatch<'a, M>
@@ -151,16 +182,21 @@ where
     /// deeper price would repeat the last one.  Each depth adds one draft
     /// round and re-sums the verify sweep, so the walk is O(members ×
     /// (max_depth + 1)) and allocates nothing.  At `max_depth == 0` this is
-    /// the plain batched step.
+    /// the plain batched step.  A [`Chunk::Slack`] chunk is sized once, at
+    /// depth 0, against the plain pass's slack, and rides every depth at
+    /// that length.
     pub fn choose(&self, max_depth: u64, accept: f64) -> StepPrice {
         let members = || self.members.clone();
         if members().next().is_none() {
             // Chunk-only step: the prefill's own plan already prices its
-            // weight reads and overheads inside the NPU window being sliced.
+            // weight reads and overheads inside the NPU window being sliced,
+            // and no pass leaves slack to fill.
+            let chunk_secs = self.chunk.secs(0.0);
             return StepPrice {
                 depth: 0,
                 draft_secs: 0.0,
-                step_secs: self.chunk_secs,
+                step_secs: chunk_secs,
+                chunk_secs,
                 tokens: 0.0,
             };
         }
@@ -180,6 +216,7 @@ where
             }
         }
         let mut best: Option<StepPrice> = None;
+        let mut chunk_secs = 0.0f64;
         let mut draft_secs = 0.0f64;
         let mut tokens = members().count() as f64;
         let mut accept_pow = 1.0f64;
@@ -215,12 +252,16 @@ where
                 })
                 .sum();
             let compute_secs = solo_secs - launch_saving_secs;
+            if depth == 0 {
+                // The plain pass's slack: the weight reads its fused decode
+                // compute leaves the NPU idle under.
+                chunk_secs = self.chunk.secs(weight_secs - compute_secs);
+            }
             let price = StepPrice {
                 depth,
                 draft_secs,
-                step_secs: draft_secs
-                    + (compute_secs + self.chunk_secs).max(weight_secs)
-                    + handoff_secs,
+                step_secs: draft_secs + (compute_secs + chunk_secs).max(weight_secs) + handoff_secs,
+                chunk_secs,
                 tokens,
             };
             if best.is_none_or(|b| price.rate() > b.rate()) {
@@ -284,7 +325,7 @@ mod tests {
             members: members.iter(),
             models,
             draft: Some(draft),
-            chunk_secs: 0.0,
+            chunk: Chunk::Fixed(0.0),
         }
     }
 
@@ -318,7 +359,7 @@ mod tests {
         let (models, draft) = rk3588_models();
         let members = [member(&models, 300, 50), member(&models, 900, 2)];
         let plain = StepBatch {
-            chunk_secs: 0.004,
+            chunk: Chunk::Fixed(0.004),
             ..batch(&models, &draft, &members)
         }
         .choose(0, 0.9);
@@ -334,7 +375,7 @@ mod tests {
         let without = batch(&models, &draft, &members).choose(0, 0.9);
         assert_eq!(plain.step_secs, without.step_secs);
         let alone = StepBatch {
-            chunk_secs: 0.004,
+            chunk: Chunk::Fixed(0.004),
             ..batch(&models, &draft, &[])
         }
         .choose(4, 0.9);
@@ -484,6 +525,116 @@ mod tests {
         );
     }
 
+    /// One of the random batches the property tests price: 1–16 members,
+    /// mostly qwen2.5-3b and some tinyllama-1.1b, at KV 1–4096 with 1–8
+    /// tokens left, plus an acceptance rate and a depth cap.  Every draw
+    /// comes from `rng`, so a seed names the same 500 batches in each test.
+    fn random_batch(models: &[StepModel], rng: &mut DetRng) -> (Vec<StepMember>, f64, u64) {
+        let n = rng.gen_range(1, 17) as usize;
+        let members = (0..n)
+            .map(|_| {
+                let model = u32::from(rng.gen_bool(0.25));
+                member_of(
+                    models,
+                    model,
+                    rng.gen_range(1, 4097) as usize,
+                    rng.gen_range(1, 9),
+                )
+            })
+            .collect();
+        let accept = rng.gen_range_f64(0.05, 0.99);
+        (members, accept, rng.gen_range(0, 7))
+    }
+
+    /// The plain pass's weight reads and fused decode compute, summed
+    /// directly: one weight pass and one launch set per distinct model,
+    /// and every member's MACs.
+    fn plain_pass(models: &[StepModel], members: &[StepMember]) -> (f64, f64) {
+        let mut present: Vec<ModelId> = members.iter().map(|m| m.model).collect();
+        present.sort();
+        present.dedup();
+        let per_model = |f: fn(&StepModel) -> f64| -> f64 {
+            present.iter().map(|id| f(&models[id.0 as usize])).sum()
+        };
+        let macs: f64 = members
+            .iter()
+            .map(|m| {
+                let step = &models[m.model.0 as usize].step;
+                step.decode_compute_secs(m.kv_len) - step.launch_secs
+            })
+            .sum();
+        (
+            per_model(|p| p.step.weight_pass_secs),
+            per_model(|p| p.step.launch_secs) + macs,
+        )
+    }
+
+    /// A slack chunk fills the plain pass's weight-read slack: where the
+    /// slack exceeds the one-token floor, the step carrying it costs the
+    /// chunk-free step; where the prefill has less left, the chunk is the
+    /// rest and still free; a compute-bound pass gets exactly the floor;
+    /// and the slack does not depend on the members' order.
+    #[test]
+    fn a_slack_chunk_costs_the_plain_pass_nothing_above_its_floor() {
+        let (models, draft) = rk3588_models();
+        let mut rng = DetRng::new(0x5DEC);
+        let mut perturb = DetRng::new(0x51AC);
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-12 * a.max(b);
+        // One prompt token's share of a qwen2.5-3b prefill window is a few
+        // milliseconds.
+        let floor_secs = 0.003;
+        let (mut filled, mut floored) = (0, 0);
+        for case in 0..500 {
+            let (members, accept, _) = random_batch(&models, &mut rng);
+            let with_chunk = |members: &[StepMember], left_secs: f64| {
+                StepBatch {
+                    chunk: Chunk::Slack {
+                        floor_secs,
+                        left_secs,
+                    },
+                    ..batch(&models, &draft, members)
+                }
+                .choose(0, accept)
+            };
+            let plain = batch(&models, &draft, &members).choose(0, accept);
+            let slack = with_chunk(&members, 10.0);
+            let (weights, compute) = plain_pass(&models, &members);
+            if weights - compute > floor_secs * (1.0 + 1e-9) {
+                filled += 1;
+                assert!(
+                    close(slack.step_secs, plain.step_secs),
+                    "case {case}: {slack:?} vs the chunk-free {plain:?}"
+                );
+                assert!(
+                    (slack.chunk_secs - (weights - compute)).abs() <= 1e-12 * weights,
+                    "case {case}: chunk {} vs slack {}",
+                    slack.chunk_secs,
+                    weights - compute
+                );
+                let rest = with_chunk(&members, slack.chunk_secs / 2.0);
+                assert_eq!(rest.chunk_secs, slack.chunk_secs / 2.0, "case {case}");
+                assert_eq!(rest.step_secs, plain.step_secs, "case {case}");
+            }
+            if compute > weights * (1.0 + 1e-9) {
+                floored += 1;
+                assert_eq!(slack.chunk_secs, floor_secs, "case {case}");
+            }
+            let mut shuffled = members.clone();
+            perturb.shuffle(&mut shuffled);
+            let permuted = with_chunk(&shuffled, 10.0);
+            assert!(
+                (permuted.chunk_secs - slack.chunk_secs).abs() <= 1e-12 * slack.step_secs,
+                "case {case}: permuted chunk {} vs {}",
+                permuted.chunk_secs,
+                slack.chunk_secs
+            );
+        }
+        assert!(
+            filled >= 100 && floored >= 100,
+            "{filled} filled, {floored} floored"
+        );
+    }
+
     /// A direct evaluation of the step price at one depth under the fused
     /// rule, written independently of the incremental walk: every distinct
     /// model launches its operators once (the draft once per round), and
@@ -540,6 +691,7 @@ mod tests {
             depth,
             draft_secs,
             step_secs: draft_secs + compute.max(weights) + handoffs,
+            chunk_secs: 0.0,
             tokens,
         }
     }
@@ -558,21 +710,8 @@ mod tests {
         let close = |a: f64, b: f64| (a - b).abs() <= 1e-12 * a.max(b);
         let mut same_depth_growths = 0;
         for case in 0..500 {
-            let n = rng.gen_range(1, 17) as usize;
-            let members: Vec<StepMember> = (0..n)
-                .map(|_| {
-                    // Mostly qwen2.5-3b members, some tinyllama-1.1b ones.
-                    let model = u32::from(rng.gen_bool(0.25));
-                    member_of(
-                        &models,
-                        model,
-                        rng.gen_range(1, 4097) as usize,
-                        rng.gen_range(1, 9),
-                    )
-                })
-                .collect();
-            let accept = rng.gen_range_f64(0.05, 0.99);
-            let max_depth = rng.gen_range(0, 7);
+            let (members, accept, max_depth) = random_batch(&models, &mut rng);
+            let n = members.len();
             let chosen = batch(&models, &draft, &members).choose(max_depth, accept);
             assert!(chosen.depth <= max_depth, "case {case}");
             let at_chosen = direct_price(&models, &draft, &members, chosen.depth, accept);

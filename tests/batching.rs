@@ -1,13 +1,17 @@
 //! Acceptance properties of token-level continuous batching with chunked
 //! prefill: the step loop is deterministic, smaller prefill chunks never
 //! worsen decode sharing stall, no decode is ever starved behind
-//! back-to-back prefills, and the batched dispatcher wins the
+//! back-to-back prefills, a chunk at the in-flight cap with a backlog fills
+//! the decode pass's weight-read slack (and still advances a compute-bound
+//! batch's prefill), and the batched dispatcher wins the
 //! saturation-throughput comparison against the serial device at no worse
 //! cold-heavy p95 TTFT.
 
-use sim_core::{SimDuration, SimTime};
+use std::collections::BTreeMap;
+
+use sim_core::{Phase, SimDuration, SimTime, Track};
 use tz_hal::PlatformProfile;
-use tzllm::serving::{Server, ServingConfig, ServingReport};
+use tzllm::serving::{RequestRecord, Server, ServingConfig, ServingReport};
 use workloads::{ArrivalProcess, WorkloadSpec};
 
 const MODELS: [&str; 3] = ["tinyllama-1.1b", "qwen2.5-3b", "phi-3-3.8b"];
@@ -116,6 +120,133 @@ fn no_decode_starves_behind_back_to_back_prefills() {
         "decode {decode_secs}s must be bounded by {tokens} steps of at most \
          {max_step_secs}s"
     );
+}
+
+/// One slack-sized prefill chunk as the NPU track shows it.
+struct SlackChunk {
+    request: u64,
+    chunk_ns: u64,
+    step_ns: u64,
+}
+
+/// Every prefill chunk of a traced run whose span is marked slack-sized,
+/// with the length of the step that carried it.
+fn slack_chunks(report: &ServingReport) -> Vec<SlackChunk> {
+    let telemetry = report.telemetry.as_ref().expect("telemetry was enabled");
+    let npu = |track: &Track| matches!(track, Track::Lane(_));
+    let steps: BTreeMap<SimTime, SimDuration> = telemetry
+        .spans()
+        .iter()
+        .filter(|s| s.phase == Phase::BatchStep && npu(&s.track))
+        .map(|s| (s.start, s.duration()))
+        .collect();
+    telemetry
+        .spans()
+        .iter()
+        .filter(|s| s.phase == Phase::PrefillChunk)
+        .filter_map(|s| {
+            let label = telemetry.resolve(s.label);
+            let request = label.strip_suffix(" slack")?.split(' ').nth(1)?;
+            Some(SlackChunk {
+                request: request.parse().expect("the label names the request"),
+                chunk_ns: s.duration().as_nanos(),
+                step_ns: steps[&s.start].as_nanos(),
+            })
+        })
+        .collect()
+}
+
+/// Nanoseconds of one weight pass plus the handoffs of a one-model step.
+fn weight_pass_and_handoffs_ns(spec: &llm::ModelSpec) -> f64 {
+    let profile = PlatformProfile::rk3588();
+    let weight = llm::CostModel::rk3588()
+        .batched_step_costs(spec)
+        .weight_pass_secs;
+    let handoffs = (profile.codriver_switch_cost() * 2 * spec.layers as u64).as_secs_f64();
+    (weight + handoffs) * 1e9
+}
+
+/// Stall-free prefill under backlog: an open-loop overload on one model
+/// holds every slot with requests waiting, so each prefill chunk is sized
+/// to the step's weight-read slack, and every step carrying such a chunk
+/// lasts exactly the weight pass plus handoffs the decodes alone would
+/// have paid, to the nanosecond rounding the loop carries.
+#[test]
+fn a_slack_chunk_at_the_cap_costs_the_decodes_nothing() {
+    let mut config = ServingConfig::paper_default(PlatformProfile::rk3588());
+    config.telemetry = true;
+    let overload = WorkloadSpec::standard(
+        ArrivalProcess::Poisson { rate_per_sec: 1.0 },
+        60,
+        "qwen2.5-3b",
+    );
+    let report = Server::run_workload(config, one_model(), &overload, 7);
+    assert_eq!(report.fleet.completed + report.fleet.rejected, 60);
+    let expected_ns = weight_pass_and_handoffs_ns(&one_model()[0]);
+    let chunks = slack_chunks(&report);
+    assert!(
+        chunks.len() >= 100,
+        "the overload must hold the cap with a queue: {} slack chunks",
+        chunks.len()
+    );
+    for c in &chunks {
+        assert!(
+            (c.step_ns as f64 - expected_ns).abs() <= 1.0,
+            "req {}: a step carrying a {} ns slack chunk lasted {} ns, not {expected_ns} ns",
+            c.request,
+            c.chunk_ns,
+            c.step_ns
+        );
+    }
+}
+
+/// The chunk floor: at the cap with a backlog, a batch of long-context
+/// tinyllama-1.1b decodes is compute-bound and leaves no slack, so each
+/// slack chunk is one prompt token's share of its prefill's NPU window.
+/// Every prefill still advances every step, every request completes, and
+/// requests are conserved.
+#[test]
+fn a_compute_bound_batch_at_the_cap_still_completes_every_prefill() {
+    let mut config = ServingConfig::paper_default(PlatformProfile::rk3588());
+    config.telemetry = true;
+    let tiny = llm::ModelSpec::tinyllama_1_1b();
+    let mut server = Server::new(config, vec![tiny.clone()]);
+    // Sixteen requests for twelve slots, each decoding a 1,456-token context.
+    for id in 0..16 {
+        server.submit_at(SimTime::ZERO, id, "tinyllama-1.1b", 256, 1200);
+    }
+    let report = server.run();
+    assert_eq!((report.fleet.completed, report.fleet.rejected), (16, 0));
+    for r in &report.records {
+        assert!(r.dispatched <= r.first_token && r.first_token < r.completed);
+    }
+    // One prompt token's share of a record's prefill window, as the step
+    // loop slices it.
+    let token_share_ns = |r: &RequestRecord| {
+        let window = (r.report.npu_busy + r.report.breakdown.npu_overhead).min(r.report.ttft);
+        let new_tokens = r.request.prompt_len - r.kv_reused_tokens;
+        window.as_secs_f64() / new_tokens as f64 * 1e9
+    };
+    let expected_ns = weight_pass_and_handoffs_ns(&tiny);
+    let mut floored = 0;
+    for c in slack_chunks(&report) {
+        if c.step_ns as f64 > expected_ns + 1.0 {
+            floored += 1;
+            let record = report
+                .records
+                .iter()
+                .find(|r| r.request.id == c.request)
+                .expect("every request completes");
+            assert!(
+                (c.chunk_ns as f64 - token_share_ns(record)).abs() <= 1.0,
+                "req {}: a compute-bound step carried a {} ns chunk, not one token's {} ns",
+                c.request,
+                c.chunk_ns,
+                token_share_ns(record)
+            );
+        }
+    }
+    assert!(floored >= 100, "{floored} floor-sized chunks");
 }
 
 /// The headline acceptance comparison: at an overload arrival rate on

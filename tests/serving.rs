@@ -3,7 +3,7 @@
 
 use sim_core::SimDuration;
 use tz_hal::PlatformProfile;
-use tzllm::serving::{RetentionPolicy, Server, ServingConfig};
+use tzllm::serving::{ConfigError, RetentionPolicy, Server, ServingConfig};
 use workloads::{ArrivalProcess, WorkloadSpec};
 
 fn config() -> ServingConfig {
@@ -130,4 +130,86 @@ fn warm_p50_beats_cold_start() {
         assert!(w.report.ttft <= c.report.ttft);
     }
     assert!(warm.records[2].report.ttft < cold.records[2].report.ttft);
+}
+
+/// `ServingConfig::validate` rejects each field the server cannot run
+/// outside its range with a typed error that names the field and value,
+/// and accepts the shipped configurations and the edges of every range.
+#[test]
+fn validate_rejects_each_out_of_range_field() {
+    type Edit = fn(&mut ServingConfig);
+    let cases: [(Edit, Option<ConfigError>); 10] = [
+        (|c| c.max_inflight = 1, None),
+        (|c| c.prefill_chunk_tokens = 1, None),
+        (|c| c.kv.budget_fraction = 0.0, None),
+        (
+            |c| c.retention = RetentionPolicy::Adaptive { step_fraction: 1.0 },
+            None,
+        ),
+        (|c| c.max_inflight = 0, Some(ConfigError::ZeroMaxInflight)),
+        (
+            |c| c.prefill_chunk_tokens = 0,
+            Some(ConfigError::ZeroPrefillChunkTokens),
+        ),
+        (
+            |c| c.retention = RetentionPolicy::Adaptive { step_fraction: 1.5 },
+            Some(ConfigError::StepFraction(1.5)),
+        ),
+        (
+            |c| {
+                c.retention = RetentionPolicy::Adaptive {
+                    step_fraction: -0.25,
+                }
+            },
+            Some(ConfigError::StepFraction(-0.25)),
+        ),
+        (
+            |c| c.kv.budget_fraction = 1.01,
+            Some(ConfigError::KvBudgetFraction(1.01)),
+        ),
+        (
+            |c| c.kv.budget_fraction = -0.5,
+            Some(ConfigError::KvBudgetFraction(-0.5)),
+        ),
+    ];
+    for (i, (edit, expected)) in cases.into_iter().enumerate() {
+        let mut c = config();
+        edit(&mut c);
+        assert_eq!(c.validate().err(), expected, "case {i}");
+    }
+    for shipped in [
+        config(),
+        ServingConfig::serial(PlatformProfile::rk3588()),
+        ServingConfig::chat_default(PlatformProfile::rk3588()),
+    ] {
+        assert_eq!(shipped.validate(), Ok(()));
+    }
+    // NaN is outside every range (and never equal to itself, so match it).
+    let mut c = config();
+    c.retention = RetentionPolicy::Adaptive {
+        step_fraction: f64::NAN,
+    };
+    assert!(matches!(c.validate(), Err(ConfigError::StepFraction(v)) if v.is_nan()));
+    c = config();
+    c.kv.budget_fraction = f64::NAN;
+    let err = c.validate().expect_err("NaN is rejected");
+    assert!(matches!(err, ConfigError::KvBudgetFraction(v) if v.is_nan()));
+    assert_eq!(
+        err.to_string(),
+        "kv.budget_fraction = NaN, must be in [0, 1]"
+    );
+    assert_eq!(
+        ConfigError::ZeroMaxInflight.to_string(),
+        "max_inflight = 0, must be at least 1"
+    );
+}
+
+/// A server with no in-flight slot would silently lose every admitted
+/// request; it is refused when it is built, with the field named.
+#[test]
+#[should_panic(expected = "invalid serving config: max_inflight = 0")]
+fn a_server_without_an_inflight_slot_is_refused_when_built() {
+    let mut c = config();
+    c.max_inflight = 0;
+    let _ = Server::new(c, catalogue());
 }

@@ -45,27 +45,17 @@ fn fleet_run(config: ServingConfig, seed: u64) -> ServingReport {
 }
 
 /// The escape hatch: the paper's speculation setup with its depth cap `k`
-/// at zero is bit-for-bit the plain batched step loop — the acceptance RNG
-/// is never drawn, no draft entry is wired (although the qwen2.5-0.5b draft
-/// pairs with the target), and every record and counter is identical.
+/// at zero is the configuration `paper_default` ships, speculation off, and
+/// that run is the plain batched step loop — no draft entry is wired
+/// (although the qwen2.5-0.5b draft pairs with the target), so no step
+/// drafts and no sequence emits more than one token per step.
 #[test]
 fn speculation_off_is_bit_for_bit_the_batched_step_loop() {
-    let baseline = fleet_run(
-        ServingConfig::paper_default(PlatformProfile::rk3588()),
-        0xA6E7,
-    );
-    let mut disabled_cfg = ServingConfig::paper_default(PlatformProfile::rk3588());
-    disabled_cfg.speculation = SpeculationConfig::paper_default();
+    let baseline_cfg = ServingConfig::paper_default(PlatformProfile::rk3588());
+    let mut disabled_cfg = spec_on(baseline_cfg.clone());
     disabled_cfg.speculation.k = 0;
-    let disabled = fleet_run(disabled_cfg, 0xA6E7);
-    assert_eq!(
-        format!("{:?}", baseline.fleet),
-        format!("{:?}", disabled.fleet)
-    );
-    assert_eq!(
-        format!("{:?}", baseline.records),
-        format!("{:?}", disabled.records)
-    );
+    assert_eq!(disabled_cfg.speculation, baseline_cfg.speculation);
+    let baseline = fleet_run(baseline_cfg, 0xA6E7);
     assert_eq!(baseline.fleet.spec_steps, 0);
     assert_eq!(baseline.fleet.spec_proposed_tokens, 0);
     assert!(baseline.fleet.spec_emitted_per_step.is_empty());
