@@ -234,6 +234,12 @@ const GATES: &[Gate] = &[
         key: "figures.fig09_qwen128_reduction_pct",
         check: Check::MinRatio(0.95),
     },
+    // fig11's TZ-LLM decode speed: a change to the decode weight stream or
+    // the per-token handoff price moves a gated number, not only a CSV.
+    Gate {
+        key: "figures.fig11_qwen128_tzllm_tps",
+        check: Check::MinRatio(0.95),
+    },
     Gate {
         key: "figures.fig14_qwen128_warm_norm",
         check: Check::MaxRatio(1.05),

@@ -22,9 +22,10 @@
 //!   step loop: throughput on a decode-heavy agent fleet with the
 //!   Qwen2.5-0.5B draft on vs off, acceptance/overhead telemetry, and the
 //!   cold-heavy p95 TTFT guard.
-//! * **`figures`** — the fig09 (TZ-LLM vs strawman TTFT) and fig14
-//!   (fully-cached normalised TTFT) headline points, recomputed so the CI
-//!   gate catches calibration regressions in the figure binaries.
+//! * **`figures`** — the fig09 (TZ-LLM vs strawman TTFT), fig11 (TZ-LLM
+//!   decode speed) and fig14 (fully-cached normalised TTFT) headline
+//!   points, recomputed so the CI gate catches calibration regressions in
+//!   the figure binaries.
 //! * **`trace`** — a telemetry-enabled cold-heavy fleet: reconciles every
 //!   request's lifecycle-span sum against its recorded TTFT, checks the
 //!   critical-path attribution covers >=90% of cold TTFT, and writes the
@@ -861,6 +862,9 @@ fn scenario_figures(_opts: &HarnessOptions) -> String {
     let fig09_tzllm_s = fig_tz.ttft.as_secs_f64();
     let fig09_reduction_pct =
         (1.0 - fig_tz.ttft.as_secs_f64() / fig_straw.ttft.as_secs_f64()) * 100.0;
+    // The same report's decode speed is fig11's TZ-LLM point: the decode
+    // weight stream plus the per-token co-driver handoffs.
+    let fig11_tzllm_tps = fig_tz.decode_tokens_per_sec;
     let mut warm_cfg = fig_cfg.clone();
     warm_cfg.cached_fraction = 1.0;
     let fig14_warm_norm = evaluate(SystemKind::TzLlm, &profile, &warm_cfg)
@@ -869,7 +873,8 @@ fn scenario_figures(_opts: &HarnessOptions) -> String {
         / fig09_tzllm_s;
     println!(
         "figure headlines: fig09 qwen@128 TZ-LLM {fig09_tzllm_s:.3} s \
-         ({fig09_reduction_pct:.1}% vs strawman), fig14 warm-normalised {fig14_warm_norm:.3}"
+         ({fig09_reduction_pct:.1}% vs strawman), fig11 qwen@128 TZ-LLM \
+         {fig11_tzllm_tps:.2} tok/s, fig14 warm-normalised {fig14_warm_norm:.3}"
     );
 
     let mut json = String::new();
@@ -878,6 +883,10 @@ fn scenario_figures(_opts: &HarnessOptions) -> String {
     let _ = writeln!(
         json,
         "    \"fig09_qwen128_reduction_pct\": {fig09_reduction_pct:.1},"
+    );
+    let _ = writeln!(
+        json,
+        "    \"fig11_qwen128_tzllm_tps\": {fig11_tzllm_tps:.2},"
     );
     let _ = write!(
         json,

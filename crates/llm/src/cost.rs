@@ -6,8 +6,10 @@
 //! * CPU-only prefill of Llama-3-8B at 512 tokens takes ≈164.5 s (Figure 1);
 //! * the Rockchip NPU speeds prefill up by ≈12.5× and decoding by ≈1.3×
 //!   (§2.3);
-//! * decoding is memory-bandwidth bound (one pass over all parameters per
-//!   token).
+//! * decoding is memory-bandwidth bound: each token streams every weight its
+//!   decode graph reads once, and the embedding lookup reads only the
+//!   token's row of the table
+//!   ([`ComputationGraph::streamed_param_bytes`]).
 
 use serde::{Deserialize, Serialize};
 use sim_core::SimDuration;
@@ -101,10 +103,13 @@ impl CostModel {
             .sum()
     }
 
-    /// One pass over the model's quantized weights through DRAM, with the
-    /// NPU's decode-side DMA gain applied when `use_npu`.
-    fn weight_pass_secs(&self, model: &ModelSpec, use_npu: bool) -> f64 {
-        let memory_secs = model.total_q8_bytes() as f64 / self.params.dram_bytes_per_sec;
+    /// One pass over the weights a decode token streams through DRAM —
+    /// `decode`'s [`ComputationGraph::streamed_param_bytes`], every
+    /// operator's slices with the embedding table cut to the one row the
+    /// lookup gathers — with the NPU's decode-side DMA gain applied when
+    /// `use_npu`.
+    fn weight_pass_secs(&self, decode: &ComputationGraph, use_npu: bool) -> f64 {
+        let memory_secs = decode.streamed_param_bytes() as f64 / self.params.dram_bytes_per_sec;
         if use_npu {
             memory_secs / self.params.npu_decode_gain
         } else {
@@ -114,17 +119,19 @@ impl CostModel {
 
     /// Time to generate one token during decoding.
     ///
-    /// Decoding is dominated by streaming all parameters once per token, so
-    /// the time is the maximum of the compute time and the memory time.
+    /// Decoding is dominated by streaming the weights the decode graph reads
+    /// once per token, so the time is the maximum of the compute time and
+    /// the memory time.
     pub fn decode_token_time(
         &self,
         model: &ModelSpec,
         kv_len: usize,
         use_npu: bool,
     ) -> SimDuration {
-        let compute = self.prefill_compute_time(&ComputationGraph::decode(model, kv_len), use_npu);
+        let graph = ComputationGraph::decode(model, kv_len);
+        let compute = self.prefill_compute_time(&graph, use_npu);
         compute.max(SimDuration::from_secs_f64(
-            self.weight_pass_secs(model, use_npu),
+            self.weight_pass_secs(&graph, use_npu),
         ))
     }
 
@@ -133,13 +140,14 @@ impl CostModel {
     /// One iteration-level NPU step advances every batched decode sequence by
     /// one token (and may run one prefill chunk alongside).  Its cost splits
     /// into a side paid **once per model per step** and a side paid **per
-    /// sequence**.  Once per model: streaming the quantized weights through
-    /// DRAM, which a solo decode is bound by, and launching every operator —
-    /// the co-driver submits each layer segment as one fused NPU job for all
-    /// of the model's sequences.  Per sequence: the MACs, affine in the
-    /// sequence's KV length (only the CPU attention operator scales with it,
-    /// linearly; every other operator is constant at one token), so two
-    /// decode-graph evaluations far apart in `kv_len` recover the
+    /// sequence**.  Once per model: streaming the quantized weights a token
+    /// reads through DRAM (every decode-graph slice, but only one row of the
+    /// token table), which a solo decode is bound by, and launching every
+    /// operator — the co-driver submits each layer segment as one fused NPU
+    /// job for all of the model's sequences.  Per sequence: the MACs, affine
+    /// in the sequence's KV length (only the CPU attention operator scales
+    /// with it, linearly; every other operator is constant at one token), so
+    /// two decode-graph evaluations far apart in `kv_len` recover the
     /// coefficients exactly and the serving step loop never rebuilds graphs.
     /// The step loop (`tzllm::step`) is the one place that combines them
     /// into the price of a pass.
@@ -160,7 +168,7 @@ impl CostModel {
             .sum::<SimDuration>()
             .as_secs_f64();
         BatchedStepCosts {
-            weight_pass_secs: self.weight_pass_secs(model, true),
+            weight_pass_secs: self.weight_pass_secs(&lo, true),
             launch_secs,
             decode_compute_base_secs: c_lo - per_kv,
             decode_compute_per_kv_secs: per_kv,
@@ -173,9 +181,11 @@ impl CostModel {
 /// iteration with a few multiplications instead of a graph build.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchedStepCosts {
-    /// One pass over the quantized weights through DRAM (with the NPU's
-    /// decode-side DMA gain applied) — paid once per step per model present
-    /// in the batch, no matter how many of its sequences advance.
+    /// One pass over the quantized weights a decode token streams through
+    /// DRAM — every decode-graph slice, with the embedding table cut to the
+    /// row the lookup gathers — with the NPU's decode-side DMA gain applied.
+    /// Paid once per step per model present in the batch, no matter how many
+    /// of its sequences advance.
     pub weight_pass_secs: f64,
     /// Launch overhead of one decode pass: one NPU job submission per NPU
     /// operator and one launch per CPU operator.  A batched step fuses a
@@ -222,6 +232,7 @@ impl BatchedStepCosts {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tensor::q8_bytes_for;
 
     #[test]
     fn cpu_prefill_of_llama3_matches_figure_1() {
@@ -254,6 +265,31 @@ mod tests {
         assert!(cpu_tps > 1.5 && cpu_tps < 4.5, "cpu_tps = {cpu_tps}");
         let gain = npu_tps / cpu_tps;
         assert!(gain > 1.1 && gain < 1.5, "gain = {gain}");
+    }
+
+    #[test]
+    fn a_decode_token_streams_one_row_of_the_embedding_table() {
+        // Every decode-graph slice streams once per token except the token
+        // table, of which the lookup gathers one Q8_0 row; the NPU's DMA
+        // gain is the only difference between the NPU and CPU passes.
+        let cost = CostModel::rk3588();
+        let (dram, gain) = (
+            cost.params().dram_bytes_per_sec,
+            cost.params().npu_decode_gain,
+        );
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-12 * b;
+        for model in ModelSpec::catalogue()
+            .into_iter()
+            .chain(ModelSpec::drafts())
+        {
+            let (vocab, hidden) = (model.vocab as u64, model.hidden as u64);
+            let bytes = (model.total_q8_bytes() - q8_bytes_for(vocab * hidden)
+                + q8_bytes_for(hidden)) as f64;
+            let npu = cost.batched_step_costs(&model).weight_pass_secs;
+            assert!(close(npu * dram * gain, bytes), "{}: {npu} s", model.name);
+            let cpu = cost.weight_pass_secs(&ComputationGraph::decode(&model, 1), false);
+            assert!(close(cpu, bytes / dram), "{}: {cpu} s", model.name);
+        }
     }
 
     #[test]

@@ -166,9 +166,9 @@ impl ComputationGraph {
             });
         };
 
-        // Embedding lookup: reads the embedding table (bytes proportional to
-        // the prompt's tokens would be enough, but the table must be resident
-        // for decoding, so the graph charges the full table).
+        // Embedding lookup: its slice is the whole table, because the table
+        // must be resident before any token can be looked up, but the lookup
+        // itself gathers only its tokens' rows (see `streamed_param_bytes`).
         push(
             &mut ops,
             None,
@@ -277,6 +277,23 @@ impl ComputationGraph {
     /// minimal-prompt graph).
     pub fn total_param_bytes(&self) -> u64 {
         self.ops.iter().map(ComputeOp::param_bytes).sum()
+    }
+
+    /// Parameter bytes one execution of the graph streams from memory: every
+    /// slice its operators read, except that the embedding lookup gathers
+    /// one Q8_0 row of the table per token instead of the table.  Restoring
+    /// a blob still needs every slice resident
+    /// ([`ComputationGraph::total_param_bytes`]); this is what a decode
+    /// token reads once the blob is there.
+    pub fn streamed_param_bytes(&self) -> u64 {
+        let rows = q8_bytes_for(self.tokens as u64 * self.model.hidden as u64);
+        self.ops
+            .iter()
+            .map(|op| match op.kind {
+                OpKind::Embed => op.param_bytes().min(rows),
+                _ => op.param_bytes(),
+            })
+            .sum()
     }
 
     /// Total multiply-accumulates on a given device.
@@ -401,11 +418,33 @@ mod tests {
         let decode = ComputationGraph::decode(&model, 128);
         assert_eq!(decode.tokens, 1);
         decode.validate().unwrap();
-        // Same parameters as prefill (all weights touched once per token).
+        // Same resident parameters as prefill: the whole blob.
         assert_eq!(
             decode.total_param_bytes(),
             ComputationGraph::prefill(&model, 4).total_param_bytes()
         );
+    }
+
+    #[test]
+    fn the_lookup_streams_only_its_tokens_rows_of_the_table() {
+        for model in ModelSpec::catalogue() {
+            let (vocab, hidden) = (model.vocab as u64, model.hidden as u64);
+            let table = q8_bytes_for(vocab * hidden);
+            for tokens in [1usize, 7, 512] {
+                let graph = ComputationGraph::prefill(&model, tokens);
+                let rows = q8_bytes_for(tokens as u64 * hidden);
+                assert_eq!(
+                    graph.streamed_param_bytes(),
+                    graph.total_param_bytes() - table + rows,
+                    "{} @ {tokens}",
+                    model.name
+                );
+            }
+        }
+        // A lookup that names more rows than the table has reads the table
+        // once.
+        let nano = ComputationGraph::prefill(&ModelSpec::nano(), 1000);
+        assert_eq!(nano.streamed_param_bytes(), nano.total_param_bytes());
     }
 
     #[test]

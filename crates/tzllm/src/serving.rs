@@ -41,8 +41,9 @@
 //!   is sized to the step's weight-read slack, so it costs the decodes
 //!   nothing (stall-free batching, as in Sarathi-Serve); a compute-bound
 //!   pass has no slack and carries one prompt token's share, so the prefill
-//!   still advances.  A service hands its prefill to the loop when its
-//!   pre-NPU phase ends; prefills take the chunk slot in FIFO order.
+//!   still advances.  A slot a finishing decode frees is refilled before
+//!   the next step is priced.  A service hands its prefill to the loop when
+//!   its pre-NPU phase ends; prefills take the chunk slot in FIFO order.
 //! * **Restore-ahead**: whenever the flash/decrypt/alloc lanes are idle
 //!   (typically while the only active requests decode), the dispatcher peeks
 //!   the queue and starts restoring the next request's missing parameters
@@ -1644,12 +1645,23 @@ fn maybe_start_batch_step(state: &mut ServerState, sched: &mut EventScheduler<Se
     state
         .metrics
         .observe("batch_step", "all", now, SimDuration::from_nanos(ns));
+    if state.batch_prefill.is_some() {
+        // Steps and chunk nanoseconds per chunk mode: how often the cap
+        // with a backlog sizes the chunk to the slack, and how often a
+        // compute-bound pass leaves it only the one-token floor.
+        let mode = price.chunk_mode.label();
+        state.metrics.add("prefill_chunk_steps", mode, now, 1);
+        let chunk_ns = (chunk_secs * 1e9).round() as u64;
+        state.metrics.add("prefill_chunk_ns", mode, now, chunk_ns);
+    }
     sched.schedule_at(now + SimDuration::from_nanos(ns), on_batch_step_end);
 }
 
 /// One batched step finished: every member decode produced one token, the
 /// active prefill consumed one chunk, and anything that finished leaves the
-/// batch before the next step is priced.
+/// batch.  A slot a completion freed is refilled before the next step is
+/// priced, so that step sees the in-flight count the queue leaves it with:
+/// at the cap with a backlog, its chunk fills the pass's slack.
 fn on_batch_step_end(state: &mut ServerState, sched: &mut EventScheduler<ServerState>) {
     let now = sched.now();
     state.batch_running = false;
@@ -1734,8 +1746,8 @@ fn on_batch_step_end(state: &mut ServerState, sched: &mut EventScheduler<ServerS
     if let Some(p) = prefill_done {
         on_batched_first_token(state, sched, p, now);
     }
-    maybe_start_batch_step(state, sched);
     try_progress(state, sched);
+    maybe_start_batch_step(state, sched);
 }
 
 /// A chunked prefill consumed its whole NPU window: its first token is out.

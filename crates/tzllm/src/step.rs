@@ -122,14 +122,46 @@ pub(crate) enum Chunk {
 }
 
 impl Chunk {
-    /// The chunk's length in a pass with `slack_secs` of weight-read slack.
-    fn secs(self, slack_secs: f64) -> f64 {
+    /// The chunk's length in a pass with `slack_secs` of weight-read slack,
+    /// and how that length was chosen.
+    fn size(self, slack_secs: f64) -> (f64, ChunkMode) {
         match self {
-            Chunk::Fixed(secs) => secs,
+            Chunk::Fixed(secs) => (secs, ChunkMode::Fixed),
             Chunk::Slack {
                 floor_secs,
                 left_secs,
-            } => slack_secs.max(floor_secs).min(left_secs),
+            } => {
+                let mode = if slack_secs < floor_secs {
+                    ChunkMode::Floor
+                } else {
+                    ChunkMode::Slack
+                };
+                (slack_secs.max(floor_secs).min(left_secs), mode)
+            }
+        }
+    }
+}
+
+/// How a step's prefill chunk was sized.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ChunkMode {
+    /// A [`Chunk::Fixed`] chunk.
+    Fixed,
+    /// A [`Chunk::Slack`] chunk as long as the pass's weight-read slack (or
+    /// what its prefill had left).
+    Slack,
+    /// A [`Chunk::Slack`] chunk that fell back to its floor, one prompt
+    /// token's share, because the pass had less slack than that.
+    Floor,
+}
+
+impl ChunkMode {
+    /// The mode's name, as the windowed metrics class it is counted under.
+    pub fn label(self) -> &'static str {
+        match self {
+            ChunkMode::Fixed => "fixed",
+            ChunkMode::Slack => "slack",
+            ChunkMode::Floor => "floor",
         }
     }
 }
@@ -146,6 +178,8 @@ pub(crate) struct StepPrice {
     pub step_secs: f64,
     /// Seconds of the prefill chunk riding the step (0 when none does).
     pub chunk_secs: f64,
+    /// How the chunk was sized.
+    pub chunk_mode: ChunkMode,
     /// Expected tokens the members emit.
     pub tokens: f64,
 }
@@ -191,12 +225,13 @@ where
             // Chunk-only step: the prefill's own plan already prices its
             // weight reads and overheads inside the NPU window being sliced,
             // and no pass leaves slack to fill.
-            let chunk_secs = self.chunk.secs(0.0);
+            let (chunk_secs, chunk_mode) = self.chunk.size(0.0);
             return StepPrice {
                 depth: 0,
                 draft_secs: 0.0,
                 step_secs: chunk_secs,
                 chunk_secs,
+                chunk_mode,
                 tokens: 0.0,
             };
         }
@@ -216,7 +251,7 @@ where
             }
         }
         let mut best: Option<StepPrice> = None;
-        let mut chunk_secs = 0.0f64;
+        let (mut chunk_secs, mut chunk_mode) = (0.0f64, ChunkMode::Fixed);
         let mut draft_secs = 0.0f64;
         let mut tokens = members().count() as f64;
         let mut accept_pow = 1.0f64;
@@ -255,13 +290,14 @@ where
             if depth == 0 {
                 // The plain pass's slack: the weight reads its fused decode
                 // compute leaves the NPU idle under.
-                chunk_secs = self.chunk.secs(weight_secs - compute_secs);
+                (chunk_secs, chunk_mode) = self.chunk.size(weight_secs - compute_secs);
             }
             let price = StepPrice {
                 depth,
                 draft_secs,
                 step_secs: draft_secs + (compute_secs + chunk_secs).max(weight_secs) + handoff_secs,
                 chunk_secs,
+                chunk_mode,
                 tokens,
             };
             if best.is_none_or(|b| price.rate() > b.rate()) {
@@ -341,7 +377,8 @@ mod tests {
         assert_eq!(chosen_depth(&batch(1, 200), 0.87), 4);
         assert_eq!(chosen_depth(&batch(5, 200), 0.87), 2);
         assert_eq!(chosen_depth(&batch(6, 600), 0.87), 1);
-        assert_eq!(chosen_depth(&batch(12, 200), 0.87), 1);
+        assert_eq!(chosen_depth(&batch(10, 200), 0.87), 1);
+        assert_eq!(chosen_depth(&batch(12, 200), 0.87), 0);
         assert_eq!(chosen_depth(&batch(16, 200), 0.87), 0);
     }
 
@@ -463,13 +500,13 @@ mod tests {
         assert!((added - macs).abs() < 1e-12, "{added} vs {macs}");
 
         // The draft rounds and the verify sweep follow the same rule.  Four
-        // qwen2.5-3b members at KV 3000 beside one tinyllama-1.1b member
+        // qwen2.5-3b members at KV 2000 beside one tinyllama-1.1b member
         // (whose weight pass widens the slack a draft round needs to pay)
         // draft one token each, and both passes are compute-bound; a fifth
         // qwen member adds exactly its draft MACs to the round and its two
         // scored positions' MACs to the sweep.
         let speculating = |n: usize| {
-            let mut members = vec![member(&models, 3000, 100); n];
+            let mut members = vec![member(&models, 2000, 100); n];
             members.push(member_of(&models, 1, 500, 100));
             batch(&models, &draft, &members).choose(1, 0.95)
         };
@@ -477,13 +514,13 @@ mod tests {
         assert_eq!((four.depth, five.depth), (1, 1));
         assert!(four.draft_secs > draft.step.weight_pass_secs + draft.handoff_secs);
         let added = five.draft_secs - four.draft_secs;
-        let macs = draft.step.decode_compute_secs(3000) - draft.step.launch_secs;
+        let macs = draft.step.decode_compute_secs(2000) - draft.step.launch_secs;
         assert!((added - macs).abs() < 1e-12, "draft: {added} vs {macs}");
         let sweep =
             |p: StepPrice| p.step_secs - p.draft_secs - qwen.handoff_secs - tiny.handoff_secs;
         assert!(sweep(four) > qwen.step.weight_pass_secs + tiny.step.weight_pass_secs);
         let added = sweep(five) - sweep(four);
-        let macs = qwen.step.verify_compute_secs(2, 3000) - qwen.step.launch_secs;
+        let macs = qwen.step.verify_compute_secs(2, 2000) - qwen.step.launch_secs;
         assert!((added - macs).abs() < 1e-12, "verify: {added} vs {macs}");
     }
 
@@ -692,6 +729,7 @@ mod tests {
             draft_secs,
             step_secs: draft_secs + compute.max(weights) + handoffs,
             chunk_secs: 0.0,
+            chunk_mode: ChunkMode::Fixed,
             tokens,
         }
     }

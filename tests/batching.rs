@@ -3,11 +3,13 @@
 //! worsen decode sharing stall, no decode is ever starved behind
 //! back-to-back prefills, a chunk at the in-flight cap with a backlog fills
 //! the decode pass's weight-read slack (and still advances a compute-bound
-//! batch's prefill), and the batched dispatcher wins the
+//! batch's prefill), a slot a completion frees is refilled before the next
+//! chunk is sized, the windowed metrics count every chunk under the mode
+//! that sized it, and the batched dispatcher wins the
 //! saturation-throughput comparison against the serial device at no worse
 //! cold-heavy p95 TTFT.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use sim_core::{Phase, SimDuration, SimTime, Track};
 use tz_hal::PlatformProfile;
@@ -166,13 +168,9 @@ fn weight_pass_and_handoffs_ns(spec: &llm::ModelSpec) -> f64 {
     (weight + handoffs) * 1e9
 }
 
-/// Stall-free prefill under backlog: an open-loop overload on one model
-/// holds every slot with requests waiting, so each prefill chunk is sized
-/// to the step's weight-read slack, and every step carrying such a chunk
-/// lasts exactly the weight pass plus handoffs the decodes alone would
-/// have paid, to the nanosecond rounding the loop carries.
-#[test]
-fn a_slack_chunk_at_the_cap_costs_the_decodes_nothing() {
+/// An open-loop overload on one model that holds every slot with requests
+/// waiting (qwen2.5-3b, Poisson at 1 rps, 60 requests), telemetry on.
+fn traced_overload() -> ServingReport {
     let mut config = ServingConfig::paper_default(PlatformProfile::rk3588());
     config.telemetry = true;
     let overload = WorkloadSpec::standard(
@@ -180,7 +178,17 @@ fn a_slack_chunk_at_the_cap_costs_the_decodes_nothing() {
         60,
         "qwen2.5-3b",
     );
-    let report = Server::run_workload(config, one_model(), &overload, 7);
+    Server::run_workload(config, one_model(), &overload, 7)
+}
+
+/// Stall-free prefill under backlog: an open-loop overload on one model
+/// holds every slot with requests waiting, so each prefill chunk is sized
+/// to the step's weight-read slack, and every step carrying such a chunk
+/// lasts exactly the weight pass plus handoffs the decodes alone would
+/// have paid, to the nanosecond rounding the loop carries.
+#[test]
+fn a_slack_chunk_at_the_cap_costs_the_decodes_nothing() {
+    let report = traced_overload();
     assert_eq!(report.fleet.completed + report.fleet.rejected, 60);
     let expected_ns = weight_pass_and_handoffs_ns(&one_model()[0]);
     let chunks = slack_chunks(&report);
@@ -200,6 +208,68 @@ fn a_slack_chunk_at_the_cap_costs_the_decodes_nothing() {
     }
 }
 
+/// A completion at the cap refills its slot before the next step is
+/// priced: whenever a step starts at a completion with every slot taken
+/// again (a waiting request was dispatched into the freed slot, no other
+/// service phase blocking it), a request still queued and decodes in the
+/// step, the prefill chunk it carries is slack-sized, not the fixed chunk
+/// of a device below its cap.
+#[test]
+fn a_refilled_slot_sizes_the_next_chunk_to_the_slack() {
+    let report = traced_overload();
+    let cap = ServingConfig::paper_default(PlatformProfile::rk3588()).max_inflight;
+    let telemetry = report.telemetry.as_ref().expect("telemetry was enabled");
+    let labels = |phase: Phase| -> BTreeMap<SimTime, &str> {
+        telemetry
+            .spans()
+            .iter()
+            .filter(|s| s.phase == phase && matches!(s.track, Track::Lane(_)))
+            .map(|s| (s.start, telemetry.resolve(s.label)))
+            .collect()
+    };
+    let (steps, chunks) = (labels(Phase::BatchStep), labels(Phase::PrefillChunk));
+    let records = &report.records;
+    let completions: BTreeSet<SimTime> = records.iter().map(|r| r.completed).collect();
+    let mut refilled = 0;
+    for t in completions {
+        let Some(chunk) = chunks.get(&t) else {
+            continue;
+        };
+        let occupancy: usize = steps[&t]
+            .strip_prefix("step occ=")
+            .and_then(|n| n.parse().ok())
+            .expect("a step label names its occupancy");
+        let inflight = records
+            .iter()
+            .filter(|r| r.dispatched <= t && r.completed > t)
+            .count();
+        let waiting = records.iter().any(|r| r.arrival <= t && r.dispatched > t);
+        if inflight == cap && waiting && occupancy > 1 {
+            refilled += 1;
+            assert!(
+                chunk.ends_with(" slack"),
+                "the step after the completion at {t:?} refilled the cap but carried `{chunk}`"
+            );
+        }
+    }
+    assert!(refilled >= 20, "{refilled} refilled completions");
+}
+
+/// A record's prefill NPU window, which the step loop slices into chunks.
+fn npu_window(r: &RequestRecord) -> SimDuration {
+    (r.report.npu_busy + r.report.breakdown.npu_overhead).min(r.report.ttft)
+}
+
+/// Sixteen tinyllama-1.1b requests for twelve slots, all at t = 0, each
+/// decoding a 1,456-token context: the full batch is compute-bound.
+fn compute_bound_at_the_cap(config: ServingConfig) -> ServingReport {
+    let mut server = Server::new(config, vec![llm::ModelSpec::tinyllama_1_1b()]);
+    for id in 0..16 {
+        server.submit_at(SimTime::ZERO, id, "tinyllama-1.1b", 256, 1200);
+    }
+    server.run()
+}
+
 /// The chunk floor: at the cap with a backlog, a batch of long-context
 /// tinyllama-1.1b decodes is compute-bound and leaves no slack, so each
 /// slack chunk is one prompt token's share of its prefill's NPU window.
@@ -209,13 +279,7 @@ fn a_slack_chunk_at_the_cap_costs_the_decodes_nothing() {
 fn a_compute_bound_batch_at_the_cap_still_completes_every_prefill() {
     let mut config = ServingConfig::paper_default(PlatformProfile::rk3588());
     config.telemetry = true;
-    let tiny = llm::ModelSpec::tinyllama_1_1b();
-    let mut server = Server::new(config, vec![tiny.clone()]);
-    // Sixteen requests for twelve slots, each decoding a 1,456-token context.
-    for id in 0..16 {
-        server.submit_at(SimTime::ZERO, id, "tinyllama-1.1b", 256, 1200);
-    }
-    let report = server.run();
+    let report = compute_bound_at_the_cap(config);
     assert_eq!((report.fleet.completed, report.fleet.rejected), (16, 0));
     for r in &report.records {
         assert!(r.dispatched <= r.first_token && r.first_token < r.completed);
@@ -223,11 +287,10 @@ fn a_compute_bound_batch_at_the_cap_still_completes_every_prefill() {
     // One prompt token's share of a record's prefill window, as the step
     // loop slices it.
     let token_share_ns = |r: &RequestRecord| {
-        let window = (r.report.npu_busy + r.report.breakdown.npu_overhead).min(r.report.ttft);
         let new_tokens = r.request.prompt_len - r.kv_reused_tokens;
-        window.as_secs_f64() / new_tokens as f64 * 1e9
+        npu_window(r).as_secs_f64() / new_tokens as f64 * 1e9
     };
-    let expected_ns = weight_pass_and_handoffs_ns(&tiny);
+    let expected_ns = weight_pass_and_handoffs_ns(&llm::ModelSpec::tinyllama_1_1b());
     let mut floored = 0;
     for c in slack_chunks(&report) {
         if c.step_ns as f64 > expected_ns + 1.0 {
@@ -247,6 +310,52 @@ fn a_compute_bound_batch_at_the_cap_still_completes_every_prefill() {
         }
     }
     assert!(floored >= 100, "{floored} floor-sized chunks");
+}
+
+/// The windowed metrics count every step that carries a prefill chunk, and
+/// its chunk nanoseconds, under the mode that sized the chunk: `fixed`
+/// below the cap, `slack` at the cap with a backlog, `floor` where a
+/// compute-bound pass left less slack than one prompt token's share.  The
+/// chunks of each mode together cover every prefill's NPU window, and the
+/// counting is observe-only.
+#[test]
+fn chunk_modes_are_counted_and_cover_every_prefill_window() {
+    let run = |metrics: Option<SimDuration>| {
+        let mut config = ServingConfig::paper_default(PlatformProfile::rk3588());
+        config.metrics = metrics;
+        compute_bound_at_the_cap(config)
+    };
+    let off = run(None);
+    let on = run(Some(SimDuration::from_secs(60)));
+    assert_eq!(format!("{:?}", on.fleet), format!("{:?}", off.fleet));
+    assert_eq!(format!("{:?}", on.records), format!("{:?}", off.records));
+
+    let metrics = on.metrics.as_ref().expect("metrics were enabled");
+    let total = |name: &'static str, mode: &'static str| -> u64 {
+        metrics
+            .counter_series(name, mode)
+            .map_or(0, |series| series.values().sum())
+    };
+    let modes = ["fixed", "floor", "slack"];
+    assert_eq!(metrics.counter_classes("prefill_chunk_steps"), modes);
+    assert_eq!(metrics.counter_classes("prefill_chunk_ns"), modes);
+    for mode in modes {
+        assert!(total("prefill_chunk_steps", mode) > 0, "no {mode} chunk");
+    }
+    let steps: u64 = modes.map(|m| total("prefill_chunk_steps", m)).iter().sum();
+    let chunk_ns: u64 = modes.map(|m| total("prefill_chunk_ns", m)).iter().sum();
+    let windows_ns: f64 = on
+        .records
+        .iter()
+        .map(|r| npu_window(r).as_secs_f64() * 1e9)
+        .sum();
+    // Each chunk's nanoseconds are rounded once, and a prefill may leave up
+    // to a nanosecond of its window unconsumed.
+    let slop = steps as f64 * 0.5 + on.records.len() as f64;
+    assert!(
+        (chunk_ns as f64 - windows_ns).abs() <= slop,
+        "{chunk_ns} chunk ns over {steps} steps vs {windows_ns} window ns"
+    );
 }
 
 /// The headline acceptance comparison: at an overload arrival rate on
