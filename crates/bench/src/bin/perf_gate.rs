@@ -120,6 +120,12 @@ const GATES: &[Gate] = &[
         key: "batching.agent_burst_p95_ttft_s",
         check: Check::MaxRatio(1.15),
     },
+    // The agent fleet's typical first token: short turns whose prefills
+    // would otherwise wait out a long one for the chunk slot.
+    Gate {
+        key: "batching.agent_burst_p50_ttft_s",
+        check: Check::MaxRatio(1.05),
+    },
     Gate {
         key: "batching.mean_decode_stall_ms",
         check: Check::MaxRatio(1.15),

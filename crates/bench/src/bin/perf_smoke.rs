@@ -435,10 +435,12 @@ fn scenario_dispatch(opts: &HarnessOptions) -> String {
     // top of them, the traffic shape chunked prefill exists for.
     let (agent_sessions, agent_requests) = if opts.quick { (8, 100) } else { (12, 240) };
     let agent = agent_fleet(agent_sessions, agent_requests);
-    let agent_p95_s = agent.fleet.ttft_ms.expect("records").p95 / 1e3;
+    let agent_ttft = agent.fleet.ttft_ms.expect("records");
+    let (agent_p50_s, agent_p95_s) = (agent_ttft.p50 / 1e3, agent_ttft.p95 / 1e3);
     println!(
-        "agent-burst ({agent_sessions} sessions): p95 TTFT {agent_p95_s:.2} s, \
-         occupancy {:.2}, decode {:.0} tok/s, stall sharing {:.1} ms",
+        "agent-burst ({agent_sessions} sessions): p50 TTFT {agent_p50_s:.2} s, \
+         p95 TTFT {agent_p95_s:.2} s, occupancy {:.2}, decode {:.0} tok/s, \
+         stall sharing {:.1} ms",
         agent.fleet.mean_batch_occupancy,
         agent.fleet.batched_decode_tps,
         agent.fleet.mean_stall_sharing_ms
@@ -504,6 +506,7 @@ fn scenario_dispatch(opts: &HarnessOptions) -> String {
         sat_batched.fleet.batched_decode_tps
     );
     let _ = writeln!(json, "    \"agent_sessions\": {agent_sessions},");
+    let _ = writeln!(json, "    \"agent_burst_p50_ttft_s\": {agent_p50_s:.3},");
     let _ = writeln!(json, "    \"agent_burst_p95_ttft_s\": {agent_p95_s:.3},");
     let _ = writeln!(
         json,
@@ -523,8 +526,8 @@ fn scenario_chat(opts: &HarnessOptions) -> String {
     let profile = PlatformProfile::rk3588();
     // Quick mode keeps the request budget small but the conversations deep
     // (fewer sessions, same turns per session) — reuse wins grow with depth.
-    let chat_sessions = if opts.quick { 3 } else { 6 };
-    let chat_requests = if opts.quick { 60 } else { 120 };
+    let chat_sessions = if opts.quick { 4 } else { 6 };
+    let chat_requests = if opts.quick { 80 } else { 120 };
     let chat_base = chat_heavy(
         ServingConfig::paper_default(profile.clone()),
         chat_sessions,

@@ -28,8 +28,8 @@
 //!   pipelined restoration; a fully cached one needs one core.
 //! * **The step loop**: the NPU runs one *step* at a time, and each step is
 //!   one batched decode pass over every active sequence plus at most one
-//!   *chunk* of the active prefill.  A step costs the weight read and the
-//!   operator launches once per distinct model — amortised across the whole
+//!   *chunk* of one prefill.  A step costs the weight read and the operator
+//!   launches once per distinct model — amortised across the whole
 //!   batch — plus every sequence's per-token KV/compute cost, priced by the
 //!   crate's one step pricer (`StepBatch::choose` in `step.rs`).  Decode on
 //!   this hardware is memory-bound, so a small prefill chunk rides in the
@@ -43,7 +43,13 @@
 //!   pass has no slack and carries one prompt token's share, so the prefill
 //!   still advances.  A slot a finishing decode frees is refilled before
 //!   the next step is priced.  A service hands its prefill to the loop when
-//!   its pre-NPU phase ends; prefills take the chunk slot in FIFO order.
+//!   its pre-NPU phase ends, and at every step boundary the chunk slot goes
+//!   to the prefill with the least NPU work left (the earliest on a tie, and
+//!   the holder yields only to strictly less), so a short turn's first
+//!   token does not wait out a long prefill that took the slot first — the
+//!   §4.1 scheduler's preemptible micro-operators, lifted to prefills.  No
+//!   prefill takes the slot ahead of an earlier prefill of its model that
+//!   restored parameters.
 //! * **Restore-ahead**: whenever the flash/decrypt/alloc lanes are idle
 //!   (typically while the only active requests decode), the dispatcher peeks
 //!   the queue and starts restoring the next request's missing parameters
@@ -86,8 +92,9 @@
 //!   request completes — so a joiner reads a fully cached blob, restores
 //!   nothing, holds no flash lane, pays no framework init, and allocates
 //!   only its own KV cache.  Its NPU work never races the restore it relies
-//!   on: the service phase is exclusive and prefills take the chunk slot in
-//!   FIFO order.  The serial device (`max_inflight = 1`) never joins.
+//!   on: the service phase is exclusive, and no prefill takes the chunk slot
+//!   ahead of an earlier prefill of its model that restored parameters.  The
+//!   serial device (`max_inflight = 1`) never joins.
 //!
 //! The batched step loop already charges one weight pass per distinct
 //! model; pinning makes dispatch agree that each model has one copy.
@@ -149,7 +156,7 @@ use crate::cache::{CacheController, CachePolicy};
 use crate::kv::{ChainStoreStats, KvConfig, KvPool, KvQuery};
 use crate::pipeline::Policy;
 use crate::restore::RestoreRates;
-use crate::step::{self, Chunk, StepBatch, StepMember, StepModel};
+use crate::step::{self, Chunk, ChunkMode, StepBatch, StepMember, StepModel};
 use crate::system::{self, InferenceReport, PlanCache, PlanRequest, ServiceParams};
 
 /// Restore-ahead progress is credited to the cache in whole multiples of
@@ -476,8 +483,9 @@ pub struct RequestRecord {
     /// Prefill time beyond the ideal service TTFT: how long the chunked
     /// prefill waited on the decode steps it interleaved with, including
     /// the time it spent spread thin over slack-sized chunks at the
-    /// in-flight cap (zero, up to step-time rounding, when no decode shared
-    /// its steps).
+    /// in-flight cap and the steps it waited for the chunk slot while
+    /// other prefills held it — earlier ones, or later ones with less work
+    /// left (zero, up to step-time rounding, when nothing shared its steps).
     pub prefill_stall: SimDuration,
     /// The per-request evaluation (service-time TTFT, decode speed, breakdown).
     pub report: InferenceReport,
@@ -728,6 +736,10 @@ struct ActiveService {
 struct BatchedPrefill {
     record: RequestRecord,
     model: ModelId,
+    /// Whether its dispatch restored parameters (`report.restored_bytes >
+    /// 0`): later prefills of its model read that restore, so none of them
+    /// takes the chunk slot before this one finishes.
+    restoring: bool,
     /// NPU seconds of prefill work left — the plan's exclusive NPU window,
     /// consumed chunk by chunk.
     npu_secs_left: f64,
@@ -745,6 +757,61 @@ struct BatchedPrefill {
     /// Acceptance model of the response (carried through to the decode).
     accept_permille: u16,
     accept_seed: u64,
+}
+
+impl BatchedPrefill {
+    /// What the chunk-slot rule reads of this prefill.
+    fn claim(&self) -> SlotClaim {
+        SlotClaim {
+            work_left: self.npu_secs_left,
+            model: self.model,
+            restoring: self.restoring,
+        }
+    }
+}
+
+/// A prefill as the chunk-slot rule reads it.
+#[derive(Debug, Clone, Copy)]
+struct SlotClaim {
+    /// NPU seconds of prefill work left.
+    work_left: f64,
+    model: ModelId,
+    /// Whether its dispatch restored parameters.
+    restoring: bool,
+}
+
+/// The prefill that takes the next step's chunk slot, as an index into
+/// `claims` — every unfinished prefill, in dispatch order — given `active`,
+/// the index of the one that carried the last chunk (`None` when it
+/// finished).
+///
+/// Least remaining work first: the slot goes to the eligible prefill with
+/// the least work left, the earliest on a tie, and `active` keeps it unless
+/// another has strictly less, so equal work keeps FIFO order and the slot
+/// never moves back and forth.  A prefill is not eligible while an earlier
+/// prefill of its model is restoring: its NPU work reads that restore.
+fn chunk_slot<I>(claims: I, active: Option<usize>) -> Option<usize>
+where
+    I: Iterator<Item = SlotClaim> + Clone,
+{
+    let mut best: Option<(usize, f64)> = None;
+    let mut active_work = None;
+    for (i, c) in claims.clone().enumerate() {
+        if Some(i) == active {
+            active_work = Some(c.work_left);
+        }
+        let blocked = claims
+            .clone()
+            .take(i)
+            .any(|e| e.restoring && e.model == c.model);
+        if !blocked && best.is_none_or(|(_, work)| c.work_left < work) {
+            best = Some((i, c.work_left));
+        }
+    }
+    match (active.zip(active_work), best) {
+        (Some((a, held)), Some((_, work))) if work >= held => Some(a),
+        (_, best) => best.map(|(b, _)| b),
+    }
 }
 
 /// A sequence decoding inside the batched step loop: every step it is a
@@ -813,16 +880,18 @@ struct ServerState {
     service: Option<ActiveService>,
     /// Sequences decoding in the batched step loop.
     batch_decodes: Vec<BatchedDecode>,
-    /// The prefill currently interleaving chunks into the step loop (at most
-    /// one at a time — later arrivals wait in `batch_pending`).
-    batch_prefill: Option<BatchedPrefill>,
-    /// Prefills past their pre-NPU phase waiting for the chunk slot.
-    batch_pending: VecDeque<BatchedPrefill>,
+    /// Prefills past their pre-NPU phase, in dispatch order; each step's
+    /// chunk slot goes to one of them ([`chunk_slot`]).
+    batch_prefills: Vec<BatchedPrefill>,
+    /// Index into `batch_prefills` of the prefill holding the chunk slot
+    /// (the one the last step chunked, while it is unfinished).
+    batch_slot: Option<usize>,
     /// Whether a step-end event is in flight (the loop is stepping).
     batch_running: bool,
     /// Duration of the in-flight step, seconds.
     batch_step_secs: f64,
-    /// Chunk seconds the in-flight step consumes from the active prefill.
+    /// Chunk seconds the in-flight step consumes from the prefill holding
+    /// the chunk slot.
     batch_step_chunk_secs: f64,
     /// Sub-nanosecond residue of step-duration rounding, carried into the
     /// next step so a long run of steps accumulates no drift.
@@ -951,10 +1020,7 @@ impl ServerState {
         for d in &self.batch_decodes {
             active.insert(d.record.request.session);
         }
-        if let Some(p) = &self.batch_prefill {
-            active.insert(p.record.request.session);
-        }
-        for p in &self.batch_pending {
+        for p in &self.batch_prefills {
             active.insert(p.record.request.session);
         }
         if let Some(r) = &self.restore {
@@ -1203,8 +1269,9 @@ fn dispatch_next(state: &mut ServerState, sched: &mut EventScheduler<ServerState
     // stays resident until the model's last in-flight request completes
     // (`complete_request` applies retention only then).  Requests that
     // dispatch meanwhile start their NPU work after this restore finishes —
-    // the service phase is exclusive and prefills take the chunk slot in
-    // FIFO order — so they may read the blob as fully cached.
+    // the service phase is exclusive, and while this prefill restores no
+    // later prefill of its model takes the chunk slot (`chunk_slot`) — so
+    // they may read the blob as fully cached.
     let entry = &mut state.models[midx];
     entry.cache.seed(entry.cache.total_bytes());
     entry.active += 1;
@@ -1466,9 +1533,10 @@ fn on_service_ready_for_batch(state: &mut ServerState, sched: &mut EventSchedule
         .saturating_sub(svc.record.kv_reused_tokens)
         .max(1);
     let chunk_tokens = state.config.prefill_chunk_tokens.min(new_tokens);
-    state.batch_pending.push_back(BatchedPrefill {
+    state.batch_prefills.push(BatchedPrefill {
         record: svc.record,
         model: svc.model,
+        restoring: svc.restoring,
         npu_secs_left: npu_secs,
         chunk_secs: npu_secs * chunk_tokens as f64 / new_tokens as f64,
         token_secs: npu_secs / new_tokens as f64,
@@ -1485,11 +1553,11 @@ fn on_service_ready_for_batch(state: &mut ServerState, sched: &mut EventSchedule
 /// Prices and schedules the next batched NPU step, if the batch has work and
 /// no step is already in flight.  One step = one decode token for every
 /// member sequence (more under speculation) plus at most one chunk of the
-/// active prefill, the chunk being a slice of the prefill plan's NPU
-/// window; [`StepBatch::choose`] prices it (the weight read, the operator
-/// launches and the world-switch handoffs once per distinct model plus
-/// every sequence's per-token MACs), sizes a slack chunk and picks its
-/// draft depth.
+/// prefill [`chunk_slot`] gives the slot to, the chunk being a slice of the
+/// prefill plan's NPU window; [`StepBatch::choose`] prices it (the weight
+/// read, the operator launches and the world-switch handoffs once per
+/// distinct model plus every sequence's per-token MACs), sizes a slack
+/// chunk and picks its draft depth.
 ///
 /// The chunk is `prefill_chunk_tokens` long unless every in-flight slot is
 /// taken, a request waits in the queue and the step has decodes: then no
@@ -1505,10 +1573,17 @@ fn maybe_start_batch_step(state: &mut ServerState, sched: &mut EventScheduler<Se
         return;
     }
     let now = sched.now();
-    if state.batch_prefill.is_none() {
-        state.batch_prefill = state.batch_pending.pop_front();
+    let slot = chunk_slot(
+        state.batch_prefills.iter().map(BatchedPrefill::claim),
+        state.batch_slot,
+    );
+    if state.batch_slot.is_some() && slot != state.batch_slot {
+        // A prefill with less work left took the slot from an unfinished one.
+        state.metrics.add("prefill_preemptions", "all", now, 1);
     }
-    if state.batch_decodes.is_empty() && state.batch_prefill.is_none() {
+    state.batch_slot = slot;
+    let prefill = slot.map(|i| &state.batch_prefills[i]);
+    if state.batch_decodes.is_empty() && prefill.is_none() {
         if state.batch_npu_held {
             let lane = state.lane_npu;
             state.ledger.release(lane, 1, now);
@@ -1535,7 +1610,7 @@ fn maybe_start_batch_step(state: &mut ServerState, sched: &mut EventScheduler<Se
     let slack = state.inflight == state.config.max_inflight
         && !state.queue.is_empty()
         && !state.batch_decodes.is_empty();
-    let chunk = match &state.batch_prefill {
+    let chunk = match prefill {
         None => Chunk::Fixed(0.0),
         Some(p) if slack => Chunk::Slack {
             floor_secs: p.token_secs,
@@ -1543,7 +1618,7 @@ fn maybe_start_batch_step(state: &mut ServerState, sched: &mut EventScheduler<Se
         },
         Some(p) => Chunk::Fixed(p.chunk_secs.min(p.npu_secs_left)),
     };
-    let deciding = state.draft.is_some() && state.batch_prefill.is_none();
+    let deciding = state.draft.is_some() && prefill.is_none();
     let max_depth = if deciding {
         state.config.speculation.k as u64
     } else {
@@ -1595,7 +1670,7 @@ fn maybe_start_batch_step(state: &mut ServerState, sched: &mut EventScheduler<Se
     state.batch_step_secs = step_secs;
     state.batch_step_chunk_secs = chunk_secs;
     state.batch_running = true;
-    let occupancy = state.batch_decodes.len() as u32 + u32::from(state.batch_prefill.is_some());
+    let occupancy = state.batch_decodes.len() as u32 + u32::from(prefill.is_some());
     *state.batch_occupancy_ns.entry(occupancy).or_insert(0) += ns;
     state.batch_steps += 1;
     state.batch_busy_ns += ns;
@@ -1625,13 +1700,13 @@ fn maybe_start_batch_step(state: &mut ServerState, sched: &mut EventScheduler<Se
                 .span(npu, Phase::SpecVerify, "verify", draft_end, end);
         }
         if chunk_secs > 0.0 {
-            if let Some(p) = &state.batch_prefill {
-                let chunk_label = format!(
-                    "req {} chunk {}{}",
-                    p.record.request.id,
-                    p.chunks_done + 1,
-                    if slack { " slack" } else { "" }
-                );
+            if let Some(p) = prefill {
+                let mut chunk_label =
+                    format!("req {} chunk {}", p.record.request.id, p.chunks_done + 1);
+                if price.chunk_mode != ChunkMode::Fixed {
+                    chunk_label.push(' ');
+                    chunk_label.push_str(price.chunk_mode.label());
+                }
                 let chunk_end = (now + SimDuration::from_secs_f64(chunk_secs)).min(end);
                 state
                     .telemetry
@@ -1645,7 +1720,7 @@ fn maybe_start_batch_step(state: &mut ServerState, sched: &mut EventScheduler<Se
     state
         .metrics
         .observe("batch_step", "all", now, SimDuration::from_nanos(ns));
-    if state.batch_prefill.is_some() {
+    if prefill.is_some() {
         // Steps and chunk nanoseconds per chunk mode: how often the cap
         // with a backlog sizes the chunk to the slack, and how often a
         // compute-bound pass leaves it only the one-token floor.
@@ -1658,10 +1733,10 @@ fn maybe_start_batch_step(state: &mut ServerState, sched: &mut EventScheduler<Se
 }
 
 /// One batched step finished: every member decode produced one token, the
-/// active prefill consumed one chunk, and anything that finished leaves the
-/// batch.  A slot a completion freed is refilled before the next step is
-/// priced, so that step sees the in-flight count the queue leaves it with:
-/// at the cap with a backlog, its chunk fills the pass's slack.
+/// chunk slot's prefill consumed one chunk, and anything that finished
+/// leaves the batch.  A slot a completion freed is refilled before the next
+/// step is priced, so that step sees the in-flight count the queue leaves it
+/// with: at the cap with a backlog, its chunk fills the pass's slack.
 fn on_batch_step_end(state: &mut ServerState, sched: &mut EventScheduler<ServerState>) {
     let now = sched.now();
     state.batch_running = false;
@@ -1715,7 +1790,8 @@ fn on_batch_step_end(state: &mut ServerState, sched: &mut EventScheduler<ServerS
         }
     }
     let mut prefill_done = None;
-    if let Some(p) = &mut state.batch_prefill {
+    if let Some(i) = state.batch_slot {
+        let p = &mut state.batch_prefills[i];
         p.npu_secs_left -= chunk_secs;
         if chunk_secs > 0.0 {
             p.chunks_done += 1;
@@ -1723,7 +1799,8 @@ fn on_batch_step_end(state: &mut ServerState, sched: &mut EventScheduler<ServerS
         // Exact-zero in the common case (the last chunk is `min(chunk,
         // left)`); the epsilon only absorbs float residue.
         if p.npu_secs_left <= 1e-9 {
-            prefill_done = state.batch_prefill.take();
+            prefill_done = Some(state.batch_prefills.remove(i));
+            state.batch_slot = None;
         }
     }
     for d in finished {
@@ -2128,8 +2205,8 @@ impl Server {
                 inflight: 0,
                 service: None,
                 batch_decodes: Vec::new(),
-                batch_prefill: None,
-                batch_pending: VecDeque::new(),
+                batch_prefills: Vec::new(),
+                batch_slot: None,
                 batch_running: false,
                 batch_step_secs: 0.0,
                 batch_step_chunk_secs: 0.0,
@@ -2695,6 +2772,75 @@ mod tests {
                 r.request.id
             );
         }
+    }
+
+    /// The chunk-slot rule over 500 random histories of prefills arriving,
+    /// taking chunks and finishing.  At every step boundary the slot goes to
+    /// the least work left among eligible prefills, the earliest on a tie;
+    /// its holder is displaced only by strictly less work; and no prefill
+    /// overtakes an earlier restoring prefill of its model.
+    #[test]
+    fn the_chunk_slot_serves_the_least_work_left_first() {
+        const SEED: u64 = 0x5107;
+        let mut rng = DetRng::new(SEED);
+        let (mut preempted, mut guarded) = (0, 0);
+        for case in 0..500 {
+            let mut claims: Vec<SlotClaim> = Vec::new();
+            let mut active = None;
+            for step in 0..24 {
+                // Whole units of work, so ties are common.
+                for _ in 0..rng.gen_range(0, 3) {
+                    claims.push(SlotClaim {
+                        work_left: rng.gen_range(1, 8) as f64,
+                        model: ModelId(rng.gen_range(0, 3) as u32),
+                        restoring: rng.gen_bool(0.3),
+                    });
+                }
+                let slot = chunk_slot(claims.iter().copied(), active);
+                let repro = format!(
+                    "repro: seed {SEED:#x} case {case} step {step}: \
+                     {claims:?} active {active:?} -> {slot:?}"
+                );
+                let Some(s) = slot else {
+                    assert!(claims.is_empty(), "{repro}");
+                    continue;
+                };
+                let eligible = |i: usize| {
+                    !claims[..i]
+                        .iter()
+                        .any(|e| e.restoring && e.model == claims[i].model)
+                };
+                assert!(eligible(s), "{repro}");
+                let least = (0..claims.len())
+                    .filter(|&i| eligible(i))
+                    .map(|i| claims[i].work_left)
+                    .fold(f64::INFINITY, f64::min);
+                assert_eq!(claims[s].work_left, least, "{repro}");
+                if active != Some(s) {
+                    let first =
+                        (0..claims.len()).find(|&i| eligible(i) && claims[i].work_left == least);
+                    assert_eq!(first, Some(s), "{repro}");
+                }
+                if let Some(a) = active.filter(|&a| a != s) {
+                    assert!(claims[s].work_left < claims[a].work_left, "{repro}");
+                    preempted += 1;
+                }
+                if (0..claims.len()).any(|i| !eligible(i) && claims[i].work_left < least) {
+                    guarded += 1;
+                }
+                // The holder takes a chunk of one or two units.
+                claims[s].work_left -= rng.gen_range(1, 3) as f64;
+                active = Some(s);
+                if claims[s].work_left <= 0.0 {
+                    claims.remove(s);
+                    active = None;
+                }
+            }
+        }
+        assert!(
+            preempted >= 250 && guarded >= 1000,
+            "{preempted} preemptions, {guarded} guarded choices"
+        );
     }
 
     #[test]

@@ -5,13 +5,15 @@
 //! the decode pass's weight-read slack (and still advances a compute-bound
 //! batch's prefill), a slot a completion frees is refilled before the next
 //! chunk is sized, the windowed metrics count every chunk under the mode
-//! that sized it, and the batched dispatcher wins the
+//! that sized it and its span label names that mode, the chunk slot serves
+//! the least remaining prefill work first but never ahead of a restore of
+//! the prefill's model, and the batched dispatcher wins the
 //! saturation-throughput comparison against the serial device at no worse
 //! cold-heavy p95 TTFT.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use sim_core::{Phase, SimDuration, SimTime, Track};
+use sim_core::{Phase, SimDuration, SimTime, Track, WindowedMetrics};
 use tz_hal::PlatformProfile;
 use tzllm::serving::{RequestRecord, Server, ServingConfig, ServingReport};
 use workloads::{ArrivalProcess, WorkloadSpec};
@@ -124,16 +126,16 @@ fn no_decode_starves_behind_back_to_back_prefills() {
     );
 }
 
-/// One slack-sized prefill chunk as the NPU track shows it.
-struct SlackChunk {
+/// One slack- or floor-sized prefill chunk as the NPU track shows it.
+struct SizedChunk {
     request: u64,
     chunk_ns: u64,
     step_ns: u64,
 }
 
-/// Every prefill chunk of a traced run whose span is marked slack-sized,
-/// with the length of the step that carried it.
-fn slack_chunks(report: &ServingReport) -> Vec<SlackChunk> {
+/// Every prefill chunk of a traced run whose span label ends in ` {mode}`
+/// (`slack` or `floor`), with the length of the step that carried it.
+fn sized_chunks(report: &ServingReport, mode: &str) -> Vec<SizedChunk> {
     let telemetry = report.telemetry.as_ref().expect("telemetry was enabled");
     let npu = |track: &Track| matches!(track, Track::Lane(_));
     let steps: BTreeMap<SimTime, SimDuration> = telemetry
@@ -148,8 +150,9 @@ fn slack_chunks(report: &ServingReport) -> Vec<SlackChunk> {
         .filter(|s| s.phase == Phase::PrefillChunk)
         .filter_map(|s| {
             let label = telemetry.resolve(s.label);
-            let request = label.strip_suffix(" slack")?.split(' ').nth(1)?;
-            Some(SlackChunk {
+            let request = label.strip_suffix(mode)?.strip_suffix(' ')?;
+            let request = request.split(' ').nth(1)?;
+            Some(SizedChunk {
                 request: request.parse().expect("the label names the request"),
                 chunk_ns: s.duration().as_nanos(),
                 step_ns: steps[&s.start].as_nanos(),
@@ -191,7 +194,7 @@ fn a_slack_chunk_at_the_cap_costs_the_decodes_nothing() {
     let report = traced_overload();
     assert_eq!(report.fleet.completed + report.fleet.rejected, 60);
     let expected_ns = weight_pass_and_handoffs_ns(&one_model()[0]);
-    let chunks = slack_chunks(&report);
+    let chunks = sized_chunks(&report, "slack");
     assert!(
         chunks.len() >= 100,
         "the overload must hold the cap with a queue: {} slack chunks",
@@ -255,6 +258,15 @@ fn a_refilled_slot_sizes_the_next_chunk_to_the_slack() {
     assert!(refilled >= 20, "{refilled} refilled completions");
 }
 
+/// The record of request `id`.
+fn by_id(report: &ServingReport, id: u64) -> &RequestRecord {
+    report
+        .records
+        .iter()
+        .find(|r| r.request.id == id)
+        .expect("every request completes")
+}
+
 /// A record's prefill NPU window, which the step loop slices into chunks.
 fn npu_window(r: &RequestRecord) -> SimDuration {
     (r.report.npu_busy + r.report.breakdown.npu_overhead).min(r.report.ttft)
@@ -272,9 +284,9 @@ fn compute_bound_at_the_cap(config: ServingConfig) -> ServingReport {
 
 /// The chunk floor: at the cap with a backlog, a batch of long-context
 /// tinyllama-1.1b decodes is compute-bound and leaves no slack, so each
-/// slack chunk is one prompt token's share of its prefill's NPU window.
-/// Every prefill still advances every step, every request completes, and
-/// requests are conserved.
+/// such chunk is one prompt token's share of its prefill's NPU window and
+/// its span says ` floor`.  Every prefill still advances every step, every
+/// request completes, and requests are conserved.
 #[test]
 fn a_compute_bound_batch_at_the_cap_still_completes_every_prefill() {
     let mut config = ServingConfig::paper_default(PlatformProfile::rk3588());
@@ -291,25 +303,65 @@ fn a_compute_bound_batch_at_the_cap_still_completes_every_prefill() {
         npu_window(r).as_secs_f64() / new_tokens as f64 * 1e9
     };
     let expected_ns = weight_pass_and_handoffs_ns(&llm::ModelSpec::tinyllama_1_1b());
-    let mut floored = 0;
-    for c in slack_chunks(&report) {
-        if c.step_ns as f64 > expected_ns + 1.0 {
-            floored += 1;
-            let record = report
-                .records
-                .iter()
-                .find(|r| r.request.id == c.request)
-                .expect("every request completes");
-            assert!(
-                (c.chunk_ns as f64 - token_share_ns(record)).abs() <= 1.0,
-                "req {}: a compute-bound step carried a {} ns chunk, not one token's {} ns",
-                c.request,
-                c.chunk_ns,
-                token_share_ns(record)
-            );
-        }
+    let floored = sized_chunks(&report, "floor");
+    for c in &floored {
+        let record = by_id(&report, c.request);
+        assert!(
+            c.step_ns as f64 > expected_ns + 1.0,
+            "req {}: a floor chunk rode a {} ns step, no longer than the weight pass",
+            c.request,
+            c.step_ns
+        );
+        assert!(
+            (c.chunk_ns as f64 - token_share_ns(record)).abs() <= 1.0,
+            "req {}: a compute-bound step carried a {} ns chunk, not one token's {} ns",
+            c.request,
+            c.chunk_ns,
+            token_share_ns(record)
+        );
     }
-    assert!(floored >= 100, "{floored} floor-sized chunks");
+    assert!(floored.len() >= 100, "{} floor-sized chunks", floored.len());
+}
+
+/// A counter's total over every window.
+fn counted(metrics: &WindowedMetrics, name: &'static str, class: &'static str) -> u64 {
+    metrics
+        .counter_series(name, class)
+        .map_or(0, |series| series.values().sum())
+}
+
+/// A chunk's span label names the mode the windowed metrics count it
+/// under: with telemetry and metrics both on, the compute-bound probe's
+/// spans ending ` slack` and ` floor` are exactly its `prefill_chunk_steps`
+/// of those classes, and the rest are its fixed chunks.
+#[test]
+fn chunk_span_labels_name_the_counted_mode() {
+    let mut config = ServingConfig::paper_default(PlatformProfile::rk3588());
+    config.telemetry = true;
+    config.metrics = Some(SimDuration::from_secs(60));
+    let report = compute_bound_at_the_cap(config);
+    let metrics = report.metrics.as_ref().expect("metrics were enabled");
+    let mut sized = 0;
+    for mode in ["slack", "floor"] {
+        let spans = sized_chunks(&report, mode).len() as u64;
+        assert!(spans > 0, "no {mode} chunk");
+        assert_eq!(
+            spans,
+            counted(metrics, "prefill_chunk_steps", mode),
+            "{mode}"
+        );
+        sized += spans;
+    }
+    let telemetry = report.telemetry.as_ref().expect("telemetry was enabled");
+    let spans = telemetry
+        .spans()
+        .iter()
+        .filter(|s| s.phase == Phase::PrefillChunk)
+        .count() as u64;
+    assert_eq!(
+        spans - sized,
+        counted(metrics, "prefill_chunk_steps", "fixed")
+    );
 }
 
 /// The windowed metrics count every step that carries a prefill chunk, and
@@ -331,11 +383,7 @@ fn chunk_modes_are_counted_and_cover_every_prefill_window() {
     assert_eq!(format!("{:?}", on.records), format!("{:?}", off.records));
 
     let metrics = on.metrics.as_ref().expect("metrics were enabled");
-    let total = |name: &'static str, mode: &'static str| -> u64 {
-        metrics
-            .counter_series(name, mode)
-            .map_or(0, |series| series.values().sum())
-    };
+    let total = |name, mode| counted(metrics, name, mode);
     let modes = ["fixed", "floor", "slack"];
     assert_eq!(metrics.counter_classes("prefill_chunk_steps"), modes);
     assert_eq!(metrics.counter_classes("prefill_chunk_ns"), modes);
@@ -355,6 +403,74 @@ fn chunk_modes_are_counted_and_cover_every_prefill_window() {
     assert!(
         (chunk_ns as f64 - windows_ns).abs() <= slop,
         "{chunk_ns} chunk ns over {steps} steps vs {windows_ns} window ns"
+    );
+}
+
+/// Least remaining prefill work first: with a qwen2.5-3b context live and
+/// decoding, a 420-token joiner starts chunking, then a 72-token joiner
+/// becomes ready; the short prefill takes the chunk slot from the long one,
+/// so its first token comes first.
+#[test]
+fn a_short_prefill_takes_the_chunk_slot_from_a_long_one() {
+    let config = ServingConfig::paper_default(PlatformProfile::rk3588());
+    let mut server = Server::new(config, one_model());
+    server.submit_at(SimTime::ZERO, 0, "qwen2.5-3b", 128, 512);
+    server.submit_at(SimTime::from_secs(20), 1, "qwen2.5-3b", 420, 8);
+    server.submit_at(SimTime::from_secs(21), 2, "qwen2.5-3b", 72, 8);
+    let report = server.run();
+    let (live, long, short) = (by_id(&report, 0), by_id(&report, 1), by_id(&report, 2));
+    // Both join the live context, and the short one dispatches while the
+    // long one is still prefilling.
+    assert!(live.first_token < long.dispatched && long.completed < live.completed);
+    assert_eq!(
+        (long.report.restored_bytes, short.report.restored_bytes),
+        (0, 0)
+    );
+    assert!(short.dispatched < long.first_token);
+    assert!(
+        short.first_token < long.first_token,
+        "the 72-token prefill's first token {} must come before the 420-token one's {}",
+        short.first_token,
+        long.first_token
+    );
+}
+
+/// The same-model guard: a joiner's NPU work reads the parameters an
+/// earlier prefill of its model restored, so a short joiner never takes
+/// the chunk slot from a cold opener; a short request on another model
+/// does.
+#[test]
+fn a_short_prefill_never_overtakes_a_restore_of_its_model() {
+    let run = |short_model: &str| {
+        let config = ServingConfig::paper_default(PlatformProfile::rk3588());
+        let mut server = Server::new(config, catalogue());
+        server.submit_at(SimTime::ZERO, 0, "qwen2.5-3b", 420, 8);
+        server.submit_at(SimTime::ZERO, 1, short_model, 72, 8);
+        server.run()
+    };
+    let same = run("qwen2.5-3b");
+    let (opener, joiner) = (by_id(&same, 0), by_id(&same, 1));
+    assert!(opener.report.restored_bytes > 0);
+    assert_eq!(
+        (joiner.cached_fraction, joiner.report.restored_bytes),
+        (1.0, 0)
+    );
+    // The joiner dispatches while the opener is still prefilling, and waits.
+    assert!(joiner.dispatched < opener.first_token);
+    assert!(
+        opener.first_token < joiner.first_token,
+        "the joiner's first token {} overtook the opener's {}",
+        joiner.first_token,
+        opener.first_token
+    );
+
+    let other = run("tinyllama-1.1b");
+    let (opener, short) = (by_id(&other, 0), by_id(&other, 1));
+    assert!(
+        short.first_token < opener.first_token,
+        "the other model's first token {} must overtake the opener's {}",
+        short.first_token,
+        opener.first_token
     );
 }
 
