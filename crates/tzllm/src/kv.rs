@@ -52,8 +52,10 @@
 //! * **One byte ledger.** Pages and private tails are both *parts*, held
 //!   resident or sealed, and the pool's residency counters ([`KvBalance`])
 //!   change only when a part is admitted, sealed, unsealed or released.
-//!   [`KvPool::recount`] recomputes them from the parts themselves, so the
-//!   byte balance is checked rather than assumed.
+//!   [`KvPool::recount`] recomputes them from the parts themselves, and the
+//!   page references and deduped bytes from the sessions' page chains, so
+//!   the byte balance and the reference counts are checked rather than
+//!   assumed.
 //!
 //! With [`KvConfig::shared`] off, page keys are salted per session and the
 //! pool degenerates to the previous per-session retention semantics.  With
@@ -214,7 +216,8 @@ pub struct KvStats {
 /// The pool's residency counters: what the secure region and the spill
 /// region hold right now.  A *part* is one store page or one session's
 /// private tail; the counters change only when a part is admitted, sealed,
-/// unsealed or released.
+/// unsealed or released.  Beside them, the store's page references and the
+/// bytes their sharing saves.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KvBalance {
     /// Plain bytes resident in the secure region (shared pages once).
@@ -224,6 +227,11 @@ pub struct KvBalance {
     pub sealed_bytes: u64,
     /// Parts (pages and tails) in the spill region.
     pub sealed_pages: u64,
+    /// References the store's pages hold: one per whole page of every
+    /// session's retained chain.
+    pub page_refs: u64,
+    /// `Σ (refs − 1) × page bytes` over the referenced pages.
+    pub deduped_bytes: u64,
 }
 
 impl KvBalance {
@@ -403,13 +411,21 @@ impl KvPool {
         self.balance.sealed_pages
     }
 
-    /// The running residency counters.
+    /// The running residency counters, with the references the store's
+    /// pages count and the running deduped bytes.
     pub fn balance(&self) -> KvBalance {
-        self.balance
+        KvBalance {
+            page_refs: self.pages.values().map(|e| u64::from(e.refs)).sum(),
+            deduped_bytes: self.deduped_bytes,
+            ..self.balance
+        }
     }
 
     /// The residency counters recomputed from the pages and private tails
-    /// themselves: an audit compares this with [`KvPool::balance`].
+    /// themselves, and the references and deduped bytes from the sessions'
+    /// page chains (each chain entry holds one reference): an audit compares
+    /// this with [`KvPool::balance`], so a leaked or dangling reference
+    /// shows.
     pub fn recount(&self) -> KvBalance {
         let pages = self.pages.values().map(|e| (e.bytes, e.sealed));
         let tails = self
@@ -420,6 +436,16 @@ impl KvPool {
         let mut balance = KvBalance::default();
         for (plain, sealed) in pages.chain(tails) {
             balance.admit(self.format, plain, sealed);
+        }
+        let mut refs: BTreeMap<PageKey, u64> = BTreeMap::new();
+        for (&session, kv) in &self.sessions {
+            for &hash in &kv.page_hashes {
+                *refs.entry(self.key(session, kv.model, hash)).or_default() += 1;
+            }
+        }
+        for (key, n) in refs {
+            balance.page_refs += n;
+            balance.deduped_bytes += (n - 1) * self.pages.get(&key).map_or(0, |e| e.bytes);
         }
         balance
     }

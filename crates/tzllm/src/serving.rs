@@ -31,7 +31,12 @@
 //!   *chunk* of one prefill.  A step costs the weight read and the operator
 //!   launches once per distinct model — amortised across the whole
 //!   batch — plus every sequence's per-token KV/compute cost, priced by the
-//!   crate's one step pricer (`StepBatch::choose` in `step.rs`).  Decode on
+//!   crate's one step pricer (`StepBatch::choose` in `step.rs`).  The loop's
+//!   state and every decision between two steps — the chunk slot, the chunk
+//!   size, the draft depth, the acceptance draws and the token accounting —
+//!   belong to `StepLoop` in `step.rs`; this module only schedules its
+//!   steps, holds the NPU lane for them, and books the first tokens and
+//!   completions they report, with their KV, spans and metrics.  Decode on
 //!   this hardware is memory-bound, so a small prefill chunk rides in the
 //!   weight-read slack nearly for free, and a long prefill interleaves
 //!   between decode steps instead of pausing them.  The chunk is
@@ -146,8 +151,8 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use llm::{derive_seed, ModelSpec, PromptContent};
 use sim_core::telemetry::{LabelId, Phase, Telemetry, Track};
 use sim_core::{
-    CapacityLedger, DetRng, Engine, EventScheduler, LaneId, LaneUsage, PercentileSummary,
-    SimDuration, SimTime, WindowedMetrics,
+    CapacityLedger, Engine, EventScheduler, LaneId, LaneUsage, PercentileSummary, SimDuration,
+    SimTime, WindowedMetrics,
 };
 use tz_hal::PlatformProfile;
 use workloads::{Benchmark, ScriptedRequest, SessionScript, SessionStyle, WorkloadSpec};
@@ -156,7 +161,7 @@ use crate::cache::{CacheController, CachePolicy};
 use crate::kv::{ChainStoreStats, KvConfig, KvPool, KvQuery};
 use crate::pipeline::Policy;
 use crate::restore::RestoreRates;
-use crate::step::{self, Chunk, ChunkMode, StepBatch, StepMember, StepModel};
+use crate::step::{ChunkMode, Sequence, StepLoop, StepModel};
 use crate::system::{self, InferenceReport, PlanCache, PlanRequest, ServiceParams};
 
 /// Restore-ahead progress is credited to the cache in whole multiples of
@@ -709,138 +714,28 @@ struct ModelEntry {
     kv_bytes_per_token: u64,
 }
 
-/// The request currently in its service (restore + prefill) phase.
-struct ActiveService {
+/// One request from dispatch to completion: its record, and what its
+/// completion books.
+struct InFlight {
     record: RequestRecord,
-    model: ModelId,
-    /// Whether this service restores bytes (and therefore occupies the flash
-    /// channel for the pipeline window).
-    restoring: bool,
-    /// CPU cores held for the service window (all big cores when restoring
-    /// or unsealing KV pages — the decrypt threads are really busy — else
-    /// one core for the CPU-resident operators).
-    cores_held: u64,
+    /// Its NPU-side work (model, prefill window, response length, acceptance
+    /// model), handed to the step loop when the service phase ends.
+    seq: Sequence,
     /// Page-hash chain of the request's *full* context (prompt + response),
     /// precomputed for the KV pool's completion-time retention.
     kv_full_hashes: Vec<u64>,
     /// Tokens of that full context.
     kv_total_tokens: usize,
-    /// Acceptance model of the response (carried through to the decode).
-    accept_permille: u16,
-    accept_seed: u64,
+    /// Session-style tag for span labels and per-class metric series.
+    style: &'static str,
 }
 
-/// A prefill whose pre-NPU phase (pipelined restoration, KV unseal) is done:
-/// its NPU-side work now executes as chunk-sized slices interleaved into the
-/// batched step loop, at most one chunk per step.
-struct BatchedPrefill {
-    record: RequestRecord,
-    model: ModelId,
-    /// Whether its dispatch restored parameters (`report.restored_bytes >
-    /// 0`): later prefills of its model read that restore, so none of them
-    /// takes the chunk slot before this one finishes.
-    restoring: bool,
-    /// NPU seconds of prefill work left — the plan's exclusive NPU window,
-    /// consumed chunk by chunk.
-    npu_secs_left: f64,
-    /// NPU seconds one full chunk costs (the window split proportionally
-    /// over the prompt's new tokens).
-    chunk_secs: f64,
-    /// NPU seconds one new prompt token costs: the least a slack-sized
-    /// chunk consumes.
-    token_secs: f64,
-    /// Chunks already consumed, for telemetry span labels (`"chunk 3"`);
-    /// pure bookkeeping, never priced.
-    chunks_done: u32,
-    kv_full_hashes: Vec<u64>,
-    kv_total_tokens: usize,
-    /// Acceptance model of the response (carried through to the decode).
-    accept_permille: u16,
-    accept_seed: u64,
-}
-
-impl BatchedPrefill {
-    /// What the chunk-slot rule reads of this prefill.
-    fn claim(&self) -> SlotClaim {
-        SlotClaim {
-            work_left: self.npu_secs_left,
-            model: self.model,
-            restoring: self.restoring,
-        }
-    }
-}
-
-/// A prefill as the chunk-slot rule reads it.
-#[derive(Debug, Clone, Copy)]
-struct SlotClaim {
-    /// NPU seconds of prefill work left.
-    work_left: f64,
-    model: ModelId,
-    /// Whether its dispatch restored parameters.
-    restoring: bool,
-}
-
-/// The prefill that takes the next step's chunk slot, as an index into
-/// `claims` — every unfinished prefill, in dispatch order — given `active`,
-/// the index of the one that carried the last chunk (`None` when it
-/// finished).
-///
-/// Least remaining work first: the slot goes to the eligible prefill with
-/// the least work left, the earliest on a tie, and `active` keeps it unless
-/// another has strictly less, so equal work keeps FIFO order and the slot
-/// never moves back and forth.  A prefill is not eligible while an earlier
-/// prefill of its model is restoring: its NPU work reads that restore.
-fn chunk_slot<I>(claims: I, active: Option<usize>) -> Option<usize>
-where
-    I: Iterator<Item = SlotClaim> + Clone,
-{
-    let mut best: Option<(usize, f64)> = None;
-    let mut active_work = None;
-    for (i, c) in claims.clone().enumerate() {
-        if Some(i) == active {
-            active_work = Some(c.work_left);
-        }
-        let blocked = claims
-            .clone()
-            .take(i)
-            .any(|e| e.restoring && e.model == c.model);
-        if !blocked && best.is_none_or(|(_, work)| c.work_left < work) {
-            best = Some((i, c.work_left));
-        }
-    }
-    match (active.zip(active_work), best) {
-        (Some((a, held)), Some((_, work))) if work >= held => Some(a),
-        (_, best) => best.map(|(b, _)| b),
-    }
-}
-
-/// A sequence decoding inside the batched step loop: every step it is a
-/// member of produces exactly one of its tokens.
-struct BatchedDecode {
-    record: RequestRecord,
-    /// What the step pricer reads: model, KV length, tokens left, and the
-    /// per-step compute at the sequence's final KV length (decode compute is
-    /// affine in the KV length; pricing every step at the final length
-    /// keeps the step loop O(batch) and errs conservatively).
-    member: StepMember,
-    /// Steps this sequence has been a member of (tracked independently of
-    /// `tokens_left` so the starvation guard measures, not assumes).
-    steps_seen: u64,
-    /// The solo token time — the plain step of this sequence alone — that
-    /// sharing-stall accounting compares each step against.
-    intrinsic_secs: f64,
-    stall_sharing_ns: f64,
-    kv_full_hashes: Vec<u64>,
-    kv_total_tokens: usize,
-    /// Per-mille probability that the target accepts one draft proposal of
-    /// this response, and the request's private acceptance stream — the
-    /// simulator's ground truth: it decides each verify's outcome, and the
-    /// depth chooser never reads it.
-    accept_permille: u16,
-    accept_rng: DetRng,
-    /// Tokens the draft proposed for this sequence in the in-flight step
-    /// (0 when it runs a plain step, or when speculation is off).
-    step_proposed: u64,
+/// The request in its service (restore + prefill) phase, and the CPU cores
+/// it holds: all big cores when restoring or unsealing KV pages (the decrypt
+/// threads are busy), else one; a restoring service also holds the flash.
+struct ActiveService {
+    id: u64,
+    cores_held: u64,
 }
 
 /// The sealed KV state a background restore is unsealing for one queued
@@ -871,66 +766,18 @@ struct ActiveRestore {
 struct ServerState {
     config: ServingConfig,
     models: Vec<ModelEntry>,
-    /// Step-pricing coefficients, indexed like `models` (draft included).
-    step_models: Vec<StepModel>,
     model_ids: BTreeMap<String, ModelId>,
     queue: VecDeque<(QueuedRequest, SimTime)>,
-    /// Requests in flight (in service or decoding).
-    inflight: usize,
+    /// Requests in flight (in service, prefilling or decoding), by id.
+    inflight: BTreeMap<u64, InFlight>,
     service: Option<ActiveService>,
-    /// Sequences decoding in the batched step loop.
-    batch_decodes: Vec<BatchedDecode>,
-    /// Prefills past their pre-NPU phase, in dispatch order; each step's
-    /// chunk slot goes to one of them ([`chunk_slot`]).
-    batch_prefills: Vec<BatchedPrefill>,
-    /// Index into `batch_prefills` of the prefill holding the chunk slot
-    /// (the one the last step chunked, while it is unfinished).
-    batch_slot: Option<usize>,
-    /// Whether a step-end event is in flight (the loop is stepping).
-    batch_running: bool,
-    /// Duration of the in-flight step, seconds.
-    batch_step_secs: f64,
-    /// Chunk seconds the in-flight step consumes from the prefill holding
-    /// the chunk slot.
-    batch_step_chunk_secs: f64,
-    /// Sub-nanosecond residue of step-duration rounding, carried into the
-    /// next step so a long run of steps accumulates no drift.
-    batch_carry_ns: f64,
+    /// The batched step loop's sequences, decisions and counters.
+    steps: StepLoop,
     /// Whether the step loop currently holds the NPU lane.
     batch_npu_held: bool,
-    batch_steps: u64,
-    batch_busy_ns: u64,
-    batch_decode_tokens: u64,
-    /// Busy nanoseconds spent at each batch occupancy (sequences per step).
-    batch_occupancy_ns: BTreeMap<u32, u64>,
-    batch_max_step_ns: u64,
-    batch_max_steps_behind: u64,
     /// Entry index of the speculation draft model, appended after the
     /// catalogue (`None` when speculation is off).
     draft: Option<ModelId>,
-    /// Steps in which at least one sequence ran a draft + verify pass.
-    spec_steps: u64,
-    /// Steps per chosen draft depth, indexed by depth (`k + 1` entries when
-    /// speculation is on, else empty).
-    spec_depth_steps: Vec<u64>,
-    /// Draft tokens proposed across all sequences and steps.
-    spec_proposed_tokens: u64,
-    /// Proposed tokens the verify pass accepted.
-    spec_accepted_tokens: u64,
-    /// Draft positions the verify pass examined: every accepted proposal
-    /// plus the rejection each stopped verify ended at — the denominator of
-    /// the server's acceptance estimate.
-    spec_examined_tokens: u64,
-    /// Proposed tokens rejected — their paged-KV tail entries are rewound
-    /// before the next step is priced.
-    spec_rejected_tokens: u64,
-    /// Nanoseconds of step time spent in draft passes (and the one-time
-    /// draft weight restore) — the overhead accepted tokens must win back.
-    spec_draft_ns: u64,
-    /// Histogram of tokens emitted per decode sequence per step while
-    /// speculation is on (accepted prefix + bonus token):
-    /// `emitted → sequence-steps`.
-    spec_emitted_hist: BTreeMap<u32, u64>,
     restore: Option<ActiveRestore>,
     restore_epoch: u64,
     restore_ahead_bytes: u64,
@@ -967,10 +814,6 @@ struct ServerState {
     tl_npu: LabelId,
     tl_flash: LabelId,
     tl_cpu: LabelId,
-    /// Style tag per in-flight request id, for completion-time span labels
-    /// and per-class metric series.  Only populated while telemetry or
-    /// metrics are enabled.
-    styles: BTreeMap<u64, &'static str>,
     /// The windowed metrics registry (disabled instance when the config
     /// knob is off — every record call is then a single branch).
     metrics: WindowedMetrics,
@@ -1009,24 +852,18 @@ impl ServerState {
         }
     }
 
-    /// Sessions whose retained KV is pinned (never a spill/drop victim):
-    /// requests currently in flight, plus the session whose sealed pages a
-    /// restore-ahead is unsealing right now.
+    /// Sessions whose retained KV is pinned (never a spill/drop victim): the
+    /// request in service and the step loop's members, plus the session
+    /// whose sealed pages a restore-ahead is unsealing right now.
     fn active_sessions(&self) -> BTreeSet<u64> {
-        let mut active = BTreeSet::new();
-        if let Some(svc) = &self.service {
-            active.insert(svc.record.request.session);
-        }
-        for d in &self.batch_decodes {
-            active.insert(d.record.request.session);
-        }
-        for p in &self.batch_prefills {
-            active.insert(p.record.request.session);
-        }
-        if let Some(r) = &self.restore {
-            if let Some(rkv) = &r.kv {
-                active.insert(rkv.query.session);
-            }
+        let running = self.service.as_ref().map(|s| s.id);
+        let mut active: BTreeSet<u64> = running
+            .into_iter()
+            .chain(self.steps.members())
+            .map(|id| self.inflight[&id].record.request.session)
+            .collect();
+        if let Some(rkv) = self.restore.as_ref().and_then(|r| r.kv.as_ref()) {
+            active.insert(rkv.query.session);
         }
         active
     }
@@ -1139,7 +976,7 @@ fn schedule_session_continuation(
 /// restoring the queue head's parameters ahead of dispatch.
 fn try_progress(state: &mut ServerState, sched: &mut EventScheduler<ServerState>) {
     if state.service.is_none()
-        && state.inflight < state.config.max_inflight
+        && state.inflight.len() < state.config.max_inflight
         && !state.queue.is_empty()
     {
         dispatch_next(state, sched);
@@ -1153,10 +990,6 @@ fn dispatch_next(state: &mut ServerState, sched: &mut EventScheduler<ServerState
     let Some((qreq, arrival)) = state.queue.pop_front() else {
         return;
     };
-    state.note_depth(now);
-    if state.telemetry.is_enabled() || state.metrics.is_enabled() {
-        state.styles.insert(qreq.id, qreq.style_label);
-    }
     state
         .metrics
         .gauge("queue_depth", "all", now, state.queue.len() as f64);
@@ -1270,7 +1103,7 @@ fn dispatch_next(state: &mut ServerState, sched: &mut EventScheduler<ServerState
     // (`complete_request` applies retention only then).  Requests that
     // dispatch meanwhile start their NPU work after this restore finishes —
     // the service phase is exclusive, and while this prefill restores no
-    // later prefill of its model takes the chunk slot (`chunk_slot`) — so
+    // later prefill of its model takes the chunk slot (`StepLoop`) — so
     // they may read the blob as fully cached.
     let entry = &mut state.models[midx];
     entry.cache.seed(entry.cache.total_bytes());
@@ -1316,17 +1149,29 @@ fn dispatch_next(state: &mut ServerState, sched: &mut EventScheduler<ServerState
         prefill_stall: SimDuration::ZERO,
         report,
     };
-    state.service = Some(ActiveService {
-        record,
+    let seq = Sequence {
+        id: qreq.id,
         model: qreq.model,
         restoring,
-        cores_held: cores_needed,
-        kv_full_hashes,
-        kv_total_tokens,
+        npu_secs: npu_hold.as_secs_f64(),
+        new_tokens: qreq.prompt_len.saturating_sub(kv_reuse.reused_tokens),
+        kv_len: qreq.prompt_len + qreq.output_len,
+        output_len: qreq.output_len,
         accept_permille: qreq.accept_permille,
         accept_seed: qreq.accept_seed,
+    };
+    let request = InFlight {
+        record,
+        seq,
+        kv_full_hashes,
+        kv_total_tokens,
+        style: qreq.style_label,
+    };
+    state.inflight.insert(qreq.id, request);
+    state.service = Some(ActiveService {
+        id: qreq.id,
+        cores_held: cores_needed,
     });
-    state.inflight += 1;
     // The pre-NPU phase (pipelined restoration + KV unseal beyond the NPU
     // window) runs exactly as planned on the flash/CPU lanes; the NPU-side
     // prefill work then joins the step loop as chunks.
@@ -1340,12 +1185,10 @@ fn dispatch_next(state: &mut ServerState, sched: &mut EventScheduler<ServerState
 fn complete_request(
     state: &mut ServerState,
     sched: &mut EventScheduler<ServerState>,
-    model: ModelId,
-    mut record: RequestRecord,
-    kv_full_hashes: Vec<u64>,
-    kv_total_tokens: usize,
+    done: InFlight,
     now: SimTime,
 ) {
+    let (mut record, model, style) = (done.record, done.seq.model, done.style);
     record.completed = now;
     let session = record.request.session;
     // Snapshot the cumulative spill counter so the sealing this completion
@@ -1400,8 +1243,8 @@ fn complete_request(
         state.kv.on_complete(
             session,
             model.0,
-            &kv_full_hashes,
-            kv_total_tokens,
+            &done.kv_full_hashes,
+            done.kv_total_tokens,
             entry.kv_bytes_per_token,
             now,
         );
@@ -1416,10 +1259,6 @@ fn complete_request(
         let active = state.active_sessions();
         state.kv.enforce(secure_budget, &active);
     }
-    let style = state
-        .styles
-        .remove(&record.request.id)
-        .unwrap_or("independent");
     let sealed = sealed_before.map_or(0, |before| state.kv.stats().spilled_bytes - before);
     if state.metrics.is_enabled() {
         // Per-class windowed series.  Latencies are attributed to the
@@ -1458,7 +1297,6 @@ fn complete_request(
         record_lifecycle_spans(state, &record, style, sealed, now);
     }
     state.records.push(record);
-    state.inflight -= 1;
 
     // Closed-loop continuation: the session thinks, then sends its next
     // request.
@@ -1514,184 +1352,63 @@ fn record_lifecycle_spans(
 fn on_service_ready_for_batch(state: &mut ServerState, sched: &mut EventScheduler<ServerState>) {
     let now = sched.now();
     let svc = state.service.take().expect("a service phase is active");
-    let (lane_flash, lane_cpu) = (state.lane_flash, state.lane_cpu);
-    if svc.restoring {
-        state.ledger.release(lane_flash, 1, now);
+    let seq = state.inflight[&svc.id].seq;
+    if seq.restoring {
+        state.ledger.release(state.lane_flash, 1, now);
     }
-    state.ledger.release(lane_cpu, svc.cores_held, now);
-
-    let report = &svc.record.report;
-    let npu_hold = (report.npu_busy + report.breakdown.npu_overhead).min(report.ttft);
-    let npu_secs = npu_hold.as_secs_f64();
-    // The plan's exclusive NPU window, split proportionally over the
-    // prompt's new (not KV-reused) tokens: one chunk's worth of tokens costs
-    // one chunk's share of the window.
-    let new_tokens = svc
-        .record
-        .request
-        .prompt_len
-        .saturating_sub(svc.record.kv_reused_tokens)
-        .max(1);
-    let chunk_tokens = state.config.prefill_chunk_tokens.min(new_tokens);
-    state.batch_prefills.push(BatchedPrefill {
-        record: svc.record,
-        model: svc.model,
-        restoring: svc.restoring,
-        npu_secs_left: npu_secs,
-        chunk_secs: npu_secs * chunk_tokens as f64 / new_tokens as f64,
-        token_secs: npu_secs / new_tokens as f64,
-        chunks_done: 0,
-        kv_full_hashes: svc.kv_full_hashes,
-        kv_total_tokens: svc.kv_total_tokens,
-        accept_permille: svc.accept_permille,
-        accept_seed: svc.accept_seed,
-    });
+    state.ledger.release(state.lane_cpu, svc.cores_held, now);
+    state.steps.admit(seq);
     maybe_start_batch_step(state, sched);
     try_progress(state, sched);
 }
 
-/// Prices and schedules the next batched NPU step, if the batch has work and
-/// no step is already in flight.  One step = one decode token for every
-/// member sequence (more under speculation) plus at most one chunk of the
-/// prefill [`chunk_slot`] gives the slot to, the chunk being a slice of the
-/// prefill plan's NPU window; [`StepBatch::choose`] prices it (the weight
-/// read, the operator launches and the world-switch handoffs once per
-/// distinct model plus every sequence's per-token MACs), sizes a slack
-/// chunk and picks its draft depth.
-///
-/// The chunk is `prefill_chunk_tokens` long unless every in-flight slot is
-/// taken, a request waits in the queue and the step has decodes: then no
-/// new prefill can start before a decode finishes, so a full chunk would
-/// only end this prefill sooner and leave the decode-only steps after it
-/// with idle NPU time under their weight reads.  In that state the chunk
-/// fills the step's weight-read slack instead ([`step::Chunk::Slack`]) and
-/// costs the decodes nothing, or carries one prompt token's share of the
-/// window when a compute-bound pass leaves less.  In any other state a
-/// slack chunk would only delay a first token.
+/// Starts the step the loop picks next, if no step is in flight: holds the
+/// NPU lane while the loop has work (and releases it when it has none),
+/// pins the draft's weights on the step that restores them, and records the
+/// step's spans and metrics.
 fn maybe_start_batch_step(state: &mut ServerState, sched: &mut EventScheduler<ServerState>) {
-    if state.batch_running {
+    if state.steps.running() {
         return;
     }
     let now = sched.now();
-    let slot = chunk_slot(
-        state.batch_prefills.iter().map(BatchedPrefill::claim),
-        state.batch_slot,
-    );
-    if state.batch_slot.is_some() && slot != state.batch_slot {
-        // A prefill with less work left took the slot from an unfinished one.
-        state.metrics.add("prefill_preemptions", "all", now, 1);
-    }
-    state.batch_slot = slot;
-    let prefill = slot.map(|i| &state.batch_prefills[i]);
-    if state.batch_decodes.is_empty() && prefill.is_none() {
+    let backlog = state.inflight.len() == state.config.max_inflight && !state.queue.is_empty();
+    let Some(step) = state.steps.next(backlog) else {
         if state.batch_npu_held {
-            let lane = state.lane_npu;
-            state.ledger.release(lane, 1, now);
+            state.ledger.release(state.lane_npu, 1, now);
             state.batch_npu_held = false;
         }
         return;
+    };
+    if step.preempted {
+        // A prefill with less work left took the slot from an unfinished one.
+        state.metrics.add("prefill_preemptions", "all", now, 1);
     }
     if !state.batch_npu_held {
-        let lane = state.lane_npu;
-        state.ledger.acquire(lane, 1, now);
+        state.ledger.acquire(state.lane_npu, 1, now);
         state.batch_npu_held = true;
     }
-    // Speculation: a step without a prefill chunk picks the draft depth
-    // (0..=k) that maximises expected emitted tokens per second of step
-    // time, pricing every candidate with the function that prices the step
-    // itself, at the server's own acceptance estimate.  Steps that carry a
-    // prefill chunk are exempt: drafting stretches the step, and a stretched
-    // step delays the interleaved chunk — skipping those steps keeps the
-    // chunk cadence (and so cold-heavy TTFT) at the plain batched loop's.
-    // With speculation off only depth 0 is priced, which is bit-for-bit the
-    // plain batched step.
-    // Every slot taken and a request waiting: no new prefill can start
-    // before a decode finishes, so the chunk fills the decodes' slack.
-    let slack = state.inflight == state.config.max_inflight
-        && !state.queue.is_empty()
-        && !state.batch_decodes.is_empty();
-    let chunk = match prefill {
-        None => Chunk::Fixed(0.0),
-        Some(p) if slack => Chunk::Slack {
-            floor_secs: p.token_secs,
-            left_secs: p.npu_secs_left,
-        },
-        Some(p) => Chunk::Fixed(p.chunk_secs.min(p.npu_secs_left)),
-    };
-    let deciding = state.draft.is_some() && prefill.is_none();
-    let max_depth = if deciding {
-        state.config.speculation.k as u64
-    } else {
-        0
-    };
-    let price = StepBatch {
-        members: state.batch_decodes.iter().map(|d| &d.member),
-        models: &state.step_models,
-        draft: state.draft.map(|id| &state.step_models[id.0 as usize]),
-        chunk,
+    let price = step.price;
+    if step.restores_draft {
+        // The step pays the draft's weight restore; retention keeps the
+        // weights pinned from then on.
+        let draft = state.draft.expect("only a wired draft restores");
+        let entry = &mut state.models[draft.0 as usize];
+        entry.retained_target = entry.cache.total_bytes();
+        entry.cache.seed(entry.retained_target);
     }
-    .choose(
-        max_depth,
-        step::acceptance_estimate(state.spec_accepted_tokens, state.spec_examined_tokens),
-    );
-    let (depth, chunk_secs) = (price.depth, price.chunk_secs);
-    let (mut draft_secs, mut step_secs) = (price.draft_secs, price.step_secs);
-    if deciding {
-        state.spec_depth_steps[depth as usize] += 1;
-    }
-    if depth > 0 {
-        for d in &mut state.batch_decodes {
-            d.step_proposed = d.member.proposals(depth);
-        }
-        // The draft's weights stream through the same restore path as a
-        // served model's; the first speculative step pays for whatever is
-        // missing (outside the depth comparison — it is paid once whatever
-        // the depth), and the retention pass keeps them pinned thereafter.
-        let draft_id = state
-            .draft
-            .expect("speculation enabled but no draft model wired");
-        let entry = &mut state.models[draft_id.0 as usize];
-        let missing = entry.cache.total_bytes() - entry.cache.cached_bytes();
-        if missing > 0 {
-            let restore_secs = missing as f64 / entry.restore_rate;
-            draft_secs += restore_secs;
-            step_secs += restore_secs;
-            let total = entry.cache.total_bytes();
-            entry.cache.seed(total);
-            entry.retained_target = total;
-        }
-    }
-    // Whole-nanosecond event times with a carried fractional residue, so a
-    // thousand-step decode accumulates no rounding drift.
-    let ns_f = step_secs * 1e9 + state.batch_carry_ns;
-    let ns = ns_f.round().max(0.0);
-    state.batch_carry_ns = ns_f - ns;
-    let ns = ns as u64;
-    state.batch_step_secs = step_secs;
-    state.batch_step_chunk_secs = chunk_secs;
-    state.batch_running = true;
-    let occupancy = state.batch_decodes.len() as u32 + u32::from(prefill.is_some());
-    *state.batch_occupancy_ns.entry(occupancy).or_insert(0) += ns;
-    state.batch_steps += 1;
-    state.batch_busy_ns += ns;
-    state.batch_max_step_ns = state.batch_max_step_ns.max(ns);
-    if depth > 0 {
-        state.spec_steps += 1;
-        state.spec_draft_ns += (draft_secs * 1e9).round() as u64;
-    }
+    let end = now + SimDuration::from_nanos(step.ns);
     if state.telemetry.is_enabled() {
-        let end = now + SimDuration::from_nanos(ns);
         let npu = Track::Lane(state.tl_npu);
-        let step_label = format!("step occ={occupancy}");
+        let step_label = format!("step occ={}", step.occupancy);
         state
             .telemetry
             .span(npu, Phase::BatchStep, &step_label, now, end);
-        if depth > 0 && draft_secs > 0.0 {
+        if price.depth > 0 && price.draft_secs > 0.0 {
             // Nest the serial draft rounds and the fused verify sweep
             // inside the step so Perfetto shows the split; the label names
             // the depth the step chose.
-            let draft_end = (now + SimDuration::from_secs_f64(draft_secs)).min(end);
-            let draft_label = format!("draft k={depth}");
+            let draft_end = (now + SimDuration::from_secs_f64(price.draft_secs)).min(end);
+            let draft_label = format!("draft k={}", price.depth);
             state
                 .telemetry
                 .span(npu, Phase::SpecDraft, &draft_label, now, draft_end);
@@ -1699,193 +1416,64 @@ fn maybe_start_batch_step(state: &mut ServerState, sched: &mut EventScheduler<Se
                 .telemetry
                 .span(npu, Phase::SpecVerify, "verify", draft_end, end);
         }
-        if chunk_secs > 0.0 {
-            if let Some(p) = prefill {
-                let mut chunk_label =
-                    format!("req {} chunk {}", p.record.request.id, p.chunks_done + 1);
-                if price.chunk_mode != ChunkMode::Fixed {
-                    chunk_label.push(' ');
-                    chunk_label.push_str(price.chunk_mode.label());
-                }
-                let chunk_end = (now + SimDuration::from_secs_f64(chunk_secs)).min(end);
-                state
-                    .telemetry
-                    .span(npu, Phase::PrefillChunk, &chunk_label, now, chunk_end);
+        if let Some((id, chunk)) = step.chunk.filter(|_| price.chunk_secs > 0.0) {
+            let mut chunk_label = format!("req {id} chunk {chunk}");
+            if price.chunk_mode != ChunkMode::Fixed {
+                chunk_label.push(' ');
+                chunk_label.push_str(price.chunk_mode.label());
             }
+            let chunk_end = (now + SimDuration::from_secs_f64(price.chunk_secs)).min(end);
+            state
+                .telemetry
+                .span(npu, Phase::PrefillChunk, &chunk_label, now, chunk_end);
         }
     }
     state
         .metrics
-        .gauge("batch_occupancy", "all", now, occupancy as f64);
+        .gauge("batch_occupancy", "all", now, step.occupancy as f64);
     state
         .metrics
-        .observe("batch_step", "all", now, SimDuration::from_nanos(ns));
-    if prefill.is_some() {
+        .observe("batch_step", "all", now, SimDuration::from_nanos(step.ns));
+    if step.chunk.is_some() {
         // Steps and chunk nanoseconds per chunk mode: how often the cap
         // with a backlog sizes the chunk to the slack, and how often a
         // compute-bound pass leaves it only the one-token floor.
         let mode = price.chunk_mode.label();
         state.metrics.add("prefill_chunk_steps", mode, now, 1);
-        let chunk_ns = (chunk_secs * 1e9).round() as u64;
+        let chunk_ns = (price.chunk_secs * 1e9).round() as u64;
         state.metrics.add("prefill_chunk_ns", mode, now, chunk_ns);
     }
-    sched.schedule_at(now + SimDuration::from_nanos(ns), on_batch_step_end);
+    sched.schedule_at(end, on_batch_step_end);
 }
 
-/// One batched step finished: every member decode produced one token, the
-/// chunk slot's prefill consumed one chunk, and anything that finished
-/// leaves the batch.  A slot a completion freed is refilled before the next
-/// step is priced, so that step sees the in-flight count the queue leaves it
-/// with: at the cap with a backlog, its chunk fills the pass's slack.
+/// One step finished: completions are booked first, in join order, then the
+/// first token of the prefill the step finished (a one-token response
+/// completes on the spot).  A slot a completion freed is refilled before
+/// the next step is priced, so that step sees the in-flight count the queue
+/// leaves it with: at the cap with a backlog, its chunk fills the pass's
+/// slack.
 fn on_batch_step_end(state: &mut ServerState, sched: &mut EventScheduler<ServerState>) {
     let now = sched.now();
-    state.batch_running = false;
-    let step_secs = state.batch_step_secs;
-    let chunk_secs = state.batch_step_chunk_secs;
-    let speculating = state.draft.is_some();
-    let mut tokens_this_step = 0u64;
-    for d in &mut state.batch_decodes {
-        d.steps_seen += 1;
-        let emitted = if d.step_proposed == 0 {
-            1
-        } else {
-            // The target accepts the leading run of draft proposals that
-            // match what it would have sampled itself, then emits one bonus
-            // token of its own past the accepted prefix; the KV tail written
-            // for rejected positions is rewound (paged KV makes that a
-            // page-tail truncation, already accounted in kv_total_tokens
-            // which tracks the *final* sequence length).
-            let rate = d.accept_permille as f64 / 1000.0;
-            let mut accepted = 0u64;
-            while accepted < d.step_proposed && d.accept_rng.gen_bool(rate) {
-                accepted += 1;
-            }
-            state.spec_proposed_tokens += d.step_proposed;
-            state.spec_accepted_tokens += accepted;
-            state.spec_rejected_tokens += d.step_proposed - accepted;
-            state.spec_examined_tokens += accepted + u64::from(accepted < d.step_proposed);
-            accepted + 1
-        };
-        if speculating {
-            *state.spec_emitted_hist.entry(emitted as u32).or_insert(0) += 1;
-        }
-        d.step_proposed = 0;
-        // `emitted <= tokens_left` always: proposals are capped at
-        // `tokens_left - 1`, so even a full accept plus the bonus token
-        // cannot overshoot the scripted output length.
-        d.member.tokens_left -= emitted;
-        tokens_this_step += emitted;
-        // Any step time beyond the sequence's solo time for the tokens it
-        // actually emitted is what sharing the NPU (and drafting) cost it.
-        d.stall_sharing_ns += (step_secs - emitted as f64 * d.intrinsic_secs).max(0.0) * 1e9;
+    let end = state.steps.finish();
+    for (id, stall) in end.completed {
+        let mut done = state.inflight.remove(&id).expect("a decode is in flight");
+        done.record.stall_sharing = stall;
+        complete_request(state, sched, done, now);
     }
-    state.batch_decode_tokens += tokens_this_step;
-    let mut finished = Vec::new();
-    let mut i = 0;
-    while i < state.batch_decodes.len() {
-        if state.batch_decodes[i].member.tokens_left == 0 {
-            finished.push(state.batch_decodes.remove(i));
-        } else {
-            i += 1;
+    if let Some((id, last)) = end.first_token {
+        let req = state.inflight.get_mut(&id).expect("a prefill is in flight");
+        let record = &mut req.record;
+        record.first_token = now;
+        record.prefill_stall = now
+            .saturating_since(record.dispatched)
+            .saturating_sub(record.report.ttft);
+        if last {
+            let done = state.inflight.remove(&id).expect("a prefill is in flight");
+            complete_request(state, sched, done, now);
         }
-    }
-    let mut prefill_done = None;
-    if let Some(i) = state.batch_slot {
-        let p = &mut state.batch_prefills[i];
-        p.npu_secs_left -= chunk_secs;
-        if chunk_secs > 0.0 {
-            p.chunks_done += 1;
-        }
-        // Exact-zero in the common case (the last chunk is `min(chunk,
-        // left)`); the epsilon only absorbs float residue.
-        if p.npu_secs_left <= 1e-9 {
-            prefill_done = Some(state.batch_prefills.remove(i));
-            state.batch_slot = None;
-        }
-    }
-    for d in finished {
-        let behind = d
-            .steps_seen
-            .saturating_sub(d.record.request.output_len.saturating_sub(1) as u64);
-        state.batch_max_steps_behind = state.batch_max_steps_behind.max(behind);
-        let mut record = d.record;
-        record.stall_sharing = SimDuration::from_nanos(d.stall_sharing_ns.round() as u64);
-        complete_request(
-            state,
-            sched,
-            d.member.model,
-            record,
-            d.kv_full_hashes,
-            d.kv_total_tokens,
-            now,
-        );
-    }
-    if let Some(p) = prefill_done {
-        on_batched_first_token(state, sched, p, now);
     }
     try_progress(state, sched);
     maybe_start_batch_step(state, sched);
-}
-
-/// A chunked prefill consumed its whole NPU window: its first token is out.
-/// A single-token request completes on the spot; otherwise the sequence
-/// joins the decode batch from the next step boundary.
-fn on_batched_first_token(
-    state: &mut ServerState,
-    sched: &mut EventScheduler<ServerState>,
-    prefill: BatchedPrefill,
-    now: SimTime,
-) {
-    let mut record = prefill.record;
-    record.first_token = now;
-    record.prefill_stall = record
-        .first_token
-        .saturating_since(record.dispatched)
-        .saturating_sub(record.report.ttft);
-    let tokens = record.request.output_len.saturating_sub(1) as u64;
-    if tokens == 0 {
-        complete_request(
-            state,
-            sched,
-            prefill.model,
-            record,
-            prefill.kv_full_hashes,
-            prefill.kv_total_tokens,
-            now,
-        );
-        return;
-    }
-    let coeffs = &state.step_models[prefill.model.0 as usize];
-    // Price every step at the sequence's final KV length (decode compute is
-    // affine in the KV length, and the spread over one response is small).
-    let kv_len = record.request.prompt_len + record.request.output_len;
-    let member = StepMember {
-        model: prefill.model,
-        kv_len,
-        tokens_left: tokens,
-        compute_secs: coeffs.step.decode_compute_secs(kv_len),
-        drafts: coeffs.drafts,
-    };
-    let intrinsic_secs = StepBatch {
-        members: std::iter::once(&member),
-        models: &state.step_models,
-        draft: None,
-        chunk: Chunk::Fixed(0.0),
-    }
-    .choose(0, 0.0)
-    .step_secs;
-    state.batch_decodes.push(BatchedDecode {
-        record,
-        member,
-        steps_seen: 0,
-        intrinsic_secs,
-        stall_sharing_ns: 0.0,
-        kv_full_hashes: prefill.kv_full_hashes,
-        kv_total_tokens: prefill.kv_total_tokens,
-        accept_permille: prefill.accept_permille,
-        accept_rng: DetRng::new(prefill.accept_seed),
-        step_proposed: 0,
-    });
 }
 
 /// Starts restoring the first eligible queued request's missing parameters —
@@ -2166,15 +1754,16 @@ impl Server {
         let draft = draft_spec.map(|dspec| {
             let id = ModelId(models.len() as u32);
             let (entry, coeffs) = model_entry(&config, &cost, dspec, false);
+            // Its cache starts cold and no request targets it, so the first
+            // speculative step restores all of it, and only that step.
+            debug_assert_eq!(entry.cache.cached_bytes(), 0);
+            let restore_secs = entry.cache.total_bytes() as f64 / entry.restore_rate;
             models.push(entry);
             step_models.push(coeffs);
-            id
+            (id, restore_secs)
         });
-        let spec_depths = if draft.is_some() {
-            config.speculation.k + 1
-        } else {
-            0
-        };
+        let k = config.speculation.k as u64;
+        let steps = StepLoop::new(step_models, draft, k, config.prefill_chunk_tokens);
         let plan_cache = PlanCache::new(config.plan_cache_capacity);
         let kv = KvPool::new(&config.kv);
         // Sealed KV pages sit in DRAM, so unsealing is decrypt-bound on the
@@ -2199,34 +1788,13 @@ impl Server {
             engine: Engine::new(ServerState {
                 config,
                 models,
-                step_models,
                 model_ids,
                 queue: VecDeque::new(),
-                inflight: 0,
+                inflight: BTreeMap::new(),
                 service: None,
-                batch_decodes: Vec::new(),
-                batch_prefills: Vec::new(),
-                batch_slot: None,
-                batch_running: false,
-                batch_step_secs: 0.0,
-                batch_step_chunk_secs: 0.0,
-                batch_carry_ns: 0.0,
+                steps,
                 batch_npu_held: false,
-                batch_steps: 0,
-                batch_busy_ns: 0,
-                batch_decode_tokens: 0,
-                batch_occupancy_ns: BTreeMap::new(),
-                batch_max_step_ns: 0,
-                batch_max_steps_behind: 0,
-                draft,
-                spec_steps: 0,
-                spec_depth_steps: vec![0; spec_depths],
-                spec_proposed_tokens: 0,
-                spec_accepted_tokens: 0,
-                spec_examined_tokens: 0,
-                spec_rejected_tokens: 0,
-                spec_draft_ns: 0,
-                spec_emitted_hist: BTreeMap::new(),
+                draft: draft.map(|(id, _)| id),
                 restore: None,
                 restore_epoch: 0,
                 restore_ahead_bytes: 0,
@@ -2247,7 +1815,6 @@ impl Server {
                 tl_npu,
                 tl_flash,
                 tl_cpu,
-                styles: BTreeMap::new(),
                 metrics,
                 plan_cache,
                 records: Vec::new(),
@@ -2367,8 +1934,10 @@ impl Server {
     pub fn run(mut self) -> ServingReport {
         self.engine.run_to_completion();
         let mut state = self.engine.into_state();
-        let fleet = fleet_stats(&state);
-        let resources = state.ledger.usage(fleet.horizon);
+        let horizon = state.records.iter().map(|r| r.completed).max();
+        let horizon = horizon.unwrap_or(SimTime::ZERO);
+        let resources = state.ledger.usage(horizon);
+        let fleet = fleet_stats(&state, horizon, &resources[state.lane_npu.index()]);
         if state.telemetry.is_enabled() || state.metrics.is_enabled() {
             observe_lane_occupancy(&mut state);
         }
@@ -2467,13 +2036,10 @@ fn observe_lane_occupancy(state: &mut ServerState) {
     }
 }
 
-fn fleet_stats(state: &ServerState) -> ServingStats {
+/// The run's statistics, given its horizon (the last completion) and the
+/// NPU lane's usage up to it.
+fn fleet_stats(state: &ServerState, horizon: SimTime, npu_usage: &LaneUsage) -> ServingStats {
     let records = &state.records;
-    let horizon = records
-        .iter()
-        .map(|r| r.completed)
-        .max()
-        .unwrap_or(SimTime::ZERO);
     let ms = |v: Vec<f64>| PercentileSummary::from_values(&v);
     let ttft: Vec<f64> = records
         .iter()
@@ -2497,15 +2063,15 @@ fn fleet_stats(state: &ServerState) -> ServingStats {
             records.iter().map(|r| f(r).as_millis_f64()).sum::<f64>() / records.len() as f64
         }
     };
-    let batch_busy_secs = state.batch_busy_ns as f64 / 1e9;
-    let occupancy_weighted: f64 = state
-        .batch_occupancy_ns
+    let steps = &state.steps.stats;
+    let batch_busy_secs = steps.busy_ns as f64 / 1e9;
+    let occupancy_weighted: f64 = steps
+        .occupancy_ns
         .iter()
         .map(|(&occ, &ns)| occ as f64 * ns as f64 / 1e9)
         .sum();
     let kv_stats = state.kv.stats();
     let horizon_secs = horizon.as_secs_f64();
-    let npu_usage = &state.ledger.usage(horizon)[state.lane_npu.index()];
     ServingStats {
         completed: records.len(),
         rejected: state.rejected.len(),
@@ -2535,59 +2101,51 @@ fn fleet_stats(state: &ServerState) -> ServingStats {
         npu_utilisation: npu_usage.utilisation(horizon),
         mean_decode_stall_ms: mean_ms(&|r| r.decode_stall()),
         mean_stall_sharing_ms: mean_ms(&|r| r.stall_sharing),
-        batch_steps: state.batch_steps,
+        batch_steps: steps.steps,
         mean_batch_occupancy: if batch_busy_secs > 0.0 {
             occupancy_weighted / batch_busy_secs
         } else {
             0.0
         },
-        batch_occupancy: state
-            .batch_occupancy_ns
+        batch_occupancy: steps
+            .occupancy_ns
             .iter()
             .map(|(&occ, &ns)| (occ, ns as f64 / 1e9))
             .collect(),
         batched_decode_tps: if batch_busy_secs > 0.0 {
-            state.batch_decode_tokens as f64 / batch_busy_secs
+            steps.decode_tokens as f64 / batch_busy_secs
         } else {
             0.0
         },
-        max_batch_step_ms: state.batch_max_step_ns as f64 / 1e6,
-        batch_max_steps_behind: state.batch_max_steps_behind,
-        spec_steps: state.spec_steps,
-        spec_depth_per_step: state
-            .spec_depth_steps
+        max_batch_step_ms: steps.max_step_ns as f64 / 1e6,
+        batch_max_steps_behind: steps.max_steps_behind,
+        spec_steps: steps.spec_steps,
+        spec_depth_per_step: steps
+            .depth_steps
             .iter()
             .enumerate()
             .filter(|&(_, &steps)| steps > 0)
             .map(|(depth, &steps)| (depth as u32, steps))
             .collect(),
-        spec_proposed_tokens: state.spec_proposed_tokens,
-        spec_accepted_tokens: state.spec_accepted_tokens,
-        spec_rejected_tokens: state.spec_rejected_tokens,
-        spec_accept_rate: if state.spec_proposed_tokens > 0 {
-            state.spec_accepted_tokens as f64 / state.spec_proposed_tokens as f64
+        spec_proposed_tokens: steps.proposed,
+        spec_accepted_tokens: steps.accepted,
+        spec_rejected_tokens: steps.rejected,
+        spec_accept_rate: if steps.proposed > 0 {
+            steps.accepted as f64 / steps.proposed as f64
         } else {
             0.0
         },
-        spec_draft_overhead: if state.batch_busy_ns > 0 {
-            state.spec_draft_ns as f64 / state.batch_busy_ns as f64
+        spec_draft_overhead: if steps.busy_ns > 0 {
+            steps.draft_ns as f64 / steps.busy_ns as f64
         } else {
             0.0
         },
-        spec_emitted_per_step: state
-            .spec_emitted_hist
-            .iter()
-            .map(|(&emitted, &steps)| (emitted, steps))
-            .collect(),
+        spec_emitted_per_step: steps.emitted.iter().map(|(&e, &n)| (e, n)).collect(),
         spec_mean_emitted_per_step: {
-            let steps: u64 = state.spec_emitted_hist.values().sum();
-            if steps > 0 {
-                state
-                    .spec_emitted_hist
-                    .iter()
-                    .map(|(&e, &n)| e as u64 * n)
-                    .sum::<u64>() as f64
-                    / steps as f64
+            let sequence_steps: u64 = steps.emitted.values().sum();
+            if sequence_steps > 0 {
+                let emitted: u64 = steps.emitted.iter().map(|(&e, &n)| e as u64 * n).sum();
+                emitted as f64 / sequence_steps as f64
             } else {
                 0.0
             }
@@ -2772,75 +2330,6 @@ mod tests {
                 r.request.id
             );
         }
-    }
-
-    /// The chunk-slot rule over 500 random histories of prefills arriving,
-    /// taking chunks and finishing.  At every step boundary the slot goes to
-    /// the least work left among eligible prefills, the earliest on a tie;
-    /// its holder is displaced only by strictly less work; and no prefill
-    /// overtakes an earlier restoring prefill of its model.
-    #[test]
-    fn the_chunk_slot_serves_the_least_work_left_first() {
-        const SEED: u64 = 0x5107;
-        let mut rng = DetRng::new(SEED);
-        let (mut preempted, mut guarded) = (0, 0);
-        for case in 0..500 {
-            let mut claims: Vec<SlotClaim> = Vec::new();
-            let mut active = None;
-            for step in 0..24 {
-                // Whole units of work, so ties are common.
-                for _ in 0..rng.gen_range(0, 3) {
-                    claims.push(SlotClaim {
-                        work_left: rng.gen_range(1, 8) as f64,
-                        model: ModelId(rng.gen_range(0, 3) as u32),
-                        restoring: rng.gen_bool(0.3),
-                    });
-                }
-                let slot = chunk_slot(claims.iter().copied(), active);
-                let repro = format!(
-                    "repro: seed {SEED:#x} case {case} step {step}: \
-                     {claims:?} active {active:?} -> {slot:?}"
-                );
-                let Some(s) = slot else {
-                    assert!(claims.is_empty(), "{repro}");
-                    continue;
-                };
-                let eligible = |i: usize| {
-                    !claims[..i]
-                        .iter()
-                        .any(|e| e.restoring && e.model == claims[i].model)
-                };
-                assert!(eligible(s), "{repro}");
-                let least = (0..claims.len())
-                    .filter(|&i| eligible(i))
-                    .map(|i| claims[i].work_left)
-                    .fold(f64::INFINITY, f64::min);
-                assert_eq!(claims[s].work_left, least, "{repro}");
-                if active != Some(s) {
-                    let first =
-                        (0..claims.len()).find(|&i| eligible(i) && claims[i].work_left == least);
-                    assert_eq!(first, Some(s), "{repro}");
-                }
-                if let Some(a) = active.filter(|&a| a != s) {
-                    assert!(claims[s].work_left < claims[a].work_left, "{repro}");
-                    preempted += 1;
-                }
-                if (0..claims.len()).any(|i| !eligible(i) && claims[i].work_left < least) {
-                    guarded += 1;
-                }
-                // The holder takes a chunk of one or two units.
-                claims[s].work_left -= rng.gen_range(1, 3) as f64;
-                active = Some(s);
-                if claims[s].work_left <= 0.0 {
-                    claims.remove(s);
-                    active = None;
-                }
-            }
-        }
-        assert!(
-            preempted >= 250 && guarded >= 1000,
-            "{preempted} preemptions, {guarded} guarded choices"
-        );
     }
 
     #[test]

@@ -1,7 +1,14 @@
-//! Pricing one batched step of the serving step loop, and choosing how many
-//! tokens its decodes draft when speculative decoding is on.
-//! [`StepBatch::choose`] is the only code that prices a pass over several
-//! sequences; `llm` supplies only the per-model coefficients
+//! The serving step loop: its state, its decisions and its one pricer.
+//!
+//! [`StepLoop`] owns every decision between two steps: which prefill holds
+//! the chunk slot, how long its chunk is, how deep the decodes draft, the
+//! acceptance draws, and the token, chunk and sharing-stall accounting.  It
+//! reads nothing of the server but whether the server is at its in-flight
+//! cap with a request queued, so a test can drive it without a `Server`.
+//! `serving.rs` keeps the events, the NPU lane, the KV pool, telemetry and
+//! metrics, and the request records.  [`StepBatch::choose`] is the only code
+//! that prices a pass over several sequences, and only [`StepLoop`] calls it;
+//! `llm` supplies only the per-model coefficients
 //! ([`llm::BatchedStepCosts`]).
 //!
 //! A step advances every member decode by at least one token and may run one
@@ -38,6 +45,9 @@
 //! compute-bound, every drafted position costs real NPU time, and shallower
 //! drafts (or none) emit more per second.
 
+use std::collections::BTreeMap;
+
+use sim_core::{DetRng, SimDuration};
 use tz_hal::PlatformProfile;
 
 use crate::serving::ModelId;
@@ -316,6 +326,436 @@ where
 /// speculation off.
 pub(crate) fn acceptance_estimate(accepted: u64, examined: u64) -> f64 {
     (accepted + 1) as f64 / (examined + 2) as f64
+}
+
+/// A request's NPU-side work as the step loop receives it, once the pre-NPU
+/// phase of its dispatch (pipelined restoration, KV unseal) is done.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Sequence {
+    /// The request id the loop names the sequence by.
+    pub id: u64,
+    pub model: ModelId,
+    /// Whether its dispatch restored parameters: later prefills of its model
+    /// read that restore, so none of them takes the chunk slot before this
+    /// one finishes.
+    pub restoring: bool,
+    /// The prefill plan's exclusive NPU window, seconds, consumed chunk by
+    /// chunk.
+    pub npu_secs: f64,
+    /// Prompt tokens the window prefills (those the KV pool did not serve);
+    /// one chunk's worth of them costs one chunk's share of the window.
+    pub new_tokens: usize,
+    /// The KV length every decode step is priced at: prompt + response
+    /// (decode compute is affine in it; pricing every step at the final
+    /// length keeps the loop O(batch) and errs conservatively).
+    pub kv_len: usize,
+    /// Tokens of the response: the prefill emits the first, decode steps
+    /// the rest.
+    pub output_len: usize,
+    /// Per-mille probability that the target accepts one draft proposal of
+    /// the response, and the seed of its private acceptance stream — the
+    /// simulator's ground truth: it decides each verify's outcome, and the
+    /// depth chooser never reads it.
+    pub accept_permille: u16,
+    pub accept_seed: u64,
+}
+
+/// A prefill in the loop, consuming its NPU window at most one chunk a step.
+struct Prefill {
+    seq: Sequence,
+    /// NPU seconds of the window left.
+    left_secs: f64,
+    /// Chunks consumed so far, for span labels; never priced.
+    chunks_done: u32,
+}
+
+/// A sequence decoding in the loop: every step it is a member of emits at
+/// least one of its tokens.
+struct Decode {
+    id: u64,
+    member: StepMember,
+    /// Tokens its decode phase emits in all (`output_len − 1`).
+    tokens: u64,
+    /// Steps it has been a member of, counted apart from `tokens_left` so
+    /// the starvation guard measures rather than assumes.
+    steps_seen: u64,
+    /// The plain step of this sequence alone: the solo token time its
+    /// sharing stall is measured against.
+    solo_secs: f64,
+    stall_ns: f64,
+    accept_permille: u16,
+    accept_rng: DetRng,
+    /// Tokens the draft proposes for it in the in-flight step.
+    proposed: u64,
+}
+
+/// The loop's counters over a run.
+#[derive(Debug, Default)]
+pub(crate) struct StepStats {
+    pub steps: u64,
+    /// Whole nanoseconds of step time.
+    pub busy_ns: u64,
+    /// Tokens the decodes emitted (prefills' first tokens excluded).
+    pub decode_tokens: u64,
+    /// Busy nanoseconds at each occupancy (sequences per step).
+    pub occupancy_ns: BTreeMap<u32, u64>,
+    pub max_step_ns: u64,
+    /// The most steps any decode was a member of beyond its token count
+    /// (structurally 0: every member of every step emits a token).
+    pub max_steps_behind: u64,
+    /// Steps whose chosen depth is at least 1.
+    pub spec_steps: u64,
+    /// Steps per chosen depth over the steps that chose one (`k + 1`
+    /// entries with a draft wired, else none).
+    pub depth_steps: Vec<u64>,
+    pub proposed: u64,
+    pub accepted: u64,
+    pub rejected: u64,
+    /// Draft positions the verifies examined: every accepted proposal plus
+    /// the rejection each stopped verify ended at — the denominator of the
+    /// acceptance estimate.
+    pub examined: u64,
+    /// Nanoseconds of draft rounds, the draft's one-time weight restore
+    /// included.
+    pub draft_ns: u64,
+    /// Tokens emitted per decode sequence-step while a draft is wired
+    /// (accepted prefix + bonus token): `emitted → sequence-steps`.
+    pub emitted: BTreeMap<u32, u64>,
+}
+
+/// A step the loop picked and priced, for the server to schedule, label and
+/// count.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Step {
+    /// The price at the chosen depth.
+    pub price: StepPrice,
+    /// The step's whole-nanosecond duration: `step_secs` plus the rounding
+    /// residue carried from earlier steps.
+    pub ns: u64,
+    /// Decodes in the step, plus one for the prefill holding the chunk slot.
+    pub occupancy: u32,
+    /// The prefill holding the chunk slot, and its chunk's number (from 1).
+    pub chunk: Option<(u64, u32)>,
+    /// Whether the slot left an unfinished prefill for this one.
+    pub preempted: bool,
+    /// Whether the step pays the draft's one-time weight restore (the first
+    /// speculative step does), inside `draft_secs` and `step_secs`.
+    pub restores_draft: bool,
+}
+
+/// What a finished step produced, in the order the server books it.
+pub(crate) struct StepEnd {
+    /// Decodes that emitted their last token, in join order, with their
+    /// sharing stall.
+    pub completed: Vec<(u64, SimDuration)>,
+    /// The prefill whose window the step used up: its first token is out.
+    /// The flag says whether that token was the response's last.
+    pub first_token: Option<(u64, bool)>,
+}
+
+/// The serving step loop as a state machine over its sequences.  The server
+/// admits a prefill when its pre-NPU phase ends, asks [`StepLoop::next`] for
+/// a step whenever none is in flight, and calls [`StepLoop::finish`] when
+/// the step's time has passed.
+pub(crate) struct StepLoop {
+    /// Coefficients indexed by [`ModelId`], the draft's included.
+    models: Vec<StepModel>,
+    draft: Option<ModelId>,
+    /// The deepest draft a step may choose.
+    k: u64,
+    /// Seconds the draft's weights take to restore, until the first
+    /// speculative step pays them.
+    draft_restore_secs: Option<f64>,
+    /// Prompt tokens of a fixed chunk.
+    chunk_tokens: usize,
+    /// Decoding sequences, in join order.
+    decodes: Vec<Decode>,
+    /// The sequence whose first token the last step produced: it joins
+    /// `decodes` when the next step is picked, so the completions booked at
+    /// that step's end do not count it as running.
+    joining: Option<Decode>,
+    /// Unfinished prefills, in admission order.
+    prefills: Vec<Prefill>,
+    /// Index into `prefills` of the chunk-slot holder: the prefill the last
+    /// step chunked, while it is unfinished.
+    slot: Option<usize>,
+    /// The in-flight step's seconds and chunk seconds.
+    running: Option<(f64, f64)>,
+    /// Sub-nanosecond residue of step rounding, carried into the next step
+    /// so a long run of steps accumulates no drift.
+    carry_ns: f64,
+    pub stats: StepStats,
+}
+
+impl StepLoop {
+    /// An empty loop over `models`; `draft` names the draft entry and the
+    /// seconds its weights take to restore, a step drafts at most `k`
+    /// tokens per sequence, and a fixed chunk is `chunk_tokens` long.
+    pub fn new(
+        models: Vec<StepModel>,
+        draft: Option<(ModelId, f64)>,
+        k: u64,
+        chunk_tokens: usize,
+    ) -> StepLoop {
+        StepLoop {
+            models,
+            draft: draft.map(|(id, _)| id),
+            k,
+            draft_restore_secs: draft.map(|(_, secs)| secs),
+            chunk_tokens,
+            decodes: Vec::new(),
+            joining: None,
+            prefills: Vec::new(),
+            slot: None,
+            running: None,
+            carry_ns: 0.0,
+            stats: StepStats {
+                depth_steps: vec![0; if draft.is_some() { k as usize + 1 } else { 0 }],
+                ..StepStats::default()
+            },
+        }
+    }
+
+    /// Admits a prefill whose pre-NPU phase is done.
+    pub fn admit(&mut self, seq: Sequence) {
+        self.prefills.push(Prefill {
+            left_secs: seq.npu_secs,
+            chunks_done: 0,
+            seq,
+        });
+    }
+
+    /// Whether a step is in flight.
+    pub fn running(&self) -> bool {
+        self.running.is_some()
+    }
+
+    /// The ids of the sequences in the loop: decodes, then prefills.
+    pub fn members(&self) -> impl Iterator<Item = u64> + '_ {
+        let decodes = self.decodes.iter().map(|d| d.id);
+        decodes.chain(self.prefills.iter().map(|p| p.seq.id))
+    }
+
+    /// The prefill that takes the next step's chunk slot, as an index into
+    /// `prefills`.
+    ///
+    /// Least remaining work first: the slot goes to the eligible prefill with
+    /// the least work left, the earliest on a tie.  A prefill is not eligible
+    /// while an earlier prefill of its model restores: its NPU work reads that
+    /// restore.  No eligible prefill ahead of the holder can tie it (only the
+    /// holder's work falls, arrivals queue behind it, and a restore finishes
+    /// only by taking the slot), so it keeps the slot until strictly less.
+    fn chunk_slot(&self) -> Option<usize> {
+        let mut best: Option<(usize, f64)> = None;
+        for (i, p) in self.prefills.iter().enumerate() {
+            let blocked = self.prefills[..i]
+                .iter()
+                .any(|e| e.seq.restoring && e.seq.model == p.seq.model);
+            if !blocked && best.is_none_or(|(_, work)| p.left_secs < work) {
+                best = Some((i, p.left_secs));
+            }
+        }
+        best.map(|(i, _)| i)
+    }
+
+    /// Picks and prices the next step, or `None` when the loop has no work.
+    /// The step decodes one token (more under speculation) of every decode
+    /// and runs at most one chunk of the prefill [`StepLoop::chunk_slot`]
+    /// picks; [`StepBatch::choose`] prices it, sizes a slack chunk and picks
+    /// the draft depth.
+    ///
+    /// The chunk is a fixed one unless `backlog` (every in-flight slot
+    /// taken, a request queued) and the step has decodes: then no new
+    /// prefill can start before a decode finishes, so a full chunk would
+    /// only end this prefill sooner and leave the decode-only steps after it
+    /// with idle NPU time under their weight reads.  The chunk fills the
+    /// step's weight-read slack instead ([`Chunk::Slack`]) and costs the
+    /// decodes nothing, or carries one prompt token's share when a
+    /// compute-bound pass leaves less.  In any other state a slack chunk
+    /// would only delay a first token.
+    pub fn next(&mut self, backlog: bool) -> Option<Step> {
+        debug_assert!(self.running.is_none(), "one step at a time");
+        self.decodes.extend(self.joining.take());
+        let slot = self.chunk_slot();
+        let preempted = self.slot.is_some() && slot != self.slot;
+        self.slot = slot;
+        let prefill = slot.map(|i| &self.prefills[i]);
+        if self.decodes.is_empty() && prefill.is_none() {
+            return None;
+        }
+        // A fixed chunk's worth of the new prompt tokens costs its share of
+        // the window; the floor is one token's share.
+        let chunk = match prefill.map(|p| (p, p.seq.npu_secs, p.seq.new_tokens.max(1))) {
+            None => Chunk::Fixed(0.0),
+            Some((p, window, new)) if backlog && !self.decodes.is_empty() => Chunk::Slack {
+                floor_secs: window / new as f64,
+                left_secs: p.left_secs,
+            },
+            Some((p, window, new)) => {
+                let fixed = window * self.chunk_tokens.min(new) as f64 / new as f64;
+                Chunk::Fixed(fixed.min(p.left_secs))
+            }
+        };
+        // A step without a chunk picks the depth (0..=k) that maximises
+        // expected emitted tokens per second of step time, at the loop's own
+        // acceptance estimate.  Steps carrying a chunk do not draft: drafting
+        // stretches the step, and a stretched step delays the chunk — so the
+        // chunk cadence (and cold-heavy TTFT) stays the plain loop's.
+        let deciding = self.draft.is_some() && prefill.is_none();
+        let mut price = StepBatch {
+            members: self.decodes.iter().map(|d| &d.member),
+            models: &self.models,
+            draft: self.draft.map(|id| &self.models[id.0 as usize]),
+            chunk,
+        }
+        .choose(
+            if deciding { self.k } else { 0 },
+            acceptance_estimate(self.stats.accepted, self.stats.examined),
+        );
+        let stats = &mut self.stats;
+        if deciding {
+            stats.depth_steps[price.depth as usize] += 1;
+        }
+        let restores_draft = price.depth > 0 && self.draft_restore_secs.is_some();
+        if price.depth > 0 {
+            for d in &mut self.decodes {
+                d.proposed = d.member.proposals(price.depth);
+            }
+            // The draft's weights stream through the restore path once; the
+            // first speculative step pays for them outside the depth
+            // comparison, since every depth would pay the same.
+            let restore_secs = self.draft_restore_secs.take().unwrap_or(0.0);
+            price.draft_secs += restore_secs;
+            price.step_secs += restore_secs;
+            stats.spec_steps += 1;
+            stats.draft_ns += (price.draft_secs * 1e9).round() as u64;
+        }
+        let ns_f = price.step_secs * 1e9 + self.carry_ns;
+        let ns = ns_f.round().max(0.0);
+        self.carry_ns = ns_f - ns;
+        let ns = ns as u64;
+        let occupancy = self.decodes.len() as u32 + u32::from(prefill.is_some());
+        *stats.occupancy_ns.entry(occupancy).or_insert(0) += ns;
+        stats.steps += 1;
+        stats.busy_ns += ns;
+        stats.max_step_ns = stats.max_step_ns.max(ns);
+        self.running = Some((price.step_secs, price.chunk_secs));
+        Some(Step {
+            price,
+            ns,
+            occupancy,
+            chunk: prefill.map(|p| (p.seq.id, p.chunks_done + 1)),
+            preempted,
+            restores_draft,
+        })
+    }
+
+    /// Finishes the in-flight step: each decode draws its verify's outcome
+    /// and emits its accepted prefix plus one token, the slot holder
+    /// consumes its chunk, and what finished leaves the loop.
+    pub fn finish(&mut self) -> StepEnd {
+        let (step_secs, chunk_secs) = self.running.take().expect("a step is in flight");
+        let speculating = self.draft.is_some();
+        let stats = &mut self.stats;
+        for d in &mut self.decodes {
+            d.steps_seen += 1;
+            let emitted = if d.proposed == 0 {
+                1
+            } else {
+                // The target accepts the leading run of proposals that match
+                // what it would have sampled itself, then emits one bonus
+                // token past it; the KV tail written for rejected positions
+                // is rewound (a page-tail truncation: the KV length priced
+                // is the final one).
+                let rate = d.accept_permille as f64 / 1000.0;
+                let mut accepted = 0u64;
+                while accepted < d.proposed && d.accept_rng.gen_bool(rate) {
+                    accepted += 1;
+                }
+                stats.proposed += d.proposed;
+                stats.accepted += accepted;
+                stats.rejected += d.proposed - accepted;
+                stats.examined += accepted + u64::from(accepted < d.proposed);
+                accepted + 1
+            };
+            if speculating {
+                *stats.emitted.entry(emitted as u32).or_insert(0) += 1;
+            }
+            d.proposed = 0;
+            // Proposals are capped at `tokens_left − 1`, so even a full
+            // accept plus the bonus token cannot overshoot.
+            d.member.tokens_left -= emitted;
+            stats.decode_tokens += emitted;
+            // Step time beyond the sequence's solo time for the tokens it
+            // emitted is what sharing the NPU (and drafting) cost it.
+            d.stall_ns += (step_secs - emitted as f64 * d.solo_secs).max(0.0) * 1e9;
+        }
+        let mut completed = Vec::new();
+        self.decodes.retain(|d| {
+            if d.member.tokens_left > 0 {
+                return true;
+            }
+            let behind = d.steps_seen.saturating_sub(d.tokens);
+            stats.max_steps_behind = stats.max_steps_behind.max(behind);
+            completed.push((d.id, SimDuration::from_nanos(d.stall_ns.round() as u64)));
+            false
+        });
+        let mut first_token = None;
+        if let Some(i) = self.slot {
+            let p = &mut self.prefills[i];
+            p.left_secs -= chunk_secs;
+            if chunk_secs > 0.0 {
+                p.chunks_done += 1;
+            }
+            // Exact zero in the common case (the last chunk is `min(chunk,
+            // left)`); the epsilon only absorbs float residue.
+            if p.left_secs <= 1e-9 {
+                let seq = self.prefills.remove(i).seq;
+                self.slot = None;
+                let tokens = seq.output_len.saturating_sub(1) as u64;
+                first_token = Some((seq.id, tokens == 0));
+                if tokens > 0 {
+                    self.joining = Some(self.decode(seq, tokens));
+                }
+            }
+        }
+        StepEnd {
+            completed,
+            first_token,
+        }
+    }
+
+    /// The decode `seq` becomes once its prefill is done, with `tokens` left
+    /// to emit.
+    fn decode(&self, seq: Sequence, tokens: u64) -> Decode {
+        let coeffs = &self.models[seq.model.0 as usize];
+        let member = StepMember {
+            model: seq.model,
+            kv_len: seq.kv_len,
+            tokens_left: tokens,
+            compute_secs: coeffs.step.decode_compute_secs(seq.kv_len),
+            drafts: coeffs.drafts,
+        };
+        let solo_secs = StepBatch {
+            members: std::iter::once(&member),
+            models: &self.models,
+            draft: None,
+            chunk: Chunk::Fixed(0.0),
+        }
+        .choose(0, 0.0)
+        .step_secs;
+        Decode {
+            id: seq.id,
+            member,
+            tokens,
+            steps_seen: 0,
+            solo_secs,
+            stall_ns: 0.0,
+            accept_permille: seq.accept_permille,
+            accept_rng: DetRng::new(seq.accept_seed),
+            proposed: 0,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -819,5 +1259,234 @@ mod tests {
             }
         }
         assert!(same_depth_growths >= 250, "{same_depth_growths} of 500");
+    }
+
+    /// What the explorer tracks of one request across its history.
+    #[derive(Default)]
+    struct Life {
+        window: f64,
+        output_len: usize,
+        /// NPU seconds of the chunks it ran.
+        chunked: f64,
+        /// Whether its first token is out and it still decodes.
+        decoding: bool,
+        emitted: u64,
+        /// Seconds of the steps it decoded in.
+        decode_secs: f64,
+    }
+
+    /// Drives [`StepLoop`] without a server through 10,000 random histories:
+    /// 1–16 sequences of both models arriving over time, restoring or not,
+    /// with responses of 1–6 tokens, a draft depth cap `k` in 0..=4, and the
+    /// cap-with-backlog flag drawn per step.  After every step it checks:
+    ///
+    /// * (a) every decode emits exactly `output_len − 1` tokens, at least one
+    ///   in every step from the step after its first token until it
+    ///   finishes;
+    /// * (b) each prefill's chunks sum to its NPU window, no chunk is longer
+    ///   than what was left, and the first token comes at the end of the
+    ///   step that consumes the rest;
+    /// * (c) the chunk slot goes to the least work left among eligible
+    ///   prefills, the earliest on a tie, the holder included; its holder is
+    ///   displaced only by strictly less work; no prefill overtakes an
+    ///   earlier restoring prefill of its model; and a preemption is reported
+    ///   exactly when the slot leaves an unfinished prefill;
+    /// * (d) the depth is at most `k`, 0 on every step carrying a chunk, and
+    ///   nothing is proposed at `k = 0`;
+    /// * (e) the whole-nanosecond step times sum to within 1 ns of the step
+    ///   seconds;
+    /// * (f) each decode's sharing stall is at most its steps' summed time.
+    ///
+    /// Case `c` draws only from `DetRng::new(shard_seed(SEED, c))`, so a
+    /// failure's one-line repro (seed, case, step) replays on its own.
+    #[test]
+    fn step_loop_histories_keep_the_loop_laws() {
+        const SEED: u64 = 0x57E9_100B;
+        let (models, draft) = rk3588_models();
+        let catalogue = vec![models[0], models[1], draft];
+        // Fixed chunks, slack chunks, floor chunks, preemptions, guarded
+        // choices, speculative steps, and holders kept against a later
+        // prefill with equal work seen.
+        let mut seen = [0u32; 7];
+        for case in 0..10_000u64 {
+            let mut rng = DetRng::new(sim_core::shard_seed(SEED, case));
+            let k = rng.gen_range(0, 5);
+            let draft = (k > 0).then_some((ModelId(2), 0.4));
+            let mut lp = StepLoop::new(catalogue.clone(), draft, k, 16);
+            let mut at = 0;
+            let mut arrivals: Vec<(u64, Sequence)> = (0..rng.gen_range(1, 17))
+                .map(|id| {
+                    at += rng.gen_range(0, 4);
+                    let seq = Sequence {
+                        id,
+                        model: ModelId(u32::from(rng.gen_bool(0.3))),
+                        restoring: rng.gen_bool(0.3),
+                        // Windows on a binary grid, and fixed chunks that
+                        // split them exactly (all but 40 tokens), so equal
+                        // work left is common: between fresh prefills, and
+                        // between a chunked holder and a later arrival.
+                        npu_secs: rng.gen_range(1, 5) as f64 / 16.0,
+                        new_tokens: [1, 16, 32, 40, 64][rng.gen_range(0, 5) as usize],
+                        kv_len: rng.gen_range(64, 2049) as usize,
+                        output_len: rng.gen_range(1, 7) as usize,
+                        accept_permille: rng.gen_range(300, 1000) as u16,
+                        accept_seed: rng.next_u64(),
+                    };
+                    (at, seq)
+                })
+                .collect();
+            arrivals.reverse();
+            let mut lives: BTreeMap<u64, Life> = BTreeMap::new();
+            let admit = |lp: &mut StepLoop, lives: &mut BTreeMap<u64, Life>, seq: Sequence| {
+                let life = Life {
+                    window: seq.npu_secs,
+                    output_len: seq.output_len,
+                    ..Life::default()
+                };
+                lives.insert(seq.id, life);
+                lp.admit(seq);
+            };
+            let (mut sum_ns, mut sum_secs) = (0u64, 0.0f64);
+            let mut holder: Option<u64> = None;
+            for step in 0.. {
+                let repro = || format!("repro: seed {SEED:#x} case {case} step {step}");
+                while arrivals.last().is_some_and(|&(at, _)| at <= step) {
+                    let (_, seq) = arrivals.pop().expect("an arrival is due");
+                    admit(&mut lp, &mut lives, seq);
+                }
+                let prefills: Vec<(u64, f64, ModelId, bool)> = lp
+                    .prefills
+                    .iter()
+                    .map(|p| (p.seq.id, p.left_secs, p.seq.model, p.seq.restoring))
+                    .collect();
+                let Some(st) = lp.next(rng.gen_bool(0.5)) else {
+                    assert!(prefills.is_empty() && lp.decodes.is_empty(), "{}", repro());
+                    match arrivals.pop() {
+                        Some((_, seq)) => admit(&mut lp, &mut lives, seq),
+                        None => break,
+                    }
+                    continue;
+                };
+                let price = st.price;
+                // (a): the members are exactly the sequences decoding.
+                let members: Vec<u64> = lp.decodes.iter().map(|d| d.id).collect();
+                let decoding: Vec<u64> = lives
+                    .iter()
+                    .filter(|(_, l)| l.decoding)
+                    .map(|(&id, _)| id)
+                    .collect();
+                let mut sorted = members.clone();
+                sorted.sort();
+                assert_eq!(sorted, decoding, "{}: members", repro());
+                // (c): the chunk slot.
+                let chosen = st.chunk.map(|(id, _)| id);
+                assert_eq!(chosen.is_some(), !prefills.is_empty(), "{}", repro());
+                if let Some(chosen) = chosen {
+                    let eligible = |i: usize| {
+                        let (_, _, model, _) = prefills[i];
+                        !prefills[..i].iter().any(|e| e.3 && e.2 == model)
+                    };
+                    let s = prefills.iter().position(|p| p.0 == chosen);
+                    let s = s.unwrap_or_else(|| panic!("{}: slot to a stranger", repro()));
+                    assert!(eligible(s), "{}: slot to a blocked prefill", repro());
+                    let least = (0..prefills.len())
+                        .filter(|&i| eligible(i))
+                        .map(|i| prefills[i].1)
+                        .fold(f64::INFINITY, f64::min);
+                    let tied = |i: usize| eligible(i) && prefills[i].1 == least;
+                    let first = (0..prefills.len()).find(|&i| tied(i));
+                    assert_eq!(first, Some(s), "{}: not the earliest least work", repro());
+                    let displaced = holder.filter(|&h| h != chosen);
+                    if let Some(h) = displaced {
+                        let held = prefills.iter().find(|p| p.0 == h).expect("holder").1;
+                        assert!(prefills[s].1 < held, "{}: equal work preempted", repro());
+                        seen[3] += 1;
+                    }
+                    assert_eq!(st.preempted, displaced.is_some(), "{}", repro());
+                    if (0..prefills.len()).any(|i| !eligible(i) && prefills[i].1 < least) {
+                        seen[4] += 1;
+                    }
+                    if holder == Some(chosen) && (s + 1..prefills.len()).any(tied) {
+                        seen[6] += 1;
+                    }
+                    seen[price.chunk_mode as usize] += 1;
+                }
+                // (d): the depth.
+                assert!(price.depth <= k, "{}: depth {}", repro(), price.depth);
+                assert!(chosen.is_none() || price.depth == 0, "{}", repro());
+                if k == 0 {
+                    assert!(lp.decodes.iter().all(|d| d.proposed == 0), "{}", repro());
+                }
+                seen[5] += u32::from(price.depth > 0);
+                // (e): whole nanoseconds against seconds.
+                sum_ns += st.ns;
+                sum_secs += price.step_secs;
+                let drift = sum_ns as f64 - sum_secs * 1e9;
+                assert!(drift.abs() <= 1.0, "{}: drift {drift} ns", repro());
+                let before: Vec<(u64, u64)> = lp
+                    .decodes
+                    .iter()
+                    .map(|d| (d.id, d.member.tokens_left))
+                    .collect();
+                if rng.gen_bool(0.2) {
+                    // Prefills also arrive while a step runs.
+                    if let Some((_, seq)) = arrivals.pop() {
+                        admit(&mut lp, &mut lives, seq);
+                    }
+                }
+                let end = lp.finish();
+                // (a): every member emits, and a finished one emitted all.
+                for (id, left) in before {
+                    let after = lp.decodes.iter().find(|d| d.id == id);
+                    let after = after.map_or(0, |d| d.member.tokens_left);
+                    assert!(after < left, "{}: request {id} emitted nothing", repro());
+                    let life = lives.get_mut(&id).expect("a decode has a life");
+                    life.emitted += left - after;
+                    life.decode_secs += price.step_secs;
+                    let done = end.completed.iter().find(|c| c.0 == id);
+                    assert_eq!(done.is_some(), after == 0, "{}", repro());
+                    if let Some(&(_, stall)) = done {
+                        life.decoding = false;
+                        let total = life.output_len as u64 - 1;
+                        assert_eq!(life.emitted, total, "{}: request {id}", repro());
+                        // (f): the stall is part of the steps' time.
+                        let bound = (life.decode_secs * 1e9).round() + 1.0;
+                        assert!(stall.as_nanos() as f64 <= bound, "{}: stall", repro());
+                    }
+                }
+                // (b): the chunk, and the first token.
+                let finished = st.chunk.and_then(|(id, _)| {
+                    let left = prefills.iter().find(|p| p.0 == id).expect("holder").1;
+                    assert!(price.chunk_secs <= left, "{}: chunk past the rest", repro());
+                    let life = lives.get_mut(&id).expect("a prefill has a life");
+                    life.chunked += price.chunk_secs;
+                    (left - price.chunk_secs <= 1e-9).then_some(id)
+                });
+                assert_eq!(finished, end.first_token.map(|f| f.0), "{}", repro());
+                holder = chosen.filter(|_| finished.is_none());
+                if let Some((id, last)) = end.first_token {
+                    let life = lives.get_mut(&id).expect("a prefill has a life");
+                    let gap = (life.chunked - life.window).abs();
+                    assert!(gap <= 1e-9, "{}: chunks tile the window by {gap}", repro());
+                    assert_eq!(last, life.output_len == 1, "{}", repro());
+                    life.decoding = !last;
+                }
+            }
+            assert!(
+                lives.values().all(|l| !l.decoding),
+                "case {case}: a decode starved"
+            );
+        }
+        let [fixed, slack, floor, preempted, guarded, speculative, tie_kept] = seen;
+        assert!(
+            fixed >= 10_000
+                && slack >= 10_000
+                && floor >= 1000
+                && preempted >= 500
+                && guarded >= 1000
+                && speculative >= 5000
+                && tie_kept >= 500,
+            "{seen:?}: fixed, slack, floor, preempted, guarded, speculative, tie kept"
+        );
     }
 }

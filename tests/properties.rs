@@ -303,9 +303,10 @@ fn next_kv_query(
 /// prewarms, with shared and salted page keys, F16 and INT8 spill.  After
 /// every step, for a random next prompt, restore-ahead sizes exactly what
 /// the dispatch would unseal, an unlimited prewarm unseals exactly that, and
-/// the pool's residency counters equal their recount from its pages and
-/// tails.  Case `c` draws only from `DetRng::new(shard_seed(SEED, c))`, so
-/// a failure's one-line repro (seed, case, step) replays on its own.
+/// the pool's residency counters, page references and deduped bytes equal
+/// their recount from its pages, tails and the sessions' page chains.  Case
+/// `c` draws only from `DetRng::new(shard_seed(SEED, c))`, so a failure's
+/// one-line repro (seed, case, step) replays on its own.
 #[test]
 fn kv_claims_and_byte_ledger_hold_on_random_histories() {
     const SEED: u64 = 0x6b765f6c6564; // "kv_led"
@@ -342,7 +343,12 @@ fn kv_claims_and_byte_ledger_hold_on_random_histories() {
                     in_flight[i] = Some(prompt);
                 }
                 1 => {
-                    let prompt = in_flight[i].take().unwrap_or_else(|| contexts[i].clone());
+                    // With no dispatch in flight, a request the session never
+                    // claimed for completes (two requests of one session may
+                    // overlap): its context may diverge from the retained one.
+                    let prompt = in_flight[i]
+                        .take()
+                        .unwrap_or_else(|| next_kv_query(&mut rng, s, &contexts[i], &head).1);
                     let context = prompt.extended(rng.next_u64(), rng.gen_range(1, 32) as usize);
                     let hashes = context.page_keys(KV_PT);
                     pool.on_complete(s, 0, &hashes, context.len(), KV_BPT, now);
@@ -375,7 +381,7 @@ fn kv_claims_and_byte_ledger_hold_on_random_histories() {
             assert_eq!(
                 pool.balance(),
                 pool.recount(),
-                "{repro}: residency counters against their recount"
+                "{repro}: residency and reference counters against their recount"
             );
         }
     }
